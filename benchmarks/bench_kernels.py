@@ -2,9 +2,15 @@
 fallback.
 
 The fallback is selected with FRACPERC_PURE=1; this script runs both in
-subprocesses so each gets a clean import, and reports expansion throughput.
+subprocesses so each gets a clean import, and reports the throughput of
+expanding a surviving forest of `reps` trees (d=2, p=0.7, to level 9) plus
+the time to grow up to 200 extinction-variant trees.  When the compiled
+backend is not built, both runs use the fallback.
 
-Usage: python benchmarks/bench_kernels.py [reps]
+The default of 500 trees keeps level 9 (about 5.3 M cubes) under the
+forest's 20 M cube budget; 2000 trees exceed it and stop with BudgetError.
+
+Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
 
 import json
@@ -52,7 +58,7 @@ def run(pure, reps):
 
 
 def main():
-    reps = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    reps = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     fast = run(pure=False, reps=reps)
     slow = run(pure=True, reps=reps)
     print(f"{'impl':<10}{'forest s':>12}{'cubes/s':>16}{'extinction s':>14}")

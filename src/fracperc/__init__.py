@@ -31,6 +31,7 @@ from .geometry import (
     coordinate_plane,
     plane_cube_measure,
     plane_from_text,
+    plane_level_measure,
     plane_to_text,
     principal_angle,
     transversality_check,
@@ -42,11 +43,11 @@ from .polynomials import (
     polynomial_to_text,
     variety_box_count,
     variety_cube_measure,
+    variety_level_measure,
     variety_tangent,
 )
 from .intersect import (
     MassSeries,
-    MeasureCache,
     ProductMeasureSpec,
     dependency_graph,
     holder_modulus,

@@ -4,12 +4,12 @@ Measures use half-open cube semantics throughout so that level-n cubes tile
 [0,1)^M exactly and per-cube measures are additive.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, DegenerateInputError
 
@@ -119,43 +119,81 @@ def principal_angle(v, w):
 
 
 # ---------------------------------------------------------------------------
-# Plane-cube measures
+# Plane-cube measures, one dyadic level at a time
 
-def _line_box_length(plane, lo, side):
-    """Exact H^1 of a line intersected with the half-open box."""
+# Largest number of per-cube floats (QMC sample coordinates, hyperplane
+# corner terms) a level kernel holds at once.  Cubes are measured in chunks of
+# whole cubes below this cap, so peak memory does not grow with the number of
+# cubes in a level.
+CHUNK_FLOATS = 1 << 18
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_points(dim, n):
+    """The first n points of the unscrambled Sobol sequence in [0,1)^dim.
+
+    Memoised and read-only: every cube maps the same set affinely into
+    itself, so a cube's estimate does not depend on the cubes measured with
+    it."""
+    from scipy.stats import qmc
+
+    pts = qmc.Sobol(d=dim, scramble=False).random(n)
+    pts.setflags(write=False)
+    return pts
+
+
+def _row_chunks(n_cubes, per_cube):
+    """Row slices of whole cubes holding at most CHUNK_FLOATS floats each, at
+    `per_cube` floats a cube (at least one cube per slice)."""
+    step = max(1, CHUNK_FLOATS // per_cube)
+    return [slice(a, min(a + step, n_cubes)) for a in range(0, n_cubes, step)]
+
+
+def _level_lower(idx, level):
+    """Lower corners (K, M) of the half-open level cubes with indices idx."""
+    return np.asarray(idx).astype(float) * 2.0 ** -level
+
+
+def _line_level_length(plane, lo, side):
+    """Exact H^1 of a line intersected with each half-open box lo + [0, side)^M,
+    clipping the parameter against every slab at once."""
     b = plane.basis[0]
     o = plane.offset
-    tmin, tmax = -np.inf, np.inf
-    for i in range(lo.shape[0]):
-        if abs(b[i]) < 1e-14:
-            if not (lo[i] <= o[i] < lo[i] + side):
-                return 0.0
-        else:
-            t0 = (lo[i] - o[i]) / b[i]
-            t1 = (lo[i] + side - o[i]) / b[i]
-            tmin = max(tmin, min(t0, t1))
-            tmax = min(tmax, max(t0, t1))
-    return max(0.0, tmax - tmin)
+    cut = np.abs(b) >= 1e-14
+    t0 = (lo[:, cut] - o[cut]) / b[cut]
+    t1 = (lo[:, cut] + side - o[cut]) / b[cut]
+    tmin = np.minimum(t0, t1).max(axis=1)
+    tmax = np.maximum(t0, t1).min(axis=1)
+    par = lo[:, ~cut]
+    meets = np.all((par <= o[~cut]) & (o[~cut] < par + side), axis=1)
+    return np.where(meets, np.maximum(0.0, tmax - tmin), 0.0)
 
 
-def _hyperplane_box_section(normal, offset_val, lo, side):
-    """H^(M-1) of {n.x = v} within the half-open box prod [lo_i, lo_i+side)."""
+def _hyperplane_level_section(normal, offset_val, lo, side):
+    """H^(M-1) of {n.x = v} within each half-open box lo + [0, side)^M.
+
+    The normal is fixed, so the reflected unit normal and its 2^r corner
+    sums are computed once; only the level set c differs between boxes.
+    """
     n = np.asarray(normal, dtype=float)
     m = n.shape[0]
-    act = np.abs(n) > 1e-12
-    r = int(act.sum())
+    act = np.flatnonzero(np.abs(n) > 1e-12)
+    r = act.size
     if r == 0:
-        return 0.0
+        return np.zeros(lo.shape[0])
     # axes with zero normal component contribute a factor side each
     par_factor = side ** (m - r)
     u = n[act]
     # shift to the unit box: x = lo + side*y
-    c = (offset_val - float(n[act] @ lo[act])) / side
+    dot = lo[:, act[0]] * u[0]
+    for a in range(1, r):
+        dot = dot + lo[:, act[a]] * u[a]
+    c = (offset_val - dot) / side
     if r == 1:
         # axis-parallel hyperplane: a full (M-1)-face if the slice position
         # falls inside the half-open extent of that axis
         t = c / u[0]
-        return par_factor if 0.0 <= t < 1.0 else 0.0
+        return np.where((0.0 <= t) & (t < 1.0), par_factor, 0.0)
     # normalize and reflect so components are positive
     scale = np.linalg.norm(u)
     u = u / scale
@@ -163,76 +201,110 @@ def _hyperplane_box_section(normal, offset_val, lo, side):
     neg = u < 0
     c = c - float(u[neg].sum())
     u = np.abs(u)
-    area_unit = _hyperplane_unitbox_area_pos(u, c)
+    # H^(r-1) of {u.y = c} in [0,1]^r by inclusion-exclusion over corners,
+    # summed in corner order
+    bits = np.array(list(itertools.product((0, 1), repeat=r)), dtype=float)
+    corner = np.array([float(u @ b) for b in bits])
+    sign = (-1.0) ** bits.sum(axis=1)
+    total = np.zeros(c.shape[0])
+    for rows in _row_chunks(c.shape[0], corner.size):
+        t = c[rows, None] - corner
+        terms = np.where(t > 0.0, sign * t ** (r - 1), 0.0)
+        total[rows] = np.add.accumulate(terms, axis=1)[:, -1]
+    area_unit = total / (math.factorial(r - 1) * float(np.prod(u)))
     return par_factor * side ** (r - 1) * area_unit
 
 
-def _hyperplane_unitbox_area_pos(u, c):
-    """H^(r-1) of {u.y = c} in [0,1]^r, u unit with all u_i > 0."""
-    r = u.shape[0]
-    fact = math.factorial(r - 1)
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=r):
-        t = c - float(u @ np.array(bits, dtype=float))
-        if t > 0.0:
-            total += (-1) ** int(sum(bits)) * t ** (r - 1)
-    return total / (fact * float(np.prod(u)))
+# The QMC kernel projects and embeds points with explicit axis-by-axis sums
+# rather than matrix products: a BLAS product may sum in an order that depends
+# on how many rows it is given, and a cube's samples must not depend on which
+# other cubes share its chunk.
+
+def _project(x, plane):
+    """Plane coordinates (..., k) of points x (..., M), summed axis by axis."""
+    y = x - plane.offset
+    t = y[..., 0, None] * plane.basis[:, 0]
+    for i in range(1, plane.ambient):
+        t = t + y[..., i, None] * plane.basis[:, i]
+    return t
 
 
-def _plane_box_mc(plane, lo, side, n_samples, seed=0):
-    """Low-discrepancy estimate of H^k(V cap box) for 1 < k < M-1.
+def _embed(t, plane):
+    """Points (..., M) of the plane at coordinates t (..., k)."""
+    x = t[..., 0, None] * plane.basis[0]
+    for a in range(1, plane.dim):
+        x = x + t[..., a, None] * plane.basis[a]
+    return plane.offset + x
 
-    Samples a Sobol grid on the parameter box covering the cube's shadow on
-    V and rejects against the half-open cube. Returns (estimate, se)."""
+
+def _plane_level_qmc(plane, lo, side, n_samples):
+    """Low-discrepancy estimates of H^k(V cap box) for 1 < k < M-1.
+
+    Samples a Sobol grid on each parameter box covering the cube's shadow on
+    V and rejects against the half-open cube.  Returns (estimates, ses)."""
     k, m = plane.dim, plane.ambient
-    corners = lo + side * np.array(
-        list(itertools.product((0.0, 1.0), repeat=m)), dtype=float
-    )
-    t = (corners - plane.offset) @ plane.basis.T
-    t_lo, t_hi = t.min(axis=0), t.max(axis=0)
-    vol = float(np.prod(t_hi - t_lo))
-    if vol <= 0.0:
-        return 0.0, 0.0
-    sob = qmc.Sobol(d=k, scramble=False)
-    pts = sob.random(n_samples)
-    t_pts = t_lo + pts * (t_hi - t_lo)
-    x = plane.offset + t_pts @ plane.basis
-    inside = np.all((x >= lo) & (x < lo + side), axis=1)
-    frac = inside.mean()
+    unit = np.array(list(itertools.product((0.0, 1.0), repeat=m)), dtype=float)
+    pts = _sobol_points(k, n_samples)
+    vol = np.zeros(lo.shape[0])
+    frac = np.zeros(lo.shape[0])
+    for rows in _row_chunks(lo.shape[0], n_samples * m):
+        box = lo[rows, None, :]
+        t = _project(box + side * unit, plane)          # (C, 2^M, k)
+        t_lo = t.min(axis=1, keepdims=True)
+        t_hi = t.max(axis=1, keepdims=True)
+        vol[rows] = np.prod(t_hi - t_lo, axis=2)[:, 0]
+        x = _embed(t_lo + pts * (t_hi - t_lo), plane)   # (C, N, M)
+        inside = np.all((x >= box) & (x < box + side), axis=2)
+        frac[rows] = inside.mean(axis=1)
+    # a degenerate shadow (vol <= 0) has measure 0
+    frac = np.where(vol > 0.0, frac, 0.0)
+    vol = np.maximum(vol, 0.0)
     est = vol * frac
-    se = vol * float(np.sqrt(max(frac * (1 - frac), 0.0) / n_samples))
+    se = vol * np.sqrt(np.maximum(frac * (1 - frac), 0.0) / n_samples)
     return est, se
 
 
-def plane_cube_measure(plane, cube, n_samples=DEFAULT_MC_SAMPLES, with_se=False):
-    """H^k measure of plane (cap) half-open dyadic cube.
+def plane_level_measure(plane, idx, level, n_samples=DEFAULT_MC_SAMPLES):
+    """H^k measures of a plane within the half-open level cubes idx (K, M).
 
-    Exact for k = 1 (parametric clipping) and k = M-1 (vertex decomposition
-    of the halfspace-box volume derivative); quasi-Monte Carlo rejection
-    sampling otherwise, with a standard-error estimate.
+    Returns (values, ses), one entry per row.  Exact for k = 1 (parametric
+    clipping), k = M-1 (vertex decomposition of the halfspace-box volume
+    derivative) and k = M; quasi-Monte Carlo rejection sampling otherwise,
+    with a standard-error estimate.  Each row is measured on its own, so a
+    cube's value does not depend on the rows it is measured with.
     """
     m = plane.ambient
-    if cube.ambient != m:
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.shape[1] != m:
         raise ConfigError("plane/cube ambient mismatch")
     k = plane.dim
     if k == 0:
         raise ConfigError("0-dimensional targets are not supported")
     if k > m:
         raise DegenerateInputError("plane dimension exceeds ambient")
-    lo = cube.lower
-    side = cube.side
+    side = 2.0 ** -level
+    zeros = np.zeros(idx.shape[0])
     if k == m:
-        val = float(side ** m)  # the whole box
-        return (val, 0.0) if with_se else val
+        return np.full(idx.shape[0], float(side ** m)), zeros
+    lo = _level_lower(idx, level)
     if k == 1:
-        val = _line_box_length(plane, lo, side)
-        return (val, 0.0) if with_se else val
+        return _line_level_length(plane, lo, side), zeros
     if k == m - 1:
         normal = orthonormalize_complement(plane.basis)[0]
-        val = _hyperplane_box_section(normal, float(normal @ plane.offset), lo, side)
-        return (val, 0.0) if with_se else val
-    est, se = _plane_box_mc(plane, lo, side, n_samples)
-    return (est, se) if with_se else est
+        return _hyperplane_level_section(
+            normal, float(normal @ plane.offset), lo, side
+        ), zeros
+    return _plane_level_qmc(plane, lo, side, n_samples)
+
+
+def plane_cube_measure(plane, cube, n_samples=DEFAULT_MC_SAMPLES, with_se=False):
+    """H^k measure of plane (cap) half-open dyadic cube: a one-row call of
+    `plane_level_measure`."""
+    vals, ses = plane_level_measure(
+        plane, np.array([cube.index], dtype=np.int64), cube.level, n_samples
+    )
+    val, se = float(vals[0]), float(ses[0])
+    return (val, se) if with_se else val
 
 
 def orthonormalize_complement(basis):

@@ -19,7 +19,6 @@ from .percolation import (
 )
 from .intersect import (
     ProductMeasureSpec,
-    MeasureCache,
     holder_modulus,
     intersection_mass,
     second_moment_estimate,
@@ -316,13 +315,12 @@ def _run_intersect(cfg, out_dir):
     target = cfg.target()
     n, reps = cfg.i("n"), cfg.i("replicates")
     m = target.ambient // cfg.i("d")
-    cache = MeasureCache()
 
     def one(r):
         seed = _rep_seed(cfg.i("seed"), r)
         spec = _product_spec(cfg, seed, n, m=m)
         series = intersection_mass(
-            spec, target, n, cache=cache, mc_samples=cfg.i("mc_samples"),
+            spec, target, n, mc_samples=cfg.i("mc_samples"),
             param_id=cfg.s("target_kind"),
         )
         return seed, series

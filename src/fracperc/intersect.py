@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError
-from .geometry import AffinePlane, plane_cube_measure
-from .polynomials import PolynomialMap, variety_cube_measure
-from .percolation import DyadicCube, resample_level, sample_tree
+from .geometry import AffinePlane, plane_level_measure
+from .polynomials import PolynomialMap, variety_level_measure
+from .percolation import resample_level, sample_tree
 from .rng import derive, root_key
 
 DEFAULT_CUBE_BUDGET = 5_000_000
@@ -144,10 +144,15 @@ def _child_table(parent_idx, child_idx):
     return order, starts, counts
 
 
-def _expand_factor(state, col, order, starts, counts):
-    """Replace column `col` (factor rows) by every child row, expanding state."""
+def _expand_factor(state, col, order, starts, counts, budget):
+    """Replace column `col` (factor rows) by every child row, expanding state.
+
+    Raises BudgetError when the expansion would hold more than `budget` rows,
+    before anything of that size is allocated."""
     c = counts[state[:, col]]
     total = int(c.sum())
+    if total > budget:
+        raise BudgetError(f"traversal would hold {total} tuples (budget {budget})")
     rep = np.repeat(np.arange(state.shape[0]), c)
     out = state[rep]
     within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
@@ -231,43 +236,26 @@ def product_support_traversal(
                 )
             tables.append(seen[key])
         for j in range(m):
-            state = _expand_factor(state, j, *tables[j])
-            if state.shape[0] > budget:
-                raise BudgetError(
-                    f"product traversal exceeded {budget} cubes at level {lev + 1}"
-                )
+            state = _expand_factor(state, j, *tables[j], budget)
 
 
 # ---------------------------------------------------------------------------
-# Measures with caching
+# Level masses
 
-class MeasureCache(dict):
-    """(level, index bytes) -> (measure, se).  Shared across replicates and
-    resamples: the same product cube always gets the same target measure."""
+def _level_mass(target, level, idx_md, mc_samples):
+    """(sum of target measures, quadrature s.e.) over the level cubes idx_md.
 
-
-def _cube_measure(target, cube, mc_samples):
+    One kernel call per level; the sum runs in row order, so the total is
+    the same as adding the cubes one by one."""
     if isinstance(target, AffinePlane):
-        val, se = plane_cube_measure(target, cube, n_samples=mc_samples, with_se=True)
+        vals, ses = plane_level_measure(target, idx_md, level, mc_samples)
     else:
-        res = variety_cube_measure(target, cube, n_samples=mc_samples, with_detail=True)
-        val, se = res.estimate, res.se
-    return val, se
-
-
-def _level_mass(target, level, idx_md, cache, mc_samples):
-    total = 0.0
-    var = 0.0
-    for row in idx_md:
-        key = (level, row.tobytes())
-        hit = cache.get(key)
-        if hit is None:
-            cube = DyadicCube(level=level, index=tuple(int(v) for v in row))
-            hit = _cube_measure(target, cube, mc_samples)
-            cache[key] = hit
-        total += hit[0]
-        var += hit[1] ** 2
-    return total, math.sqrt(var)
+        vals, ses = variety_level_measure(target, idx_md, level, mc_samples)
+    if vals.size == 0:
+        return 0.0, 0.0
+    total = np.add.accumulate(vals)[-1]
+    var = np.add.accumulate(ses * ses)[-1]
+    return float(total), math.sqrt(var)
 
 
 def _kernel_name(spec, target):
@@ -281,7 +269,6 @@ def intersection_mass(
     spec,
     target,
     n,
-    cache=None,
     mc_samples=DEFAULT_MC_PER_CUBE,
     budget=DEFAULT_CUBE_BUDGET,
     pruned=True,
@@ -305,8 +292,6 @@ def intersection_mass(
             raise ConfigError("target ambient must equal m*d")
         if target.ambient - target.codomain < 1:
             raise DegenerateInputError("variety dimension must be >= 1")
-    if cache is None:
-        cache = MeasureCache()
     values, counts, ses = [], [], []
     for lev, idx_md in product_support_traversal(
         spec, target, n, budget=budget, pruned=pruned,
@@ -317,7 +302,7 @@ def intersection_mass(
             values.append(float("nan"))
             ses.append(float("nan"))
             continue
-        tot, se = _level_mass(target, lev, idx_md, cache, mc_samples)
+        tot, se = _level_mass(target, lev, idx_md, mc_samples)
         f = spec.density_factor(lev)
         values.append(f * tot)
         ses.append(f * se)
@@ -338,7 +323,7 @@ def intersection_mass(
 # Martingale resampling
 
 def martingale_resample_check(
-    spec, target, n, replicates, cache=None, mc_samples=DEFAULT_MC_PER_CUBE
+    spec, target, n, replicates, mc_samples=DEFAULT_MC_PER_CUBE
 ):
     """Freeze levels <= n, re-expand level n+1 `replicates` times.
 
@@ -347,9 +332,7 @@ def martingale_resample_check(
     """
     if replicates < 100:
         raise ConfigError("need at least 100 resamples for a meaningful s.e.")
-    if cache is None:
-        cache = MeasureCache()
-    base = intersection_mass(spec, target, n, cache=cache, mc_samples=mc_samples)
+    base = intersection_mass(spec, target, n, mc_samples=mc_samples)
     y_n = base.values[n]
     samples = np.empty(replicates)
     for r in range(replicates):
@@ -367,7 +350,7 @@ def martingale_resample_check(
                 resample_level(spec.aux_tree, n, r)
             ]
         series = intersection_mass(
-            spec, target, n + 1, cache=cache, mc_samples=mc_samples,
+            spec, target, n + 1, mc_samples=mc_samples,
             factor_levels=flv, aux_levels=aux,
         )
         samples[r] = series.values[n + 1]
@@ -457,17 +440,14 @@ def _replicate_spec(spec, base_seed, r, n):
 
 
 def second_moment_estimate(
-    spec, target, n, replicates, base_seed=0,
-    cache=None, mc_samples=DEFAULT_MC_PER_CUBE,
+    spec, target, n, replicates, base_seed=0, mc_samples=DEFAULT_MC_PER_CUBE,
 ):
     """Monte Carlo E[Y_n], E[Y_n^2] over independent replicates, with the
     Paley-Zygmund survival lower bound P(Y_n > 0) >= E[Y_n]^2 / E[Y_n^2]."""
-    if cache is None:
-        cache = MeasureCache()
     ys = np.empty(replicates)
     for r in range(replicates):
         rs = _replicate_spec(spec, base_seed, r, n)
-        series = intersection_mass(rs, target, n, cache=cache, mc_samples=mc_samples)
+        series = intersection_mass(rs, target, n, mc_samples=mc_samples)
         ys[r] = series.values[n]
     mean = float(ys.mean())
     mean_sq = float((ys ** 2).mean())
@@ -488,8 +468,7 @@ def second_moment_estimate(
 # Hölder modulus
 
 def holder_modulus(
-    spec, targets, metric, n, gamma_list,
-    cache=None, mc_samples=DEFAULT_MC_PER_CUBE,
+    spec, targets, metric, n, gamma_list, mc_samples=DEFAULT_MC_PER_CUBE,
 ):
     """Empirical Hölder table for the map t -> Y_n^t on one realization.
 
@@ -502,11 +481,9 @@ def holder_modulus(
     ids = list(targets)
     if len(ids) < 2:
         raise ConfigError("need at least two targets for a modulus")
-    if cache is None:
-        cache = MeasureCache()
     series = {
         tid: intersection_mass(
-            spec, targets[tid], n, cache=cache, mc_samples=mc_samples, param_id=tid
+            spec, targets[tid], n, mc_samples=mc_samples, param_id=tid
         )
         for tid in ids
     }

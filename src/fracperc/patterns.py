@@ -443,11 +443,7 @@ def detect_configuration(
             break
         table = _child_table(levels[lev], levels[lev + 1])
         for j in range(m):
-            state = _expand_factor(state, j, *table)
-            if state.shape[0] > budget:
-                raise BudgetError(
-                    f"detection traversal exceeded {budget} tuples at level {lev+1}"
-                )
+            state = _expand_factor(state, j, *table, budget)
 
     # distinct factor cubes only
     distinct = np.ones(state.shape[0], dtype=bool)

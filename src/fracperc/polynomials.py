@@ -7,10 +7,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, DegenerateInputError, SingularityError
-from .geometry import AffinePlane, RANK_TOL
+from .geometry import AffinePlane, RANK_TOL, _level_lower, _row_chunks, _sobol_points
 
 DEFAULT_MC_SAMPLES = 1 << 18
 DEFAULT_SUBDIV_LEVELS = 4
@@ -200,6 +199,70 @@ class VarietyMeasureResult:
     min_jacobian: float
 
 
+def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
+    """Smoothed-coarea estimates, standard errors and smallest sampled J_q
+    (inf where no sample is near the variety) for the level cubes idx."""
+    m = poly.ambient
+    q = poly.codomain
+    if q >= m:
+        raise ConfigError("variety codimension must be < ambient dimension")
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.shape[1] != m:
+        raise ConfigError("polynomial/cube ambient mismatch")
+    side = 2.0 ** -level
+    if epsilon is None:
+        epsilon = side / DEFAULT_EPSILON_DIVISOR
+    lo = _level_lower(idx, level)
+    pts = _sobol_points(m, n_samples)
+    mean = np.zeros(idx.shape[0])
+    sd = np.zeros(idx.shape[0])
+    min_jac = np.full(idx.shape[0], np.inf)
+    scaled = np.ascontiguousarray((side * pts).T)[:, None, :]
+    for rows in _row_chunks(idx.shape[0], n_samples * m):
+        # (C, N, M) view of coordinate-major storage, so that each coordinate
+        # the polynomial reads is contiguous in memory
+        x = np.moveaxis(lo[rows].T[:, :, None] + scaled, 0, -1)
+        near = np.all(np.abs(poly(x)) < epsilon, axis=-1)
+        contrib = np.zeros(near.shape)
+        if near.any():
+            jfac = _coarea_jacobian_factor(poly.jacobian(x[near]))
+            # x[near] lists each cube's near points together, in row order
+            counts = near.sum(axis=1)
+            met = counts > 0
+            cube_min = np.full(near.shape[0], np.inf)
+            cube_min[met] = np.minimum.reduceat(jfac, (np.cumsum(counts) - counts)[met])
+            min_jac[rows] = cube_min
+            low = cube_min[cube_min < singular_tol]
+            if low.size:
+                raise SingularityError(
+                    f"differential nearly rank-deficient near the variety "
+                    f"(J_q = {low[0]:.3e} < {singular_tol:g})"
+                )
+            contrib[near] = jfac / (2.0 * epsilon) ** q
+        mean[rows] = contrib.mean(axis=1)
+        if n_samples > 1:
+            sd[rows] = contrib.std(axis=1, ddof=1)
+    vol = side ** m
+    return vol * mean, vol * (sd / math.sqrt(n_samples)), min_jac
+
+
+def variety_level_measure(
+    poly, idx, level, n_samples=DEFAULT_MC_SAMPLES, epsilon=None, singular_tol=1e-6
+):
+    """H^(M-q) measures of {P = 0} within the half-open level cubes idx (K, M).
+
+    Smoothed-coarea estimator: H^(M-q)(V cap Q) is approximated by
+    vol(Q) * mean over QMC points of J_q(DP)(x) * prod_k 1[|P_k(x)| < eps]/(2 eps),
+    valid when DP has full rank q on the variety inside Q.  One unscrambled
+    Sobol set is mapped into every cube (eps defaults to side/32).  Returns
+    (values, ses), one entry per row; a cube's value does not depend on the
+    rows it is measured with.  Raises SingularityError when a sample point
+    near the variety has a nearly rank-deficient differential.
+    """
+    est, se, _ = _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol)
+    return est, se
+
+
 def variety_cube_measure(
     poly,
     cube,
@@ -208,50 +271,25 @@ def variety_cube_measure(
     singular_tol=1e-6,
     with_detail=False,
 ):
-    """H^(M-q) measure of {P = 0} within a half-open dyadic cube.
-
-    Smoothed-coarea estimator: H^(M-q)(V cap Q) is approximated by
-    vol(Q) * mean over QMC points of J_q(DP)(x) * prod_k 1[|P_k(x)| < eps]/(2 eps),
-    valid when DP has full rank q on the variety inside Q.  Raises
-    SingularityError when a sample point near the variety has a nearly
-    rank-deficient differential.
-    """
-    m = poly.ambient
-    q = poly.codomain
-    if q >= m:
-        raise ConfigError("variety codimension must be < ambient dimension")
-    lo = cube.lower
-    side = cube.side
+    """H^(M-q) measure of {P = 0} within a half-open dyadic cube: a one-row
+    call of `variety_level_measure`."""
     if epsilon is None:
-        epsilon = side / DEFAULT_EPSILON_DIVISOR
-    sob = qmc.Sobol(d=m, scramble=False)
-    x = lo + side * sob.random(n_samples)
-    vals = poly(x)                      # (N, q)
-    near = np.all(np.abs(vals) < epsilon, axis=-1)
-    contrib = np.zeros(n_samples)
-    min_jac = np.inf
-    if near.any():
-        jac = poly.jacobian(x[near])
-        jfac = _coarea_jacobian_factor(jac)
-        min_jac = float(jfac.min())
-        if min_jac < singular_tol:
-            raise SingularityError(
-                f"differential nearly rank-deficient near the variety "
-                f"(J_q = {min_jac:.3e} < {singular_tol:g})"
-            )
-        contrib[near] = jfac / (2.0 * epsilon) ** q
-    vol = side ** m
-    est = vol * float(contrib.mean())
-    se = vol * float(contrib.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+        epsilon = cube.side / DEFAULT_EPSILON_DIVISOR
+    est, se, min_jac = _coarea_level(
+        poly, np.array([cube.index], dtype=np.int64), cube.level, n_samples,
+        epsilon, singular_tol,
+    )
     if with_detail:
         return VarietyMeasureResult(
-            estimate=est,
-            se=se,
+            estimate=float(est[0]),
+            se=float(se[0]),
             epsilon=float(epsilon),
             n_samples=n_samples,
-            min_jacobian=(min_jac if np.isfinite(min_jac) else float("nan")),
+            min_jacobian=(
+                float(min_jac[0]) if np.isfinite(min_jac[0]) else float("nan")
+            ),
         )
-    return est
+    return float(est[0])
 
 
 def variety_box_count(poly, cube, levels=DEFAULT_SUBDIV_LEVELS):

@@ -137,7 +137,6 @@ def test_05_intersection_brute_force():
     pruning never changes a mass value."""
     law = fp.GaltonWatsonLaw.create(2, 0.5)
     target = _line([1, 0], [0.0, 0.25])
-    cache = fp.MeasureCache()
     R = 100_000
     vals = np.empty(R)
     for seed in range(R):
@@ -145,7 +144,7 @@ def test_05_intersection_brute_force():
         spec = fp.ProductMeasureSpec(
             mode="independent", trees=[tree], m=1, diag_level=0
         )
-        vals[seed] = fp.intersection_mass(spec, target, 1, cache=cache).values[-1]
+        vals[seed] = fp.intersection_mass(spec, target, 1).values[-1]
     # Exhaustive enumeration: Y_1 counts surviving bottom cells, Binomial(2, p).
     se1 = vals.std(ddof=1) / math.sqrt(R)
     sq = vals**2

@@ -1,14 +1,20 @@
 """Unit tests for intersection masses of product measures with planes and
-varieties: exact base cases, pruning, caching, modes, and diagnostics."""
+varieties: exact base cases, pruning, level kernels, modes, budgets and
+diagnostics."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fracperc as fp
-from fracperc.errors import ConfigError
-from fracperc.geometry import orthonormalize
+import fracperc.geometry as geometry
+from fracperc.errors import BudgetError, ConfigError
+from fracperc.geometry import orthonormalize, plane_level_measure
+from fracperc.intersect import _expand_factor, product_support_traversal
+from fracperc.polynomials import variety_level_measure
 
 
 def line(direction, through):
@@ -58,27 +64,81 @@ def test_density_scaling_mean_one():
     # E[Y_n] = 1 for an axis line in d = 2 under the unconditioned process:
     # quick 2000-replicate check at 5 sigma.
     target = line([1, 0], [0.0, 0.25])
-    cache = fp.MeasureCache()
     vals = []
     for seed in range(2000):
         t = tree_d(2, 0.5, seed, 1)
-        vals.append(
-            fp.intersection_mass(spec_indep([t]), target, 1, cache=cache).values[-1]
-        )
+        vals.append(fp.intersection_mass(spec_indep([t]), target, 1).values[-1])
     vals = np.array(vals)
     z = abs(vals.mean() - 1.0) / (vals.std(ddof=1) / math.sqrt(len(vals)))
     assert z < 5
 
 
-def test_cache_shared_across_calls():
-    target = line([3, 1], [0.0, 0.41])
+def test_repeated_calls_identical():
+    # Exact and quasi-Monte Carlo kernels alike: a second call on the same
+    # inputs repeats every value and standard error bit for bit.
     t = tree_d(2, 0.7, 8, 3)
-    cache = fp.MeasureCache()
-    a = fp.intersection_mass(spec_indep([t]), target, 3, cache=cache)
-    filled = len(cache)
-    b = fp.intersection_mass(spec_indep([t]), target, 3, cache=cache)
-    assert len(cache) == filled
-    assert a.values == pytest.approx(b.values, abs=0)
+    circle = fp.PolynomialMap(
+        ambient=2,
+        components=({(2, 0): 1.0, (1, 0): -1.0, (0, 2): 1.0, (0, 1): -1.0, (0, 0): 0.34},),
+    )
+    for target in (line([3, 1], [0.0, 0.41]), circle):
+        a = fp.intersection_mass(spec_indep([t]), target, 3, mc_samples=512)
+        b = fp.intersection_mass(spec_indep([t]), target, 3, mc_samples=512)
+        assert a.values == b.values and a.ses == b.ses and a.counts == b.counts
+
+
+def _all_cubes(level, m):
+    return np.array(list(itertools.product(range(1 << level), repeat=m)), dtype=np.int64)
+
+
+def _pair_distance(lam):
+    # |x - y|^2 - lam^2 for x = (x0, x1), y = (x2, x3): a 3-dimensional
+    # variety of R^4.
+    comp = {
+        (2, 0, 0, 0): 1.0, (0, 0, 2, 0): 1.0, (1, 0, 1, 0): -2.0,
+        (0, 2, 0, 0): 1.0, (0, 0, 0, 2): 1.0, (0, 1, 0, 1): -2.0,
+        (0, 0, 0, 0): -lam * lam,
+    }
+    return fp.PolynomialMap(ambient=4, components=(comp,))
+
+
+_KERNEL_CASES = {
+    # name: (target, ambient, level)
+    "line": (line([1, 2, -1], [0.3, 0.4, 0.5]), 3, 3),
+    "hyperplane": (
+        fp.AffinePlane.from_spanning([[1, -1, 0], [1, 1, -2]], [0.2, 0.3, 0.6]), 3, 3
+    ),
+    "full": (fp.AffinePlane(basis=np.eye(2), offset=np.zeros(2)), 2, 2),
+    "plane-qmc": (
+        fp.AffinePlane.from_spanning([[1, 1, 0, 1], [0, 1, -1, 2]], [0.5] * 4), 4, 1
+    ),
+    "coarea": (_pair_distance(0.5), 4, 1),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_CASES))
+def test_level_kernels_match_one_row_calls(kernel, monkeypatch):
+    # A chunk holds 3 QMC cubes (the 16 cubes span six chunks) or 384
+    # hyperplane cubes (the 512 span two): every cube's value must equal its
+    # one-row call, whichever chunk it fell in.
+    n_samples = 256
+    monkeypatch.setattr(geometry, "CHUNK_FLOATS", 3 * n_samples * 4)
+    target, m, level = _KERNEL_CASES[kernel]
+    idx = _all_cubes(level, m)
+    if isinstance(target, fp.AffinePlane):
+        vals, ses = plane_level_measure(target, idx, level, n_samples)
+    else:
+        vals, ses = variety_level_measure(target, idx, level, n_samples)
+    assert vals.shape == ses.shape == (idx.shape[0],)
+    assert np.any(vals > 0)
+    for row, v, s in zip(idx, vals, ses):
+        cube = fp.DyadicCube(level=level, index=tuple(row))
+        if isinstance(target, fp.AffinePlane):
+            one = fp.plane_cube_measure(target, cube, n_samples, with_se=True)
+        else:
+            res = fp.variety_cube_measure(target, cube, n_samples=n_samples, with_detail=True)
+            one = (res.estimate, res.se)
+        assert (v, s) == one, (row, v, s, one)
 
 
 def test_product_of_two_factors():
@@ -192,6 +252,59 @@ def test_holder_modulus_tables():
         assert ratios >= 0
     for gamma, seq in out["growth"].items():
         assert len(seq) == 4  # levels 0..3
+
+
+def test_holder_series_match_standalone_masses():
+    # Each grid target's series is the mass of that target alone: no target
+    # reuses the per-cube measures of another.
+    t = tree_d(2, 0.8, 7, 3)
+    spec = spec_indep([t])
+    targets = {
+        "a": line([1, 1], [0.0, 0.05]),
+        "b": line([1, 2], [0.0, 0.1]),
+        "c": line([2, 1], [0.0, 0.2]),
+    }
+    out = fp.holder_modulus(spec, targets, lambda a, b: a.metric_distance(b), 3, [0.5])
+    for tid, target in targets.items():
+        alone = fp.intersection_mass(spec, target, 3, param_id=tid)
+        assert out["series"][tid].values == alone.values, tid
+        assert out["series"][tid].counts == alone.counts, tid
+
+
+def test_budget_refuses_expansion_before_allocating():
+    # 1000 tuples whose factor cube has 10^4 children: the refused expansion
+    # would hold 10^7 rows of two int64 columns (160 MB).
+    state = np.zeros((1000, 2), dtype=np.int64)
+    order = np.arange(10_000, dtype=np.int64)
+    starts = np.array([0, 10_000], dtype=np.int64)
+    counts = np.array([10_000], dtype=np.int64)
+    refused_bytes = 1000 * 10_000 * 2 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            _expand_factor(state, 0, order, starts, counts, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < refused_bytes / 1000
+
+
+def test_traversal_budget_checked_before_expansion():
+    # d = 4, m = 2, full retention: level-1 tuples grow 16-fold per factor,
+    # and the second factor's expansion (65536 tuples) is refused.
+    law = fp.GaltonWatsonLaw.create(4, 1.0)
+    spec = spec_indep([fp.sample_tree(law, "extinction", s, 2) for s in (1, 2)])
+    target = fp.AffinePlane(basis=np.eye(8), offset=np.zeros(8))
+    refused_bytes = 65536 * 2 * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            for _ in product_support_traversal(spec, target, 2, budget=5000, pruned=False):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < refused_bytes / 2
 
 
 def test_mass_series_deterministic():
