@@ -39,6 +39,7 @@ from .geometry import (
 from .polynomials import (
     PolynomialMap,
     newton_refine,
+    newton_refine_rows,
     polynomial_from_text,
     polynomial_to_text,
     variety_box_count,

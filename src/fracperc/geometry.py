@@ -212,7 +212,9 @@ def _hyperplane_level_section(normal, offset_val, lo, side):
         terms = np.where(t > 0.0, sign * t ** (r - 1), 0.0)
         total[rows] = np.add.accumulate(terms, axis=1)[:, -1]
     area_unit = total / (math.factorial(r - 1) * float(np.prod(u)))
-    return par_factor * side ** (r - 1) * area_unit
+    # a plane meeting the box only in an edge or a corner cancels to
+    # rounding noise of either sign; a true area is never negative
+    return np.maximum(par_factor * side ** (r - 1) * area_unit, 0.0)
 
 
 # The QMC kernel projects and embeds points with explicit axis-by-axis sums

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError
-from .geometry import AffinePlane, plane_level_measure
+from .geometry import AffinePlane, _row_chunks, plane_level_measure
 from .polynomials import PolynomialMap, variety_level_measure
 from .percolation import resample_level, sample_tree
 from .rng import derive, root_key
@@ -160,6 +160,26 @@ def _expand_factor(state, col, order, starts, counts, budget):
     return out
 
 
+def _product_idx(state, level_arrays):
+    """Product-cube indices (K, m*d) of the tuples in `state`: rows into the
+    per-factor level arrays."""
+    return np.concatenate(
+        [arr[state[:, j]] for j, arr in enumerate(level_arrays)], axis=1
+    )
+
+
+def _prune_state(state, level_arrays, keep_fn):
+    """The rows of `state` whose product cubes keep_fn (idx (C, m*d) -> bool
+    (C,)) keeps, in order.  Indices are built and tested a chunk of rows at a
+    time, at most CHUNK_FLOATS entries each, so that neither the level's index
+    array nor the floats a test derives from it are held whole."""
+    md = sum(arr.shape[1] for arr in level_arrays)
+    keep = np.empty(state.shape[0], dtype=bool)
+    for rows in _row_chunks(state.shape[0], md):
+        keep[rows] = keep_fn(_product_idx(state[rows], level_arrays))
+    return state[keep]
+
+
 def _plane_keep(plane, idx_md, level, slack=0.0):
     side = 2.0 ** -level
     centers = (idx_md.astype(float) + 0.5) * side
@@ -202,12 +222,8 @@ def product_support_traversal(
     if any(len(fl) <= n for fl in factor_levels):
         raise ConfigError("trees not materialized to the requested level")
 
-    state = np.zeros((1, m), dtype=np.int64)  # rows into factor level arrays
-    for lev in range(n + 1):
-        idx_md = np.concatenate(
-            [factor_levels[j][lev][state[:, j]] for j in range(m)], axis=1
-        )
-        keep = np.ones(state.shape[0], dtype=bool)
+    def keep_fn(idx_md, lev):
+        keep = np.ones(idx_md.shape[0], dtype=bool)
         if spec.mode == "power" and lev >= spec.diag_level and m >= 2:
             fi = idx_md.reshape(-1, m, d)
             for a in range(m):
@@ -217,8 +233,13 @@ def product_support_traversal(
             keep &= _lex_member(aux_levels[lev], idx_md)
         if pruned:
             keep &= target_keep(target, idx_md, lev)
-        state = state[keep]
-        idx_md = idx_md[keep]
+        return keep
+
+    state = np.zeros((1, m), dtype=np.int64)  # rows into factor level arrays
+    for lev in range(n + 1):
+        arrays = [factor_levels[j][lev] for j in range(m)]
+        state = _prune_state(state, arrays, lambda idx: keep_fn(idx, lev))
+        idx_md = _product_idx(state, arrays)
         yield lev, idx_md
         if lev == n:
             return

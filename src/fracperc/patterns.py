@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError
+from . import geometry
 from .geometry import AffinePlane
-from .polynomials import PolynomialMap, newton_refine
+from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
     GaltonWatsonLaw,
     coupled_slice,
@@ -187,17 +188,58 @@ def _merge(*dicts):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _sympy_to_components(exprs, symbols):
-    import sympy
+def _product(p, q):
+    """Multi-index dict of the product of two multi-index dicts."""
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            e = tuple(x + y for x, y in zip(a, b))
+            out[e] = out.get(e, 0.0) + ca * cb
+    return out
 
-    comps = []
-    for expr in exprs:
-        poly = sympy.Poly(sympy.expand(expr), *symbols)
-        comp = {}
-        for monom, coeff in poly.terms():
-            comp[tuple(int(e) for e in monom)] = float(coeff)
-        comps.append(comp)
-    return tuple(comps)
+
+def _lex_descending(comp):
+    """The terms in descending lexicographic order of their multi-indices."""
+    return {alpha: comp[alpha] for alpha in sorted(comp, reverse=True)}
+
+
+def _dot_terms(md, d, u, v):
+    """Multi-index dict of (x_u0 - x_u1) . (x_v0 - x_v1), where u and v are
+    pairs of factor indices."""
+    out = {}
+    for k in range(d):
+        for i, si in ((u[0], 1.0), (u[1], -1.0)):
+            for j, sj in ((v[0], 1.0), (v[1], -1.0)):
+                e = [0] * md
+                e[i * d + k] += 1
+                e[j * d + k] += 1
+                out[tuple(e)] = out.get(tuple(e), 0.0) + si * sj
+    return _merge(out)
+
+
+def _angle_terms(md, d, lam):
+    """(u.v)^2 - lam^2 |u|^2 |v|^2 with u = x_0 - x_1, v = x_2 - x_1."""
+    uv = _dot_terms(md, d, (0, 1), (2, 1))
+    uu = _dot_terms(md, d, (0, 1), (0, 1))
+    vv = _dot_terms(md, d, (2, 1), (2, 1))
+    scaled = {k: -lam * lam * c for k, c in _product(uu, vv).items()}
+    return _lex_descending(_merge(_product(uv, uv), scaled))
+
+
+def _volume_terms(md, d, vol):
+    """det [x_0 ... x_d; 1 ... 1] - d! vol, the determinant expanded by
+    Leibniz: the permutation sigma contributes sgn(sigma) prod_r x_sigma(r)^r."""
+    m = d + 1
+    comp = {(0,) * md: -math.factorial(d) * vol}
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(
+            perm[a] > perm[b] for a in range(m) for b in range(a + 1, m)
+        )
+        e = [0] * md
+        for r in range(d):
+            e[perm[r] * d + r] = 1
+        comp[tuple(e)] = -1.0 if inversions % 2 else 1.0
+    return _lex_descending(comp)
 
 
 def configuration_polynomial(desc):
@@ -246,27 +288,12 @@ def configuration_polynomial(desc):
                     )
                 )
         return PolynomialMap(ambient=md, components=tuple(comps))
-    import sympy
-
-    xs = sympy.symbols(f"x0:{md}")
-
-    def block(i):
-        return sympy.Matrix(xs[i * d : (i + 1) * d])
-
     if desc.family == "angle":
-        lam = sympy.Rational(0)
-        lam = sympy.Float(float(desc.params["lam"]))
-        u = block(0) - block(1)
-        v = block(2) - block(1)
-        dot = (u.T * v)[0]
-        expr = dot ** 2 - lam ** 2 * (u.T * u)[0] * (v.T * v)[0]
-        return PolynomialMap(ambient=md, components=_sympy_to_components([expr], xs))
+        comp = _angle_terms(md, d, float(desc.params["lam"]))
+        return PolynomialMap(ambient=md, components=(comp,))
     if desc.family == "volume":
-        vol = sympy.Float(float(desc.params["vol"]))
-        cols = [list(block(i)) + [1] for i in range(m)]
-        det = sympy.Matrix(cols).T.det()
-        expr = det - sympy.factorial(d) * vol
-        return PolynomialMap(ambient=md, components=_sympy_to_components([expr], xs))
+        comp = _volume_terms(md, d, float(desc.params["vol"]))
+        return PolynomialMap(ambient=md, components=(comp,))
     raise ConfigError(desc.family)
 
 
@@ -294,6 +321,9 @@ class DetectionResult:
     tolerance: float
     n: int
     tuples_checked: int = 0
+    # checked rows, up to and including the witness, on which a Newton
+    # polish did not converge (polynomial families only)
+    newton_unconverged: int = 0
 
 
 def _ancestor_levels(cubes, n):
@@ -308,47 +338,61 @@ def _ancestor_levels(cubes, n):
     return levels
 
 
-def _verify_plane_fit(desc, centers, tolerance, min_diameter=0.0):
-    """Least-squares homothety/translation fit of the centers to the sites.
+def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
+    """Least-squares homothety/translation fits of rows of centers (B, m, d)
+    to the sites.
 
-    Returns (params, ok): residual per point must stay within tolerance, the
-    scale must be positive for the homothetic family, and the realized copy's
-    diameter must reach min_diameter (0 disables the floor)."""
+    Returns (ok (B,), params(i)): each point's residual must stay within
+    tolerance, the scale must be positive for the homothetic family, and the
+    realized copy's diameter must reach min_diameter (0 disables the floor).
+    Every row is fitted with the reductions a single (m, d) fit would use."""
     sites = desc.params["sites"]
-    c = centers.reshape(desc.m, desc.d)
+    c = centers
     if desc.family == "homothetic":
         sbar = sites.mean(axis=0)
-        cbar = c.mean(axis=0)
+        cbar = c.mean(axis=1)
         denom = float(np.sum((sites - sbar) ** 2))
-        lam = float(np.sum((sites - sbar) * (c - cbar)) / denom)
-        b = cbar - lam * sbar
-        resid = c - (b + lam * sites)
+        prod = (sites - sbar) * (c - cbar[:, None, :])
+        lam = np.sum(prod.reshape(c.shape[0], -1), axis=1) / denom
+        b = cbar - lam[:, None] * sbar
+        resid = c - (b[:, None, :] + lam[:, None, None] * sites)
         diam = max(
             float(np.linalg.norm(sites[i] - sites[j]))
             for i in range(desc.m) for j in range(i + 1, desc.m)
         )
         ok = (
-            lam > 0
-            and lam * diam >= min_diameter
-            and float(np.max(np.linalg.norm(resid, axis=1))) <= tolerance
+            (lam > 0)
+            & (lam * diam >= min_diameter)
+            & (np.max(np.linalg.norm(resid, axis=2), axis=1) <= tolerance)
         )
-        return {"scale": lam, "offset": b.tolist()}, ok
-    b = (c - sites).mean(axis=0)
-    resid = c - (sites + b)
-    ok = float(np.max(np.linalg.norm(resid, axis=1))) <= tolerance
-    return {"offset": b.tolist()}, ok
+        return ok, lambda i: {"scale": float(lam[i]), "offset": b[i].tolist()}
+    b = (c - sites).mean(axis=1)
+    resid = c - (sites + b[:, None, :])
+    ok = np.max(np.linalg.norm(resid, axis=2), axis=1) <= tolerance
+    return ok, lambda i: {"offset": b[i].tolist()}
 
 
-def _verify_polynomial(polys, centers, tolerance):
-    """A root of (one of) the polynomial systems inside the tolerance box
-    around the centers, found by Gauss-Newton polish.  Returns (params, ok)."""
+def _polynomial_fit_rows(polys, centers, tolerance):
+    """Roots of (one of) the polynomial systems inside the tolerance box
+    around each row of centers (B, M), found by Gauss-Newton polish; a row
+    tries the next system only when the previous one gave it no root.
+
+    Returns (ok (B,), params(i), unconverged (B,)), the last counting the
+    Newton runs on each row that did not converge."""
+    rows = centers.shape[0]
+    ok = np.zeros(rows, dtype=bool)
+    unconverged = np.zeros(rows, dtype=np.int64)
+    points = np.empty_like(centers)
     for poly in polys:
-        x, conv = newton_refine(poly, centers)
-        if not conv:
-            continue
-        if np.max(np.abs(x - centers)) <= tolerance + 1e-12:
-            return {"points": x.tolist()}, True
-    return None, False
+        todo = np.flatnonzero(~ok)
+        if todo.size == 0:
+            break
+        x, conv = newton_refine_rows(poly, centers[todo])
+        unconverged[todo] += ~conv
+        near = conv & (np.max(np.abs(x - centers[todo]), axis=1) <= tolerance + 1e-12)
+        ok[todo[near]] = True
+        points[todo[near]] = x[near]
+    return ok, lambda i: {"points": points[i].tolist()}, unconverged
 
 
 def _detection_polys(desc):
@@ -386,6 +430,33 @@ def _prune_keep(desc, target, idx_md, level, tolerance):
     return keep
 
 
+def _candidate_tuples(cubes, desc, n, tolerance, target, budget):
+    """Branch-and-bound over the product of the cube hierarchy.
+
+    Returns the level arrays 0..n and the level-n tuples (B, m) of rows of
+    pairwise-distinct cubes that survive the safe prune, in traversal order."""
+    from .intersect import _child_table, _expand_factor, _prune_state
+
+    m = desc.m
+    levels = _ancestor_levels(cubes, n)
+    state = np.zeros((1, m), dtype=np.int64)
+    for lev in range(n + 1):
+        state = _prune_state(
+            state, [levels[lev]] * m,
+            lambda idx: _prune_keep(desc, target, idx, lev, tolerance),
+        )
+        if state.shape[0] == 0 or lev == n:
+            break
+        table = _child_table(levels[lev], levels[lev + 1])
+        for j in range(m):
+            state = _expand_factor(state, j, *table, budget)
+    distinct = np.ones(state.shape[0], dtype=bool)
+    for a in range(m):
+        for b in range(a + 1, m):
+            distinct &= state[:, a] != state[:, b]
+    return levels, state[distinct]
+
+
 def detect_configuration(
     cubes,
     desc,
@@ -403,6 +474,9 @@ def detect_configuration(
     Branch-and-bound over the product of the cube hierarchy with safe pruning
     (plane distance / interval arithmetic); candidates at level n are verified
     by a least-squares fit (plane families) or a polished polynomial root.
+    Candidates are verified in blocks of doubling size, so the search stops
+    soon after the first witness; the witness and `tuples_checked` (its
+    position + 1) are those of checking the candidates one by one.
 
     min_diameter sets a resolvability floor on the realized copy's diameter
     for the scale-bearing homothetic family (sub-resolution copies arise from
@@ -418,63 +492,51 @@ def detect_configuration(
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
         cubes = cubes[:, None]
-    if cubes.shape[0] == 0:
-        return DetectionResult(False, None, tolerance, n)
     if cubes.shape[0] < m:
         return DetectionResult(False, None, tolerance, n)
-    levels = _ancestor_levels(cubes, n)
     if desc.family in PLANE_FAMILIES:
         target = configuration_plane(desc)
     else:
         target = _detection_polys(desc)
-
-    from .intersect import _child_table, _expand_factor
-
-    state = np.zeros((1, m), dtype=np.int64)
-    for lev in range(n + 1):
-        idx_md = np.concatenate(
-            [levels[lev][state[:, j]] for j in range(m)], axis=1
-        )
-        keep = _prune_keep(desc, target, idx_md, lev, tolerance)
-        state = state[keep]
-        if state.shape[0] == 0:
-            return DetectionResult(False, None, tolerance, n)
-        if lev == n:
-            break
-        table = _child_table(levels[lev], levels[lev + 1])
-        for j in range(m):
-            state = _expand_factor(state, j, *table, budget)
-
-    # distinct factor cubes only
-    distinct = np.ones(state.shape[0], dtype=bool)
-    for a in range(m):
-        for b in range(a + 1, m):
-            distinct &= state[:, a] != state[:, b]
-    state = state[distinct]
+    levels, state = _candidate_tuples(cubes, desc, n, tolerance, target, budget)
 
     side = 2.0 ** -n
+    cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
+    size = cap if enumerate_all else 1
     witnesses = []
-    checked = 0
-    for row in state:
-        centers = (levels[n][row].astype(float) + 0.5) * side
-        flat = centers.ravel()
-        checked += 1
+    unconverged = 0
+    start = 0
+    while start < state.shape[0]:
+        block = state[start : start + size]
+        centers = (levels[n][block].astype(float) + 0.5) * side  # (B, m, d)
         if desc.family in PLANE_FAMILIES:
-            params, ok = _verify_plane_fit(desc, flat, tolerance, min_diameter)
+            ok, params = _plane_fit_rows(desc, centers, tolerance, min_diameter)
+            fails = np.zeros(block.shape[0], dtype=np.int64)
         else:
-            params, ok = _verify_polynomial(target, flat, tolerance)
-        if ok:
-            wit = {
-                "cubes": [tuple(int(v) for v in levels[n][r]) for r in row],
-                "params": params,
-            }
-            if not enumerate_all:
-                return DetectionResult(True, wit, tolerance, n, checked)
-            witnesses.append(wit)
+            ok, params, fails = _polynomial_fit_rows(
+                target, centers.reshape(block.shape[0], -1), tolerance
+            )
+
+        def witness(i):
+            cubes_i = [tuple(int(v) for v in levels[n][r]) for r in block[i]]
+            return {"cubes": cubes_i, "params": params(i)}
+
+        hits = np.flatnonzero(ok)
+        if hits.size and not enumerate_all:
+            i = int(hits[0])
+            unconverged += int(fails[: i + 1].sum())
+            return DetectionResult(
+                True, witness(i), tolerance, n, start + i + 1, unconverged
+            )
+        unconverged += int(fails.sum())
+        witnesses.extend(witness(i) for i in hits)
+        start += block.shape[0]
+        size = min(2 * size, cap)
     if enumerate_all:
-        res = DetectionResult(bool(witnesses), witnesses or None, tolerance, n, checked)
-        return res
-    return DetectionResult(False, None, tolerance, n, checked)
+        return DetectionResult(
+            bool(witnesses), witnesses or None, tolerance, n, start, unconverged
+        )
+    return DetectionResult(False, None, tolerance, n, start, unconverged)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from math import comb, log2
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels
 from .errors import BudgetError, ConfigError
@@ -50,7 +49,14 @@ def extinction_probability(d, p):
     hi = 1.0 - 1e-13
     if g(hi) >= 0.0:  # root indistinguishable from 1 at this resolution
         return 1.0 if p < 1.0 else 0.0
-    q = brentq(g, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    lo = 0.0
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q = 0.5 * (lo + hi)
     # Newton polish (monotone-safe near the simple root)
     for _ in range(3):
         fq = (1.0 - p + p * q) ** n

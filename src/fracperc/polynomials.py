@@ -39,6 +39,22 @@ class PolynomialMap:
                     clean[alpha] = clean.get(alpha, 0.0) + c
             comps.append(dict(clean))
         object.__setattr__(self, "components", tuple(comps))
+        # Compiled once: per term, its component, coefficient and nonzero
+        # factors ((axis, exponent), ...) in axis order; for the Jacobian, the
+        # same per derivative term, listed term by term and axis by axis so
+        # that every entry sums its terms in dict order.
+        terms, dterms = [], []
+        for ci, comp in enumerate(comps):
+            for alpha, c in comp.items():
+                factors = tuple((i, a) for i, a in enumerate(alpha) if a)
+                terms.append((ci, c, factors))
+                for i, a in factors:
+                    dfactors = tuple(
+                        (k, ak - (k == i)) for k, ak in factors if ak - (k == i)
+                    )
+                    dterms.append((ci, i, c * a, dfactors))
+        object.__setattr__(self, "_terms", tuple(terms))
+        object.__setattr__(self, "_dterms", tuple(dterms))
 
     @property
     def codomain(self):
@@ -54,31 +70,16 @@ class PolynomialMap:
         """Evaluate at points x of shape (..., M); returns (..., q)."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (self.codomain,))
-        for ci, comp in enumerate(self.components):
-            acc = out[..., ci]
-            for alpha, c in comp.items():
-                term = np.full(x.shape[:-1], c)
-                for i, a in enumerate(alpha):
-                    if a:
-                        term = term * x[..., i] ** a
-                acc += term
+        for ci, c, factors in self._terms:
+            out[..., ci] += _monomial(x, c, factors)
         return out
 
     def jacobian(self, x):
         """Analytic Jacobian at points x of shape (..., M); returns (..., q, M)."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (self.codomain, self.ambient))
-        for ci, comp in enumerate(self.components):
-            for alpha, c in comp.items():
-                for i, a in enumerate(alpha):
-                    if not a:
-                        continue
-                    term = np.full(x.shape[:-1], c * a)
-                    for k, ak in enumerate(alpha):
-                        e = ak - 1 if k == i else ak
-                        if e:
-                            term = term * x[..., k] ** e
-                    out[..., ci, i] += term
+        for ci, i, c, factors in self._dterms:
+            out[..., ci, i] += _monomial(x, c, factors)
         return out
 
     def partial(self, i):
@@ -106,30 +107,39 @@ class PolynomialMap:
         hi = np.asarray(hi, dtype=float)
         out_lo = np.zeros(lo.shape[:-1] + (self.codomain,))
         out_hi = np.zeros(lo.shape[:-1] + (self.codomain,))
-        for ci, comp in enumerate(self.components):
-            for alpha, c in comp.items():
-                t_lo = np.full(lo.shape[:-1], 1.0)
-                t_hi = np.full(lo.shape[:-1], 1.0)
-                for i, a in enumerate(alpha):
-                    if not a:
-                        continue
-                    p_lo, p_hi = _power_interval(lo[..., i], hi[..., i], a)
-                    cands = np.stack(
-                        [t_lo * p_lo, t_lo * p_hi, t_hi * p_lo, t_hi * p_hi]
-                    )
-                    t_lo, t_hi = cands.min(axis=0), cands.max(axis=0)
-                if c >= 0:
-                    out_lo[..., ci] += c * t_lo
-                    out_hi[..., ci] += c * t_hi
-                else:
-                    out_lo[..., ci] += c * t_hi
-                    out_hi[..., ci] += c * t_lo
+        for ci, c, factors in self._terms:
+            t_lo = t_hi = 1.0
+            for n_done, (i, a) in enumerate(factors):
+                p_lo, p_hi = _power_interval(lo[..., i], hi[..., i], a)
+                if n_done == 0:
+                    # 1 * [p_lo, p_hi], with p_lo <= p_hi
+                    t_lo, t_hi = p_lo, p_hi
+                    continue
+                a1, a2 = t_lo * p_lo, t_lo * p_hi
+                b1, b2 = t_hi * p_lo, t_hi * p_hi
+                t_lo = np.minimum(np.minimum(a1, a2), np.minimum(b1, b2))
+                t_hi = np.maximum(np.maximum(a1, a2), np.maximum(b1, b2))
+            if c >= 0:
+                out_lo[..., ci] += c * t_lo
+                out_hi[..., ci] += c * t_hi
+            else:
+                out_lo[..., ci] += c * t_hi
+                out_hi[..., ci] += c * t_lo
         return out_lo, out_hi
 
     def may_vanish(self, lo, hi):
         """True where 0 is inside the interval enclosure of every component."""
         enc_lo, enc_hi = self.interval(lo, hi)
         return np.all((enc_lo <= 0.0) & (enc_hi >= 0.0), axis=-1)
+
+
+def _monomial(x, c, factors):
+    """c * prod x_i^a over factors, multiplied in factor order; points x have
+    shape (..., M).  A constant term is the scalar c."""
+    term = c
+    for i, a in factors:
+        term = term * (x[..., i] if a == 1 else x[..., i] ** a)
+    return term
 
 
 def _power_interval(lo, hi, a):
@@ -339,18 +349,50 @@ def variety_tangent(poly, point, rank_tol=RANK_TOL):
     return AffinePlane(basis=basis, offset=x)
 
 
-def newton_refine(poly, x0, max_iter=30, tol=1e-12):
-    """Gauss-Newton projection of x0 towards {P = 0}; returns (x, converged)."""
-    x = np.asarray(x0, dtype=float).copy()
+def newton_refine_rows(poly, x0, max_iter=30, tol=1e-12):
+    """Gauss-Newton projection of every row of x0 (K, M) towards {P = 0}.
+
+    Returns (x, converged) of shapes (K, M) and (K,).  Each row follows its
+    own iteration: it has converged once max |P| < tol; a non-finite step
+    fails it where it stands; a step of norm below 1e-15, or running out of
+    iterations, ends it with the convergence test at the final point.  The
+    step is -pinv(J) P with lstsq's cutoff max(M, q) * eps * sigma_max, and a
+    row's result does not depend on the rows it is refined with.
+    """
+    x = np.array(x0, dtype=float)
+    k = x.shape[0]
+    converged = np.zeros(k, dtype=bool)
+    final = np.zeros(k, dtype=bool)
+    active = np.arange(k)
     for _ in range(max_iter):
-        f = poly(x[None, :])[0]
-        if np.max(np.abs(f)) < tol:
-            return x, True
-        jac = poly.jacobian(x[None, :])[0]
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return x, False
-        x = x + step
-        if np.linalg.norm(step) < 1e-15:
+        if active.size == 0:
             break
-    return x, bool(np.max(np.abs(poly(x[None, :])[0])) < tol)
+        xa = x[active]
+        f = poly(xa)
+        done = np.max(np.abs(f), axis=1) < tol
+        converged[active[done]] = True
+        active, xa, f = active[~done], xa[~done], f[~done]
+        if active.size == 0:
+            break
+        pinv = np.linalg.pinv(poly.jacobian(xa), rtol=None)
+        step = -(pinv @ f[..., None])[..., 0]
+        finite = np.all(np.isfinite(step), axis=1)
+        active, xa, step = active[finite], xa[finite], step[finite]
+        x[active] = xa + step
+        stalled = np.linalg.norm(step, axis=1) < 1e-15
+        final[active[stalled]] = True
+        active = active[~stalled]
+    final[active] = True
+    if final.any():
+        rows = np.flatnonzero(final)
+        converged[rows] = np.max(np.abs(poly(x[rows])), axis=1) < tol
+    return x, converged
+
+
+def newton_refine(poly, x0, max_iter=30, tol=1e-12):
+    """Gauss-Newton projection of x0 towards {P = 0}; returns (x, converged).
+    A one-row call of `newton_refine_rows`."""
+    x, conv = newton_refine_rows(
+        poly, np.asarray(x0, dtype=float)[None, :], max_iter, tol
+    )
+    return x[0], bool(conv[0])

@@ -1,6 +1,7 @@
 """Unit tests for affine-plane geometry: principal angles, plane-cube
 section measures, transversality reports, and text serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_hyperplane_measure_corner_section():
     assert fp.plane_cube_measure(pl, cube) == pytest.approx(
         3 * math.sqrt(3) / 4, abs=1e-9
     )
+
+
+def test_hyperplane_corner_contacts_never_negative():
+    # x - 2y + z = 0 meets the level cube (i, j, k) only in a corner when
+    # i - 2j + k = +-2.  The corner sums cancel there to rounding noise,
+    # which must never come out as a negative area.
+    ap = fp.ConfigDescriptor(family="homothetic", d=1, params={"sites": [[0], [1], [2]]})
+    plane = fp.configuration_plane(ap)
+    for level in (1, 2, 3, 4):
+        idx = np.array(list(itertools.product(range(1 << level), repeat=3)))
+        vals, _ = fp.plane_level_measure(plane, idx, level)
+        assert np.all(vals >= 0.0)
+        touch = np.abs(idx[:, 0] - 2 * idx[:, 1] + idx[:, 2]) == 2
+        assert np.all(vals[touch] <= 1e-14 * 4.0**-level)
+    # Corner contacts whose noise came out negative before the clamp.
+    idx = np.array([[0, 4, 6], [1, 5, 7], [3, 4, 3], [4, 3, 0]])
+    vals, _ = fp.plane_level_measure(plane, idx, 3)
+    assert vals.tolist() == [0.0] * 4
 
 
 def test_axis_hyperplane_measure():

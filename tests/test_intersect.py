@@ -13,7 +13,13 @@ import fracperc as fp
 import fracperc.geometry as geometry
 from fracperc.errors import BudgetError, ConfigError
 from fracperc.geometry import orthonormalize, plane_level_measure
-from fracperc.intersect import _expand_factor, product_support_traversal
+from fracperc.intersect import (
+    _expand_factor,
+    _poly_keep,
+    _product_idx,
+    _prune_state,
+    product_support_traversal,
+)
 from fracperc.polynomials import variety_level_measure
 
 
@@ -305,6 +311,33 @@ def test_traversal_budget_checked_before_expansion():
     finally:
         tracemalloc.stop()
     assert peak < refused_bytes / 2
+
+
+def test_pruning_holds_one_chunk_of_indices(monkeypatch):
+    # 200000 pairs of level-6 squares: the level's (K, 4) int64 index array
+    # alone is 6.4 MB, and the interval bounds derived from it twice that.
+    monkeypatch.setattr(geometry, "CHUNK_FLOATS", 1 << 12)
+    rng = np.random.default_rng(5)
+    cubes = rng.integers(0, 64, size=(3000, 2))
+    state = rng.integers(0, 3000, size=(200_000, 2))
+    poly = fp.configuration_polynomial(
+        fp.ConfigDescriptor(family="distance", d=2, params={"lam": 0.5})
+    )
+
+    def keep_fn(idx):
+        return _poly_keep(poly, idx, 6)
+
+    want = state[keep_fn(_product_idx(state, [cubes, cubes]))]
+    tracemalloc.start()
+    try:
+        kept = _prune_state(state, [cubes, cubes], keep_fn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(kept, want)
+    # beyond the kept rows and the keep mask, a bounded multiple of a chunk
+    chunk_bytes = 8 * geometry.CHUNK_FLOATS
+    assert peak <= kept.nbytes + state.shape[0] + 32 * chunk_bytes
 
 
 def test_mass_series_deterministic():

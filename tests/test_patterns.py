@@ -117,6 +117,27 @@ def test_configuration_polynomials_vanish_on_exact_instances(family, d, params, 
     assert np.max(np.abs(poly(y))) > 1e-6
 
 
+def test_angle_and_volume_polynomials_match_numpy():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        lam = float(rng.uniform(-1, 1))
+        angle = fp.configuration_polynomial(
+            fp.ConfigDescriptor(family="angle", d=d, params={"lam": lam})
+        )
+        volume = fp.configuration_polynomial(
+            fp.ConfigDescriptor(family="volume", d=d, params={"vol": 0.1})
+        )
+        for _ in range(50):
+            x = rng.uniform(-1, 1, size=(3, d))
+            u, v = x[0] - x[1], x[2] - x[1]
+            want = (u @ v) ** 2 - lam**2 * (u @ u) * (v @ v)
+            assert angle(x.ravel())[0] == pytest.approx(want, abs=1e-12)
+            y = rng.uniform(-1, 1, size=(d + 1, d))
+            det = np.linalg.det(np.vstack([y.T, np.ones(d + 1)]))
+            want = det - math.factorial(d) * 0.1
+            assert volume(y.ravel())[0] == pytest.approx(want, abs=1e-12)
+
+
 def test_volume_polynomial_accepts_both_orientations():
     desc = fp.ConfigDescriptor(family="volume", d=2, params={"vol": 0.125})
     poly = fp.configuration_polynomial(desc)
@@ -404,3 +425,123 @@ def test_subset_stress_reduces_presence():
     greedy = fp.subset_stress_test(tree, desc, 0.4, "greedy", 6, 3, base_seed=3)
     # The adversarial strategy can only do at least as much damage.
     assert greedy.frequency <= out.frequency + 1e-12
+
+
+def _serial_plane_fit(desc, flat, tolerance, min_diameter):
+    # Reference: one (m, d) least-squares fit per candidate.
+    sites = desc.params["sites"]
+    c = flat.reshape(desc.m, desc.d)
+    if desc.family == "homothetic":
+        sbar = sites.mean(axis=0)
+        cbar = c.mean(axis=0)
+        denom = float(np.sum((sites - sbar) ** 2))
+        lam = float(np.sum((sites - sbar) * (c - cbar)) / denom)
+        b = cbar - lam * sbar
+        resid = c - (b + lam * sites)
+        diam = max(
+            float(np.linalg.norm(sites[i] - sites[j]))
+            for i in range(desc.m) for j in range(i + 1, desc.m)
+        )
+        ok = (
+            lam > 0
+            and lam * diam >= min_diameter
+            and float(np.max(np.linalg.norm(resid, axis=1))) <= tolerance
+        )
+        return {"scale": lam, "offset": b.tolist()}, ok, 0
+    b = (c - sites).mean(axis=0)
+    resid = c - (sites + b)
+    ok = float(np.max(np.linalg.norm(resid, axis=1))) <= tolerance
+    return {"offset": b.tolist()}, ok, 0
+
+
+def _serial_polynomial_fit(polys, flat, tolerance):
+    failed = 0
+    for poly in polys:
+        x, conv = fp.newton_refine(poly, flat)
+        if not conv:
+            failed += 1
+            continue
+        if np.max(np.abs(x - flat)) <= tolerance + 1e-12:
+            return {"points": x.tolist()}, True, failed
+    return None, False, failed
+
+
+def _serial_detection(cubes, desc, n, enumerate_all, min_diameter):
+    """(present, witness cubes and params, tuples_checked, newton_unconverged)
+    from checking the candidate tuples one at a time, in order."""
+    from fracperc.patterns import _candidate_tuples, _detection_polys
+
+    tol = math.sqrt(desc.d) * 2.0 ** -n
+    plane = desc.family in ("homothetic", "translate")
+    target = fp.configuration_plane(desc) if plane else _detection_polys(desc)
+    levels, state = _candidate_tuples(cubes, desc, n, tol, target, 5_000_000)
+    found, unconverged = [], 0
+    for checked, row in enumerate(state, start=1):
+        flat = ((levels[n][row].astype(float) + 0.5) * 2.0 ** -n).ravel()
+        if plane:
+            params, ok, failed = _serial_plane_fit(desc, flat, tol, min_diameter)
+        else:
+            params, ok, failed = _serial_polynomial_fit(target, flat, tol)
+        unconverged += failed
+        if ok:
+            found.append(([tuple(int(v) for v in levels[n][r]) for r in row], params))
+            if not enumerate_all:
+                return True, found[0], checked, unconverged
+    if enumerate_all:
+        return bool(found), found or None, state.shape[0], unconverged
+    return False, None, state.shape[0], unconverged
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_batched_verification_matches_serial_reference(enumerate_all):
+    rng = np.random.default_rng(99)
+    descs = [
+        fp.ConfigDescriptor("distance", 2, {"lam": 0.9}),
+        fp.ConfigDescriptor("angle", 2, {"lam": -0.99}),
+        fp.ConfigDescriptor("volume", 2, {"vol": 0.3}),
+        fp.ConfigDescriptor("volume", 1, {"vol": 0.6}),
+        fp.ConfigDescriptor("triangle", 2, {"ratios": (2.0, 2.5)}),
+        desc_homothetic(),
+        desc_homothetic(sites=((0,), (1,), (3,), (4,))),
+        desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))),
+        # 8 coordinates: numpy sums them pairwise, not one by one
+        desc_homothetic(d=2, sites=((0, 0), (1, 0), (1, 1), (0, 1))),
+        fp.ConfigDescriptor("translate", 2, {"sites": [[0, 0], [0.25, 0.5]]}),
+        fp.ConfigDescriptor("translate", 1, {"sites": [[0], [0.25], [0.375]]}),
+    ]
+    present = 0
+    for case in range(100):
+        desc = descs[case % len(descs)]
+        n = int(rng.integers(2, 5) if desc.d == 2 else rng.integers(3, 7))
+        size = int(rng.integers(desc.m, desc.m + 5))
+        cells = rng.choice(1 << (n * desc.d), size=size, replace=False)
+        cubes = np.stack([(cells >> (n * k)) & ((1 << n) - 1) for k in range(desc.d)], axis=1)
+        floor = float(rng.choice([0.0, 3 * 2.0 ** -n])) if desc.family == "homothetic" else 0.0
+        res = fp.detect_configuration(
+            cubes, desc, n, enumerate_all=enumerate_all, min_diameter=floor
+        )
+        want = _serial_detection(cubes, desc, n, enumerate_all, floor)
+        got_wit = res.witness
+        if got_wit is not None:
+            wits = got_wit if enumerate_all else [got_wit]
+            got_wit = [(w["cubes"], w["params"]) for w in wits]
+            got_wit = got_wit if enumerate_all else got_wit[0]
+        got = (res.present, got_wit, res.tuples_checked, res.newton_unconverged)
+        assert got == want, (case, desc.family, cubes.tolist())
+        present += res.present
+    assert 20 < present < 80
+
+
+def test_polynomial_fit_rows_counts_unconverged_newton_runs():
+    from fracperc.patterns import _polynomial_fit_rows
+
+    # x^2 + y^2 + 1 - z^2: rows on z = 0 cannot leave the plane, where the
+    # map has no root; such a row tries both systems and fails both.
+    comp = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): 1.0, (0, 0, 2): -1.0}
+    cone = fp.PolynomialMap(ambient=3, components=(comp,))
+    centers = np.array([[0.3, 0.2, 1.4], [0.5, 0.5, 0.0], [0.1, -0.4, -1.2]])
+    ok, params, unconverged = _polynomial_fit_rows((cone, cone), centers, 0.5)
+    assert ok.tolist() == [True, False, True]
+    assert unconverged.tolist() == [0, 2, 0]
+    x, _ = fp.newton_refine(cone, centers[2])
+    assert params(2) == {"points": x.tolist()}

@@ -33,6 +33,29 @@ def test_extinction_probability_is_generating_function_root(d, p):
         assert q == pytest.approx(root, abs=1e-10)
 
 
+def test_extinction_probability_matches_brentq():
+    for d in (1, 2, 3):
+        n = 1 << d
+        for p in 2.0**-d + (1 - 2.0**-d) * np.arange(1, 101) / 100:
+            p = float(p)
+            f = lambda t: (1 - p + p * t) ** n - t
+            want = brentq(f, 0.0, 1.0 - 1e-13, xtol=1e-15, rtol=8.9e-16)
+            assert fp.extinction_probability(d, p) == pytest.approx(want, abs=1e-14)
+
+
+def test_import_loads_neither_scipy_nor_sympy():
+    code = (
+        "import sys, fracperc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_extinction_probability_subcritical_is_one():
     assert fp.extinction_probability(1, 0.5) == pytest.approx(1.0)
     assert fp.extinction_probability(2, 0.2) == pytest.approx(1.0)

@@ -200,3 +200,108 @@ def test_text_round_trip():
     back = polynomial_from_text(polynomial_to_text(poly))
     assert back.ambient == poly.ambient
     assert back.components == poly.components
+
+
+def _dict_loop_call(poly, x):
+    # Reference: per-term evaluation over the component dicts.
+    out = np.zeros(x.shape[:-1] + (poly.codomain,))
+    for ci, comp in enumerate(poly.components):
+        acc = out[..., ci]
+        for alpha, c in comp.items():
+            term = np.full(x.shape[:-1], c)
+            for i, a in enumerate(alpha):
+                if a:
+                    term = term * x[..., i] ** a
+            acc += term
+    return out
+
+
+def _dict_loop_jacobian(poly, x):
+    out = np.zeros(x.shape[:-1] + (poly.codomain, poly.ambient))
+    for ci, comp in enumerate(poly.components):
+        for alpha, c in comp.items():
+            for i, a in enumerate(alpha):
+                if not a:
+                    continue
+                term = np.full(x.shape[:-1], c * a)
+                for k, ak in enumerate(alpha):
+                    e = ak - 1 if k == i else ak
+                    if e:
+                        term = term * x[..., k] ** e
+                out[..., ci, i] += term
+    return out
+
+
+def _dict_loop_interval(poly, lo, hi):
+    from fracperc.polynomials import _power_interval
+
+    out_lo = np.zeros(lo.shape[:-1] + (poly.codomain,))
+    out_hi = np.zeros(lo.shape[:-1] + (poly.codomain,))
+    for ci, comp in enumerate(poly.components):
+        for alpha, c in comp.items():
+            t_lo = np.full(lo.shape[:-1], 1.0)
+            t_hi = np.full(lo.shape[:-1], 1.0)
+            for i, a in enumerate(alpha):
+                if not a:
+                    continue
+                p_lo, p_hi = _power_interval(lo[..., i], hi[..., i], a)
+                cands = np.stack([t_lo * p_lo, t_lo * p_hi, t_hi * p_lo, t_hi * p_hi])
+                t_lo, t_hi = cands.min(axis=0), cands.max(axis=0)
+            if c >= 0:
+                out_lo[..., ci] += c * t_lo
+                out_hi[..., ci] += c * t_hi
+            else:
+                out_lo[..., ci] += c * t_hi
+                out_hi[..., ci] += c * t_lo
+    return out_lo, out_hi
+
+
+def test_compiled_map_matches_dict_loops_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        m = int(rng.integers(1, 6))
+        comps = []
+        for _ in range(int(rng.integers(1, 4))):
+            comp = {}
+            for _ in range(int(rng.integers(1, 9))):
+                alpha = tuple(int(a) for a in rng.integers(0, 5, size=m) * (rng.random(m) < 0.6))
+                comp[alpha] = float(rng.normal())
+            comps.append(comp)
+        poly = fp.PolynomialMap(ambient=m, components=tuple(comps))
+        x = rng.uniform(-1.5, 1.5, size=(7, 3, m))
+        x[0, 0] = 0.0  # zero coordinates and signed zeros
+        x[0, 1] = -0.0
+        assert np.array_equal(poly(x), _dict_loop_call(poly, x), equal_nan=True), case
+        assert np.array_equal(poly.jacobian(x), _dict_loop_jacobian(poly, x), equal_nan=True), case
+        # Boxes inside, across and touching 0, and degenerate boxes.
+        lo = rng.uniform(-1.0, 1.0, size=(50, m))
+        hi = lo + rng.choice([0.0, 0.25, 1.5], size=(50, m))
+        lo[:5], hi[:5] = 0.0, np.abs(hi[:5])
+        lo[5:10], hi[5:10] = -np.abs(lo[5:10]), 0.0
+        got, want = poly.interval(lo, hi), _dict_loop_interval(poly, lo, hi)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), case
+
+
+def test_newton_rows_count_the_unconverged_row():
+    # On the plane z = 0 the map is x^2 + y^2 + 1, which has no real root,
+    # and d/dz vanishes there, so Newton cannot leave it; the other rows
+    # reach the cone x^2 + y^2 + 1 = z^2.
+    comp = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): 1.0, (0, 0, 2): -1.0}
+    poly = fp.PolynomialMap(ambient=3, components=(comp,))
+    x0 = np.array([
+        [0.3, 0.2, 1.4],
+        [0.5, 0.5, 0.0],
+        [0.1, -0.4, -1.2],
+        [0.9, 0.7, 2.0],
+    ])
+    x, conv = fp.newton_refine_rows(poly, x0)
+    assert conv.tolist() == [True, False, True, True]
+    assert x[1, 2] == 0.0
+    assert np.max(np.abs(poly(x[conv]))) < 1e-12
+    for row, start in enumerate(x0):
+        one, one_conv = fp.newton_refine(poly, start)
+        assert one_conv == conv[row]
+        assert np.array_equal(one, x[row])
+    # Rows do not depend on the rows they are refined with.
+    x_rev, conv_rev = fp.newton_refine_rows(poly, x0[::-1])
+    assert np.array_equal(x_rev[::-1], x) and np.array_equal(conv_rev[::-1], conv)
