@@ -5,7 +5,6 @@ intersection masses of product measures with affine planes and algebraic
 varieties, and empirical threshold sweeps for geometric configurations.
 """
 
-from ._kernels import IMPL as kernel_impl
 from .errors import (
     BudgetError,
     ConfigError,

@@ -194,6 +194,13 @@ def _hyperplane_level_section(normal, offset_val, lo, side):
         # falls inside the half-open extent of that axis
         t = c / u[0]
         return np.where((0.0 <= t) & (t < 1.0), par_factor, 0.0)
+    # u.y spans [sum(u < 0), sum(u > 0)] over the unit box.  A level c on or
+    # past either end, up to the rounding of `dot`, is a supporting plane that
+    # meets the box in at most a corner: its area is exactly 0, where the
+    # corner sums below would cancel only to rounding noise.
+    eps = np.finfo(float).eps
+    tol = 16.0 * eps * (abs(offset_val) + float(np.abs(u).sum())) / side
+    crosses = (c > float(u[u < 0].sum()) + tol) & (c < float(u[u > 0].sum()) - tol)
     # normalize and reflect so components are positive
     scale = np.linalg.norm(u)
     u = u / scale
@@ -212,9 +219,9 @@ def _hyperplane_level_section(normal, offset_val, lo, side):
         terms = np.where(t > 0.0, sign * t ** (r - 1), 0.0)
         total[rows] = np.add.accumulate(terms, axis=1)[:, -1]
     area_unit = total / (math.factorial(r - 1) * float(np.prod(u)))
-    # a plane meeting the box only in an edge or a corner cancels to
-    # rounding noise of either sign; a true area is never negative
-    return np.maximum(par_factor * side ** (r - 1) * area_unit, 0.0)
+    # a true area is never negative
+    area = np.maximum(par_factor * side ** (r - 1) * area_unit, 0.0)
+    return np.where(crosses, area, 0.0)
 
 
 # The QMC kernel projects and embeds points with explicit axis-by-axis sums

@@ -153,10 +153,14 @@ def _expand_factor(state, col, order, starts, counts, budget):
     total = int(c.sum())
     if total > budget:
         raise BudgetError(f"traversal would hold {total} tuples (budget {budget})")
-    rep = np.repeat(np.arange(state.shape[0]), c)
-    out = state[rep]
-    within = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-    out[:, col] = order[starts[state[rep, col]] + within]
+    # where each tuple's children start in `order`, less its first output
+    # row: output row i then takes child row off[tuple] + i
+    off = starts[state[:, col]] - (np.cumsum(c) - c)
+    out = np.repeat(state, c, axis=0)
+    child = np.repeat(off, c)
+    del c, off
+    child += np.arange(total)
+    out[:, col] = order[child]
     return out
 
 

@@ -15,10 +15,10 @@ from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
     GaltonWatsonLaw,
     coupled_slice,
+    expand_extinction,
     sample_tree,
 )
 from .rng import derive, root_key
-from ._kernels import expand_extinction
 
 FAMILIES = (
     "homothetic",

@@ -20,11 +20,14 @@ from math import comb, log2
 
 import numpy as np
 
-from . import _kernels
 from .errors import BudgetError, ConfigError
-from .rng import RESAMPLE_SALT, derive, root_key
+from .rng import COUNT_SALT, RESAMPLE_SALT, child_keys, derive, key_uniform, root_key
 
 DEFAULT_MAX_CUBES = 20_000_000
+# Largest accepted ambient dimension.  Expansion builds all 2**d children of
+# every cube before it filters them ((N, 2**d) keys, (N, 2**d, d) indices), so
+# its memory per parent cube grows like d 2**d; 6 caps that at 64 children.
+MAX_DIM = 6
 
 
 def extinction_probability(d, p):
@@ -93,8 +96,8 @@ class GaltonWatsonLaw:
 
     @classmethod
     def create(cls, d, p):
-        if not (1 <= d <= _kernels.MAX_DIM):
-            raise ConfigError(f"d must be in 1..{_kernels.MAX_DIM}")
+        if not (1 <= d <= MAX_DIM):
+            raise ConfigError(f"d must be in 1..{MAX_DIM}")
         if not (0.0 < p <= 1.0):
             raise ConfigError("p must be in (0, 1]")
         q = extinction_probability(d, p)
@@ -182,12 +185,67 @@ class PercolationTree:
         return set(map(tuple, self.levels[n].tolist()))
 
 
+# ---------------------------------------------------------------------------
+# Tree expansion: one level of every cube at once.
+
+def _child_offsets(d):
+    """(2**d, d) array of child offsets in {0,1}^d, in binary counting order
+    with axis 0 as the most significant bit (matches lexicographic order)."""
+    rng = np.arange(1 << d, dtype=np.int64)
+    return (rng[:, None] >> np.arange(d - 1, -1, -1, dtype=np.int64)) & 1
+
+
+def expand_extinction(idx, keys, d, p):
+    """Expand one level of the extinction (plain Bernoulli) variant.
+
+    idx: (N, d) int64 cube indices at the current level; keys: (N,) uint64.
+    Each of the 2**d children of each cube is retained iff its key-uniform
+    is <= p.  Returns (child_idx, child_keys, parent_rows) in parent-major,
+    offset-minor order (callers sort lexicographically).
+    """
+    n = idx.shape[0]
+    if n == 0:
+        return idx[:0], keys[:0], np.empty(0, dtype=np.int64)
+    ck = child_keys(keys, d)                      # (N, 2**d)
+    keep = key_uniform(ck) <= p
+    offs = _child_offsets(d)                      # (2**d, d)
+    all_idx = idx[:, None, :] * 2 + offs[None, :, :]
+    mask = keep.ravel()
+    parents = np.repeat(np.arange(n, dtype=np.int64), 1 << d)[mask]
+    return all_idx.reshape(n * (1 << d), d)[mask], ck.ravel()[mask], parents
+
+
+def expand_surviving(idx, keys, d, offspring_cdf):
+    """Expand one level of the survival-conditioned variant.
+
+    Each cube draws an offspring count k from offspring_cdf (cdf over
+    1..2**d), then the k children with the smallest child-key uniforms
+    survive; by exchangeability this is a uniform k-subset.
+    """
+    n = idx.shape[0]
+    if n == 0:
+        return idx[:0], keys[:0], np.empty(0, dtype=np.int64)
+    two_d = 1 << d
+    u_cnt = key_uniform(derive(keys, COUNT_SALT))
+    k = np.searchsorted(offspring_cdf, u_cnt, side="right") + 1  # in 1..2**d
+    k = np.minimum(k, two_d)  # guard against fp shortfall in cdf[-1]
+    ck = child_keys(keys, d)
+    scores = key_uniform(ck)
+    rank = np.argsort(np.argsort(scores, axis=1, kind="stable"), axis=1, kind="stable")
+    keep = rank < k[:, None]
+    offs = _child_offsets(d)
+    all_idx = idx[:, None, :] * 2 + offs[None, :, :]
+    mask = keep.ravel()
+    parents = np.repeat(np.arange(n, dtype=np.int64), two_d)[mask]
+    return all_idx.reshape(n * two_d, d)[mask], ck.ravel()[mask], parents
+
+
 def _expand_raw(law, variant, idx, keys):
     if variant in ("extinction", "coupled"):
-        return _kernels.expand_extinction(idx, keys, law.d, law.p)
+        return expand_extinction(idx, keys, law.d, law.p)
     if variant == "surviving":
         cdf = np.cumsum(law.offspring)
-        return _kernels.expand_surviving(idx, keys, law.d, cdf)
+        return expand_surviving(idx, keys, law.d, cdf)
     raise ConfigError(f"unknown variant {variant!r}")
 
 

@@ -115,16 +115,17 @@ def test_hyperplane_measure_corner_section():
 
 def test_hyperplane_corner_contacts_never_negative():
     # x - 2y + z = 0 meets the level cube (i, j, k) only in a corner when
-    # i - 2j + k = +-2.  The corner sums cancel there to rounding noise,
-    # which must never come out as a negative area.
+    # i - 2j + k = +-2, and misses it when |i - 2j + k| > 2.  The corner sums
+    # would cancel there to rounding noise of either sign; the area must read
+    # exactly 0, and crossing cubes must keep a positive area.
     ap = fp.ConfigDescriptor(family="homothetic", d=1, params={"sites": [[0], [1], [2]]})
     plane = fp.configuration_plane(ap)
-    for level in (1, 2, 3, 4):
+    for level in (1, 2, 3, 4, 5):
         idx = np.array(list(itertools.product(range(1 << level), repeat=3)))
         vals, _ = fp.plane_level_measure(plane, idx, level)
-        assert np.all(vals >= 0.0)
-        touch = np.abs(idx[:, 0] - 2 * idx[:, 1] + idx[:, 2]) == 2
-        assert np.all(vals[touch] <= 1e-14 * 4.0**-level)
+        s = np.abs(idx[:, 0] - 2 * idx[:, 1] + idx[:, 2])
+        assert np.all(vals[s >= 2] == 0.0)
+        assert np.all(vals[s <= 1] > 0.0)
     # Corner contacts whose noise came out negative before the clamp.
     idx = np.array([[0, 4, 6], [1, 5, 7], [3, 4, 3], [4, 3, 0]])
     vals, _ = fp.plane_level_measure(plane, idx, 3)

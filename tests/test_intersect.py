@@ -295,6 +295,32 @@ def test_budget_refuses_expansion_before_allocating():
     assert peak < refused_bytes / 1000
 
 
+def test_expansion_holds_few_vectors_beside_output():
+    # 400000 triples whose middle factor cube has 1-3 children: besides the
+    # (K, 3) output, the expansion may hold at most three int64 vectors of
+    # the output's length at once.
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 4, size=1000)
+    starts = np.zeros(1001, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    order = rng.permutation(int(starts[-1]))
+    state = rng.integers(0, 1000, size=(400_000, 3))
+    tracemalloc.start()
+    try:
+        out = _expand_factor(state, 1, order, starts, counts, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 3 * 8 * out.shape[0]
+    # the same rows as expanding tuple by tuple
+    want = [
+        (a, order[starts[b] + k], e)
+        for a, b, e in state[:500].tolist()
+        for k in range(counts[b])
+    ]
+    assert out[: len(want)].tolist() == [list(r) for r in want]
+
+
 def test_traversal_budget_checked_before_expansion():
     # d = 4, m = 2, full retention: level-1 tuples grow 16-fold per factor,
     # and the second factor's expansion (65536 tuples) is refused.

@@ -1,5 +1,5 @@
 """Unit tests for the branching construction: offspring laws, sampling,
-coupling, replay determinism, and kernel backend agreement."""
+coupling and replay determinism."""
 
 import math
 import os
@@ -183,61 +183,10 @@ def test_budget_and_config_errors():
         fp.sample_tree(law, "surviving", 1, 20, max_cubes=10)
     with pytest.raises(ConfigError):
         fp.sample_tree(law, "bogus", 1, 2)
-
-
-def _speedups_or_skip():
-    from fracperc import _kernels
-
-    if _kernels.IMPL != "cython":
-        pytest.skip("compiled kernels unavailable")
-    return _kernels._speedups
-
-
-def test_kernel_backends_bit_identical():
-    from fracperc._kernels import _pure
-
-    _speedups = _speedups_or_skip()
-    rng = np.random.default_rng(0)
-    keys = rng.integers(0, 2**63, size=500).astype(np.uint64)
-    for d in (1, 2, 3):
-        idx = rng.integers(0, 1000, size=(keys.shape[0], d)).astype(np.int64)
-        for out_p, out_s in zip(
-            _pure.expand_extinction(idx, keys, d, 0.7),
-            _speedups.expand_extinction(idx, keys, d, 0.7),
-        ):
-            assert np.array_equal(out_p, out_s)
-        law = fp.GaltonWatsonLaw.create(d, 0.7)
-        cdf = np.cumsum(law.offspring)
-        assert np.array_equal(
-            _pure.offspring_counts(keys, cdf), _speedups.offspring_counts(keys, cdf)
-        )
-        for out_p, out_s in zip(
-            _pure.expand_surviving(idx, keys, d, cdf),
-            _speedups.expand_surviving(idx, keys, d, cdf),
-        ):
-            assert np.array_equal(out_p, out_s)
-
-
-def test_pure_fallback_env_produces_identical_trees():
-    code = (
-        "import fracperc as fp, numpy as np\n"
-        "law = fp.GaltonWatsonLaw.create(2, 0.65)\n"
-        "tree = fp.sample_tree(law, 'surviving', 99, 5)\n"
-        "print(fp.kernel_impl)\n"
-        "print(repr(tree.levels[5].tobytes().hex()))\n"
-    )
-    outs = {}
-    for env_val in ("0", "1"):
-        env = dict(os.environ, FRACPERC_PURE=env_val)
-        res = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert res.returncode == 0, res.stderr
-        impl, blob = res.stdout.strip().splitlines()
-        outs[env_val] = blob
-        if env_val == "1":
-            assert impl == "pure"
-    assert outs["0"] == outs["1"]
+    for d in (0, 7):
+        with pytest.raises(ConfigError):
+            fp.GaltonWatsonLaw.create(d, 0.9)
+    assert fp.GaltonWatsonLaw.create(6, 0.9).d == 6
 
 
 def test_root_key_distinct():
