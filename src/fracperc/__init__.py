@@ -30,6 +30,7 @@ from .geometry import (
     coordinate_plane,
     plane_cube_measure,
     plane_from_text,
+    plane_level_keep,
     plane_level_measure,
     plane_to_text,
     principal_angle,
@@ -53,6 +54,7 @@ from .intersect import (
     holder_modulus,
     intersection_mass,
     martingale_resample_check,
+    replicate_masses,
     second_moment_estimate,
 )
 from .patterns import (

@@ -60,6 +60,35 @@ class AffinePlane:
     def ambient(self):
         return self.basis.shape[1]
 
+    @functools.cached_property
+    def normals(self):
+        """Orthonormal rows spanning the orthogonal complement of the
+        directions; computed once per plane, read-only."""
+        nv = orthonormalize_complement(self.basis)
+        nv.setflags(write=False)
+        return nv
+
+    @functools.cached_property
+    def _slabs(self):
+        """Per unit normal: the constants of `plane_level_keep`."""
+        k, m = self.dim, self.ambient
+        slabs = []
+        for u in self.normals:
+            v = float(u @ self.offset)
+            axes = np.flatnonzero(np.abs(u) > 1e-12)
+            if k == m - 1 and m >= 3 and axes.size >= 2:
+                # the hyperplane kernel's own normal, axes and tolerance,
+                # narrowed by a quarter of it
+                u, widen, slack = u[axes], -0.25, 0.0
+            else:
+                axes, widen, slack = np.arange(m), 1.0, 1e-12
+            # the tolerance at side 1; at side s it is this / s, as in the
+            # kernel
+            tol = widen * _support_tol(u, v, 1.0)
+            lo_end, hi_end = float(u[u < 0].sum()), float(u[u > 0].sum())
+            slabs.append((u, axes, v, lo_end, hi_end, tol, slack))
+        return slabs
+
     @property
     def dim(self):
         return self.basis.shape[0]
@@ -169,6 +198,26 @@ def _line_level_length(plane, lo, side):
     return np.where(meets, np.maximum(0.0, tmax - tmin), 0.0)
 
 
+def _box_level(u, axes, offset_val, lo, side):
+    """Level c of the hyperplane {u.x = v} in each box lo + side*[0,1]^M:
+    with x = lo + side*y it is {u[axes].y[axes] = c}.  Components off `axes`
+    are taken as 0; the others are summed axis by axis, so a box's level does
+    not depend on the boxes computed with it."""
+    dot = lo[:, axes[0]] * u[0]
+    for a in range(1, len(axes)):
+        dot = dot + lo[:, axes[a]] * u[a]
+    return (offset_val - dot) / side
+
+
+def _support_tol(u, offset_val, side):
+    """Rounding allowance of `_box_level`, in box units: a level within it of
+    either end of u.y's range over the unit box [sum(u < 0), sum(u > 0)] is
+    taken for a supporting plane, which meets the box in at most a face of
+    dimension M - r (r = nonzero components of u)."""
+    eps = np.finfo(float).eps
+    return 16.0 * eps * (abs(offset_val) + float(np.abs(u).sum())) / side
+
+
 def _hyperplane_level_section(normal, offset_val, lo, side):
     """H^(M-1) of {n.x = v} within each half-open box lo + [0, side)^M.
 
@@ -184,22 +233,16 @@ def _hyperplane_level_section(normal, offset_val, lo, side):
     # axes with zero normal component contribute a factor side each
     par_factor = side ** (m - r)
     u = n[act]
-    # shift to the unit box: x = lo + side*y
-    dot = lo[:, act[0]] * u[0]
-    for a in range(1, r):
-        dot = dot + lo[:, act[a]] * u[a]
-    c = (offset_val - dot) / side
+    c = _box_level(u, act, offset_val, lo, side)
     if r == 1:
         # axis-parallel hyperplane: a full (M-1)-face if the slice position
         # falls inside the half-open extent of that axis
         t = c / u[0]
         return np.where((0.0 <= t) & (t < 1.0), par_factor, 0.0)
-    # u.y spans [sum(u < 0), sum(u > 0)] over the unit box.  A level c on or
-    # past either end, up to the rounding of `dot`, is a supporting plane that
-    # meets the box in at most a corner: its area is exactly 0, where the
-    # corner sums below would cancel only to rounding noise.
-    eps = np.finfo(float).eps
-    tol = 16.0 * eps * (abs(offset_val) + float(np.abs(u).sum())) / side
+    # A supporting plane meets the box in at most an edge (r >= 2): its area
+    # is exactly 0, where the corner sums below would cancel only to rounding
+    # noise.
+    tol = _support_tol(u, offset_val, side)
     crosses = (c > float(u[u < 0].sum()) + tol) & (c < float(u[u > 0].sum()) - tol)
     # normalize and reflect so components are positive
     scale = np.linalg.norm(u)
@@ -299,11 +342,49 @@ def plane_level_measure(plane, idx, level, n_samples=DEFAULT_MC_SAMPLES):
     if k == 1:
         return _line_level_length(plane, lo, side), zeros
     if k == m - 1:
-        normal = orthonormalize_complement(plane.basis)[0]
+        normal = plane.normals[0]
         return _hyperplane_level_section(
             normal, float(normal @ plane.offset), lo, side
         ), zeros
     return _plane_level_qmc(plane, lo, side, n_samples)
+
+
+def plane_level_keep(plane, idx, level):
+    """Safe pruning test: False only for level cubes idx (K, M) in which the
+    plane V, and every sub-cube, has measure 0 to the level kernels.
+
+    V lies in {u.x = u.o} for each unit normal u of its orthogonal
+    complement.  In box units (x = lo + side*y) that is {u.y = c}, and u.y
+    spans [sum(u < 0), sum(u > 0)] over the unit box.  A cube is kept when
+    every c lies in its range widened by the supporting-plane tolerance
+    `_support_tol` plus 1e-12, so no cube that V meets is dropped.
+
+    The hyperplane kernel (k = M - 1 >= 2) measures a cube that its plane
+    meets only in an edge or a corner (a normal with r >= 2 nonzero
+    components) as exactly 0.  For such a normal the range is narrowed by a
+    quarter of that tolerance instead.  This drops the edge and corner
+    contacts, yet keeps every cube the kernel can measure as positive and
+    every cube holding such a sub-cube: a sub-cube at the contact has the
+    same level, up to rounding well inside the other three quarters.
+
+    For codimension >= 2 the cube's centre must also lie within half a
+    diagonal of V, which the slabs alone do not imply there.  Every row is
+    tested on its own, with sums taken axis by axis.
+    """
+    side = 2.0 ** -level
+    lo = _level_lower(idx, level)
+    keep = np.ones(lo.shape[0], dtype=bool)
+    slabs = plane._slabs
+    dist2 = 0.0
+    for u, axes, v, lo_end, hi_end, tol, slack in slabs:
+        c = _box_level(u, axes, v, lo, side)
+        margin = tol / side + slack
+        keep &= (c > lo_end - margin) & (c < hi_end + margin)
+        if len(slabs) >= 2:
+            dist2 = dist2 + (0.5 * (lo_end + hi_end) - c) ** 2
+    if len(slabs) >= 2:
+        keep &= dist2 <= (0.5 * math.sqrt(plane.ambient) + 1e-12) ** 2
+    return keep
 
 
 def plane_cube_measure(plane, cube, n_samples=DEFAULT_MC_SAMPLES, with_se=False):
@@ -400,31 +481,6 @@ def transversality_check(planes, m, d, threshold):
         min_angle=float(min_angle),
         passed=all(e.passed for e in entries),
     )
-
-
-def gradient_independence_check(poly, point, m, d):
-    """Fast sufficient transversality test from the per-factor gradient blocks.
-
-    For q = d: the q gradients restricted to each factor block must be
-    linearly independent.  For q < d: they must stay independent after
-    adjoining any canonical direction of the block.
-    """
-    x = np.asarray(point, dtype=float)
-    jac = poly.jacobian(x[None, :])[0]  # (q, m*d)
-    q = jac.shape[0]
-    if q > d:
-        raise ConfigError("gradient criterion applies only for q <= d")
-    for j in range(m):
-        block = jac[:, j * d : (j + 1) * d]  # (q, d)
-        if q == d:
-            if np.linalg.matrix_rank(block, tol=RANK_TOL) < q:
-                return False
-        else:
-            for i in range(d):
-                stacked = np.vstack([block, np.eye(d)[i]])
-                if np.linalg.matrix_rank(stacked, tol=RANK_TOL) < q + 1:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .percolation import (
 from .intersect import (
     ProductMeasureSpec,
     holder_modulus,
-    intersection_mass,
+    replicate_masses,
     second_moment_estimate,
 )
 from .patterns import (
@@ -314,18 +314,16 @@ def _run_sweep(cfg, out_dir):
 def _run_intersect(cfg, out_dir):
     target = cfg.target()
     n, reps = cfg.i("n"), cfg.i("replicates")
-    m = target.ambient // cfg.i("d")
-
-    def one(r):
-        seed = _rep_seed(cfg.i("seed"), r)
-        spec = _product_spec(cfg, seed, n, m=m)
-        series = intersection_mass(
-            spec, target, n, mc_samples=cfg.i("mc_samples"),
-            param_id=cfg.s("target_kind"),
-        )
-        return seed, series
-
-    results = parallel_map(one, range(reps), cfg.i("threads"))
+    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    # the replicates' trees are grown in replicate_masses; this depth-0 spec
+    # only carries their mode and laws
+    spec = _product_spec(
+        cfg, _rep_seed(cfg.i("seed"), 0), 0, m=target.ambient // cfg.i("d")
+    )
+    results = list(zip(seeds, replicate_masses(
+        spec, root_key(np.array(seeds, dtype=np.uint64)), target, n,
+        mc_samples=cfg.i("mc_samples"), param_id=cfg.s("target_kind"),
+    )))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for seed, series in results:
             for j in series.levels:
@@ -377,7 +375,8 @@ def _run_second_moment(cfg, out_dir):
     target = cfg.target()
     n, reps = cfg.i("n"), cfg.i("replicates")
     seed = cfg.i("seed")
-    spec = _product_spec(cfg, _rep_seed(seed, 0), n, m=target.ambient // cfg.i("d"))
+    # depth 0: second_moment_estimate grows its own replicates
+    spec = _product_spec(cfg, _rep_seed(seed, 0), 0, m=target.ambient // cfg.i("d"))
     rep = second_moment_estimate(
         spec, target, n, reps, base_seed=seed, mc_samples=cfg.i("mc_samples")
     )

@@ -3,14 +3,14 @@ dependency graphs, second-moment estimates and empirical Hölder moduli.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError
-from .geometry import AffinePlane, _row_chunks, plane_level_measure
-from .polynomials import PolynomialMap, variety_level_measure
-from .percolation import resample_level, sample_tree
+from .geometry import AffinePlane, _row_chunks, plane_level_keep, plane_level_measure
+from .polynomials import variety_level_measure
+from .percolation import DEFAULT_MAX_CUBES, resample_level, sample_forest
 from .rng import derive, root_key
 
 DEFAULT_CUBE_BUDGET = 5_000_000
@@ -115,7 +115,7 @@ class MassSeries:
 
 
 # ---------------------------------------------------------------------------
-# Pruned product-cube traversal
+# Product-cube rows: lookup, expansion and pruning
 
 def _lex_rows(sorted_idx, queries):
     """Row positions of query index tuples inside a lexsorted int64 array."""
@@ -134,9 +134,16 @@ def _lex_member(sorted_idx, queries):
     return np.all(sorted_idx[pos] == queries, axis=1)
 
 
-def _child_table(parent_idx, child_idx):
-    """CSR map: parent row -> rows of its children in the child level array."""
-    prow = _lex_rows(parent_idx, child_idx >> 1)
+def _child_table(parent_idx, child_idx, parent_tree=None, child_tree=None):
+    """CSR map: parent row -> rows of its children in the child level array.
+
+    With tree ids (forest levels, sorted by (tree, index)), a child's parent
+    is looked up within its own tree."""
+    query = child_idx >> 1
+    if parent_tree is not None:
+        parent_idx = np.column_stack([parent_tree, parent_idx])
+        query = np.column_stack([child_tree, query])
+    prow = _lex_rows(parent_idx, query)
     order = np.argsort(prow, kind="stable").astype(np.int64)
     counts = np.bincount(prow, minlength=parent_idx.shape[0]).astype(np.int64)
     starts = np.zeros(parent_idx.shape[0] + 1, dtype=np.int64)
@@ -184,25 +191,198 @@ def _prune_state(state, level_arrays, keep_fn):
     return state[keep]
 
 
-def _plane_keep(plane, idx_md, level, slack=0.0):
+def _poly_keep(poly, idx_md, level):
     side = 2.0 ** -level
-    centers = (idx_md.astype(float) + 0.5) * side
-    halfdiag = 0.5 * math.sqrt(idx_md.shape[1]) * side
-    return plane.point_distance(centers) <= halfdiag + slack + 1e-12 * side
+    lo = idx_md.astype(float) * side
+    return poly.may_vanish(lo, lo + side)
 
 
-def _poly_keep(poly, idx_md, level, slack=0.0):
-    side = 2.0 ** -level
-    lo = idx_md.astype(float) * side - slack
-    hi = lo + side + 2.0 * slack
-    return poly.may_vanish(lo, hi)
+# ---------------------------------------------------------------------------
+# Replicate batches
+
+@dataclass(frozen=True)
+class _Batch:
+    """R replicates of a product measure, their trees held as forests.
+
+    factor[lev] = (tree, idx) is level lev of every factor tree, sorted by
+    (tree, idx).  Replicate r's factor j is tree r*T + j, where T =
+    len(spec.trees): in power mode one tree serves every factor.  aux[lev]
+    holds replicate r's product-space tree (weighted mode) as tree r.  The
+    mode, m and laws come from `spec`; its own trees are not read.  A lone
+    spec is a batch of one replicate, whose forests are its trees."""
+
+    spec: ProductMeasureSpec
+    reps: int
+    factor: list
+    aux: list = None
 
 
-def target_keep(target, idx_md, level, slack=0.0):
-    """Safe pruning test: True whenever the target can meet the cube closure."""
-    if isinstance(target, AffinePlane):
-        return _plane_keep(target, idx_md, level, slack)
-    return _poly_keep(target, idx_md, level, slack)
+def _stack(arrays):
+    """Forest level holding the given tree level arrays as trees 0, 1, ..."""
+    if len(arrays) == 1:
+        return np.zeros(arrays[0].shape[0], dtype=np.int64), arrays[0]
+    sizes = [a.shape[0] for a in arrays]
+    return np.repeat(np.arange(len(arrays), dtype=np.int64), sizes), np.concatenate(arrays)
+
+
+def _grown_forest(law, variant, seeds, n, max_cubes=DEFAULT_MAX_CUBES):
+    """sample_forest over `seeds`.  A forest with a level over `max_cubes` is
+    grown in halves and stacked, so that, as with sample_tree, only a tree
+    that alone exceeds it raises BudgetError."""
+    try:
+        return sample_forest(law, variant, seeds, n, max_cubes=max_cubes)
+    except BudgetError:
+        if len(seeds) == 1:
+            raise
+    h = len(seeds) // 2
+    a = _grown_forest(law, variant, seeds[:h], n, max_cubes)
+    b = _grown_forest(law, variant, seeds[h:], n, max_cubes)
+    return [
+        (np.concatenate([ta, tb + h]), np.concatenate([ia, ib]))
+        for (ta, ia), (tb, ib) in zip(a, b)
+    ]
+
+
+def _spec_batch(spec, n, factor_levels=None, aux_levels=None):
+    """The one-replicate batch of spec's trees, or of the given level lists."""
+    if factor_levels is None:
+        factor_levels = spec.factor_levels()
+    if aux_levels is None and spec.aux_tree is not None:
+        aux_levels = spec.aux_tree.levels
+    if any(len(fl) <= n for fl in factor_levels):
+        raise ConfigError("trees not materialized to the requested level")
+    own = factor_levels[: len(spec.trees)]
+    factor = [_stack([fl[lev] for fl in own]) for lev in range(n + 1)]
+    aux = None
+    if aux_levels is not None:
+        aux = [_stack([aux_levels[lev]]) for lev in range(n + 1)]
+    return _Batch(spec, 1, factor, aux)
+
+
+def _grown_batch(spec, keys, seeds, n):
+    """The batch of replicates drawn like spec's trees: replicate r's tree j
+    has seed seeds[r, j], and its product-space tree derive(keys[r], T + 1)
+    with T = len(spec.trees).  One forest holds every factor tree."""
+    t0 = spec.trees[0]
+    if any(t.variant != t0.variant for t in spec.trees):
+        raise ConfigError("replicated factors must share one variant")
+    factor = _grown_forest(t0.law, t0.variant, seeds.ravel(), n)
+    aux = None
+    if spec.aux_tree is not None:
+        a = spec.aux_tree
+        aux = _grown_forest(a.law, a.variant, derive(keys, len(spec.trees) + 1), n)
+    return _Batch(spec, keys.shape[0], factor, aux)
+
+
+# ---------------------------------------------------------------------------
+# Pruned product-cube traversal
+
+# Most tuples a group of several replicates may hold while a level is
+# expanded.  A larger group is halved at a replicate boundary and each half
+# goes on alone, so the rows a batch holds at once (its tuples, their product
+# indices and the kernels' temporaries) stay near those of the largest single
+# replicate, whatever the number of replicates.
+BATCH_TUPLES = 1 << 11
+
+
+def _expansion_peak(state, counts):
+    """Most tuples held while the factors of `state` are expanded one by one
+    (counts: children per factor-cube row)."""
+    c = np.ones(state.shape[0], dtype=np.int64)
+    peak = 0
+    for j in range(state.shape[1]):
+        c *= counts[state[:, j]]
+        peak = max(peak, int(c.sum()))
+    return peak
+
+
+def _replicate_cut(rep):
+    """The first row of the middle replicate among those with rows (rep
+    nondecreasing, with at least two distinct values); halving by replicates,
+    not rows, keeps the depth of the splits within log2 of their number."""
+    starts = np.flatnonzero(rep[1:] != rep[:-1]) + 1
+    return int(starts[starts.shape[0] // 2])
+
+
+def _traverse(batch, target, n, budget, pruned):
+    """Yield (level, idx (K, m*d), rep (K,)): surviving product cubes that
+    meet the target, and the replicate of each row.  A replicate's rows at a
+    level come in one yield, contiguous and in the order of its own
+    one-replicate traversal, since expansion, masking and splitting keep row
+    order.
+
+    Replicates go depth-first in groups.  When the expansion of a group of
+    several replicates would hold more than min(BATCH_TUPLES, budget)
+    tuples, the group is halved at a replicate boundary and each half goes
+    on alone, so a level may be yielded once per group.  A lone replicate is
+    never split: its expansion over `budget` raises BudgetError.  After the
+    last tuple of a group dies out, its remaining levels are yielded empty.
+    Power mode restricts to pairwise-distinct factor tuples from
+    spec.diag_level on."""
+    spec = batch.spec
+    m, d, t = spec.m, spec.d, len(spec.trees)
+    # safe pruning tests: True whenever the target can carry measure in a cube
+    test = plane_level_keep if isinstance(target, AffinePlane) else _poly_keep
+    diag = spec.mode == "power" and m >= 2
+    limit = min(BATCH_TUPLES, budget)
+    tables = {}
+
+    def keep_fn(idx_md, lev):
+        keep = np.ones(idx_md.shape[0], dtype=bool)
+        if diag and lev >= spec.diag_level:
+            fi = idx_md.reshape(-1, m, d)
+            for a in range(m):
+                for b in range(a + 1, m):
+                    keep &= np.any(fi[:, a] != fi[:, b], axis=1)
+        if pruned:
+            keep &= test(target, idx_md, lev)
+        return keep
+
+    def level(state, lev):
+        """Prune and yield level lev of a group's tuples, then go deeper."""
+        tree, idx = batch.factor[lev]
+        arrays = [idx] * m
+        state = _prune_state(state, arrays, lambda x: keep_fn(x, lev))
+        idx_md = _product_idx(state, arrays)
+        rep = tree[state[:, 0]] // t
+        if batch.aux is not None:
+            atree, aidx = batch.aux[lev]
+            inside = _lex_member(
+                np.column_stack([atree, aidx]), np.column_stack([rep, idx_md])
+            )
+            state, idx_md, rep = state[inside], idx_md[inside], rep[inside]
+        yield lev, idx_md, rep
+        if lev == n:
+            return
+        if state.shape[0] == 0:
+            for l2 in range(lev + 1, n + 1):
+                yield l2, np.zeros((0, m * d), dtype=np.int64), rep
+            return
+        yield from expand(state, rep, lev)
+
+    def expand(state, rep, lev):
+        """Expand a group's tuples to level lev + 1, halving the group first
+        while it would hold too many."""
+        if lev not in tables:
+            tree, idx = batch.factor[lev]
+            ctree, cidx = batch.factor[lev + 1]
+            # a lone tree needs no tree key
+            trees = (tree, ctree) if batch.reps * t > 1 else ()
+            tables[lev] = _child_table(idx, cidx, *trees)
+        table = tables[lev]
+        if rep[0] != rep[-1] and _expansion_peak(state, table[2]) > limit:
+            cut = _replicate_cut(rep)
+            yield from expand(state[:cut], rep[:cut], lev)
+            yield from expand(state[cut:], rep[cut:], lev)
+            return
+        for j in range(m):
+            state = _expand_factor(state, j, *table, budget)
+        yield from level(state, lev + 1)
+
+    # rows into the factor forest level; level 0 holds each tree's root, in
+    # tree order
+    roots = np.arange(batch.reps * t, dtype=np.int64).reshape(batch.reps, t)
+    yield from level(np.repeat(roots, m // t, axis=1), 0)
 
 
 def product_support_traversal(
@@ -218,69 +398,54 @@ def product_support_traversal(
     the target, for levels 0..n.  Power mode restricts to pairwise-distinct
     factor tuples from spec.diag_level on.
     """
-    m, d = spec.m, spec.d
-    if factor_levels is None:
-        factor_levels = spec.factor_levels()
-    if aux_levels is None and spec.aux_tree is not None:
-        aux_levels = spec.aux_tree.levels
-    if any(len(fl) <= n for fl in factor_levels):
-        raise ConfigError("trees not materialized to the requested level")
-
-    def keep_fn(idx_md, lev):
-        keep = np.ones(idx_md.shape[0], dtype=bool)
-        if spec.mode == "power" and lev >= spec.diag_level and m >= 2:
-            fi = idx_md.reshape(-1, m, d)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    keep &= np.any(fi[:, a] != fi[:, b], axis=1)
-        if spec.mode == "weighted":
-            keep &= _lex_member(aux_levels[lev], idx_md)
-        if pruned:
-            keep &= target_keep(target, idx_md, lev)
-        return keep
-
-    state = np.zeros((1, m), dtype=np.int64)  # rows into factor level arrays
-    for lev in range(n + 1):
-        arrays = [factor_levels[j][lev] for j in range(m)]
-        state = _prune_state(state, arrays, lambda idx: keep_fn(idx, lev))
-        idx_md = _product_idx(state, arrays)
+    batch = _spec_batch(spec, n, factor_levels, aux_levels)
+    for lev, idx_md, _ in _traverse(batch, target, n, budget, pruned):
         yield lev, idx_md
-        if lev == n:
-            return
-        if state.shape[0] == 0:
-            for l2 in range(lev + 1, n + 1):
-                yield l2, np.zeros((0, m * d), dtype=np.int64)
-            return
-        tables = []
-        seen = {}
-        for j in range(m):
-            key = id(factor_levels[j])
-            if key not in seen:
-                seen[key] = _child_table(
-                    factor_levels[j][lev], factor_levels[j][lev + 1]
-                )
-            tables.append(seen[key])
-        for j in range(m):
-            state = _expand_factor(state, j, *tables[j], budget)
 
 
 # ---------------------------------------------------------------------------
 # Level masses
 
-def _level_mass(target, level, idx_md, mc_samples):
-    """(sum of target measures, quadrature s.e.) over the level cubes idx_md.
+def _segment_sums(x, rep, start):
+    """Per-replicate sums of x, each equal to np.add.accumulate over the
+    replicate's rows: np.add.at is unbuffered and goes in index order.  Each
+    sum starts from start[r]: -0.0 (as -0.0 + x == x for every x) for a
+    replicate with rows, 0.0 for one without."""
+    out = start.copy()
+    np.add.at(out, rep, x)
+    return out
 
-    One kernel call per level; the sum runs in row order, so the total is
-    the same as adding the cubes one by one."""
-    if isinstance(target, AffinePlane):
-        vals, ses = plane_level_measure(target, idx_md, level, mc_samples)
-    else:
-        vals, ses = variety_level_measure(target, idx_md, level, mc_samples)
-    if vals.size == 0:
-        return 0.0, 0.0
-    total = np.add.accumulate(vals)[-1]
-    var = np.add.accumulate(ses * ses)[-1]
-    return float(total), math.sqrt(var)
+
+def _batch_masses(batch, target, n, mc_samples, budget, pruned):
+    """(values, ses, counts) of every replicate, (R, n+1) arrays: one kernel
+    call per level and group of replicates, summed per replicate."""
+    spec = batch.spec
+    shape = (batch.reps, n + 1)
+    totals, variances = np.zeros(shape), np.zeros(shape)
+    counts = np.zeros(shape, dtype=np.int64)
+    diag_levels = spec.diag_level if spec.mode == "power" and spec.m >= 2 else 0
+    for lev, idx_md, rep in _traverse(batch, target, n, budget, pruned):
+        if rep.shape[0] == 0:
+            continue
+        r0, r1 = int(rep[0]), int(rep[-1]) + 1
+        rep = rep - r0
+        cnt = np.bincount(rep, minlength=r1 - r0)
+        counts[r0:r1, lev] = cnt
+        if lev < diag_levels:
+            continue
+        if isinstance(target, AffinePlane):
+            vals, se = plane_level_measure(target, idx_md, lev, mc_samples)
+        else:
+            vals, se = variety_level_measure(target, idx_md, lev, mc_samples)
+        start = np.where(cnt > 0, -0.0, 0.0)
+        totals[r0:r1, lev] = _segment_sums(vals, rep, start)
+        variances[r0:r1, lev] = _segment_sums(se * se, rep, start)
+    f = np.array([spec.density_factor(lev) for lev in range(n + 1)])
+    values, ses = f * totals, f * np.sqrt(variances)
+    # below the power mode's decomposition level the mass includes the
+    # diagonal and is not reported
+    values[:, :diag_levels] = ses[:, :diag_levels] = np.nan
+    return values, ses, counts
 
 
 def _kernel_name(spec, target):
@@ -288,6 +453,40 @@ def _kernel_name(spec, target):
         k, mm = target.dim, spec.ambient
         return "exact" if k in (1, mm - 1, mm) else "qmc"
     return "coarea-qmc"
+
+
+def _check_target(spec, target):
+    if isinstance(target, AffinePlane):
+        if target.ambient != spec.ambient:
+            raise ConfigError("target ambient must equal m*d")
+        if target.dim < 1:
+            raise DegenerateInputError("target dimension must be >= 1")
+    else:
+        if target.ambient != spec.ambient:
+            raise ConfigError("target ambient must equal m*d")
+        if target.ambient - target.codomain < 1:
+            raise DegenerateInputError("variety dimension must be >= 1")
+
+
+def _series(batch, target, n, mc_samples, budget, pruned, param_id, seeds):
+    """One MassSeries per replicate of the batch; seeds[r] is its seed."""
+    values, ses, counts = _batch_masses(batch, target, n, mc_samples, budget, pruned)
+    spec = batch.spec
+    kernel = _kernel_name(spec, target)
+    return [
+        MassSeries(
+            param_id=param_id,
+            seed=int(seed),
+            levels=list(range(n + 1)),
+            values=v.tolist(),
+            counts=c.tolist(),
+            ses=s.tolist(),
+            kernel=kernel,
+            mode=spec.mode,
+            diag_level=spec.diag_level,
+        )
+        for seed, v, s, c in zip(seeds, values, ses, counts)
+    ]
 
 
 def intersection_mass(
@@ -307,40 +506,43 @@ def intersection_mass(
     In power mode, values below spec.diag_level include the diagonal and are
     reported as NaN; mass is well-defined from the decomposition level on.
     """
-    if isinstance(target, AffinePlane):
-        if target.ambient != spec.ambient:
-            raise ConfigError("target ambient must equal m*d")
-        if target.dim < 1:
-            raise DegenerateInputError("target dimension must be >= 1")
-    else:
-        if target.ambient != spec.ambient:
-            raise ConfigError("target ambient must equal m*d")
-        if target.ambient - target.codomain < 1:
-            raise DegenerateInputError("variety dimension must be >= 1")
-    values, counts, ses = [], [], []
-    for lev, idx_md in product_support_traversal(
-        spec, target, n, budget=budget, pruned=pruned,
-        factor_levels=factor_levels, aux_levels=aux_levels,
-    ):
-        counts.append(int(idx_md.shape[0]))
-        if spec.mode == "power" and lev < spec.diag_level and spec.m >= 2:
-            values.append(float("nan"))
-            ses.append(float("nan"))
-            continue
-        tot, se = _level_mass(target, lev, idx_md, mc_samples)
-        f = spec.density_factor(lev)
-        values.append(f * tot)
-        ses.append(f * se)
-    return MassSeries(
-        param_id=param_id,
-        seed=spec.trees[0].seed,
-        levels=list(range(n + 1)),
-        values=values,
-        counts=counts,
-        ses=ses,
-        kernel=_kernel_name(spec, target),
-        mode=spec.mode,
-        diag_level=spec.diag_level,
+    _check_target(spec, target)
+    batch = _spec_batch(spec, n, factor_levels, aux_levels)
+    return _series(
+        batch, target, n, mc_samples, budget, pruned, param_id,
+        [spec.trees[0].seed],
+    )[0]
+
+
+def replicate_masses(
+    spec,
+    keys,
+    target,
+    n,
+    mc_samples=DEFAULT_MC_PER_CUBE,
+    budget=DEFAULT_CUBE_BUDGET,
+    param_id="target",
+):
+    """MassSeries of len(keys) independent replicates drawn like spec's trees.
+
+    Replicate r's tree j has seed derive(keys[r], j + 1), and in weighted
+    mode its product-space tree derive(keys[r], len(spec.trees) + 1); spec
+    supplies the mode, m and laws, and its own trees are not read.  All
+    replicates are grown as one forest and traversed together, in groups of
+    at most BATCH_TUPLES tuples, with one kernel call per level and group.
+    Each series is equal, bit for bit, to intersection_mass on that
+    replicate's trees alone.  A replicate that alone exceeds `budget` (or a
+    tree DEFAULT_MAX_CUBES) raises BudgetError; a batch that only exceeds it
+    together is split.
+    """
+    _check_target(spec, target)
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    seeds = np.stack(
+        [derive(keys, j + 1) for j in range(len(spec.trees))], axis=1
+    )
+    batch = _grown_batch(spec, keys, seeds, n)
+    return _series(
+        batch, target, n, mc_samples, budget, True, param_id, seeds[:, 0]
     )
 
 
@@ -447,33 +649,18 @@ class SecondMomentReport:
     positive_frequency: float
 
 
-def _replicate_spec(spec, base_seed, r, n):
-    """Fresh trees drawn like spec's, with replicate-specific seeds."""
-    seeds = derive(root_key(int(base_seed)), 2 * r + 1)
-    trees = []
-    for j, t in enumerate(spec.trees):
-        s = int(derive(np.uint64(seeds), j + 1))
-        trees.append(sample_tree(t.law, t.variant, s, n))
-    aux = None
-    if spec.aux_tree is not None:
-        s = int(derive(np.uint64(seeds), len(spec.trees) + 1))
-        aux = sample_tree(spec.aux_tree.law, spec.aux_tree.variant, s, n)
-    return ProductMeasureSpec(
-        mode=spec.mode, trees=tuple(trees), m=spec.m,
-        diag_level=spec.diag_level, aux_tree=aux,
-    )
-
-
 def second_moment_estimate(
     spec, target, n, replicates, base_seed=0, mc_samples=DEFAULT_MC_PER_CUBE,
 ):
     """Monte Carlo E[Y_n], E[Y_n^2] over independent replicates, with the
-    Paley-Zygmund survival lower bound P(Y_n > 0) >= E[Y_n]^2 / E[Y_n^2]."""
-    ys = np.empty(replicates)
-    for r in range(replicates):
-        rs = _replicate_spec(spec, base_seed, r, n)
-        series = intersection_mass(rs, target, n, mc_samples=mc_samples)
-        ys[r] = series.values[n]
+    Paley-Zygmund survival lower bound P(Y_n > 0) >= E[Y_n]^2 / E[Y_n^2].
+
+    Replicate r's trees are drawn like spec's, from the key
+    derive(root_key(base_seed), 2r + 1); all replicates form one batch."""
+    root = root_key(int(base_seed))
+    keys = [derive(root, 2 * r + 1) for r in range(replicates)]
+    series = replicate_masses(spec, keys, target, n, mc_samples=mc_samples)
+    ys = np.array([s.values[n] for s in series])
     mean = float(ys.mean())
     mean_sq = float((ys ** 2).mean())
     ratio = mean_sq / mean ** 2 if mean > 0 else float("inf")

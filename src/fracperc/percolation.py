@@ -340,41 +340,10 @@ def natural_measure(tree, n):
     return NaturalMeasure(tree=tree, n=n)
 
 
-def survivor_count(tree, n):
-    """N_n: exact number of surviving level-n cubes."""
-    return tree.count(n)
-
-
-def serialize_level(tree, n):
-    """Text form of level n: one line "n idx_1 ... idx_M" per cube, sorted
-    lexicographically. Round-trips bit-exactly through parse_level."""
-    idx = tree.levels[n]
-    return "".join(
-        f"{n} " + " ".join(str(int(v)) for v in row) + "\n" for row in idx
-    )
-
-
-def parse_level(text):
-    """Inverse of serialize_level: returns (level, (N, M) int64 index array)."""
-    rows = []
-    level = None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = [int(tok) for tok in line.split()]
-        if level is None:
-            level = parts[0]
-        elif parts[0] != level:
-            raise ConfigError("mixed levels in serialized cube set")
-        rows.append(parts[1:])
-    if level is None:
-        raise ConfigError("empty serialized cube set")
-    return level, np.array(rows, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
-# Batched forests: many replicates expanded together (hot path for the
-# growth / dimension / moment experiments).
+# Batched forests: many trees expanded together, one array per level.  The
+# mass pipeline (`intersect`, `second-moment`) grows every factor tree of every
+# replicate this way.
 
 def sample_forest(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES):
     """Sample len(seeds) independent trees in one batched structure.

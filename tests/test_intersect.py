@@ -12,15 +12,22 @@ import pytest
 import fracperc as fp
 import fracperc.geometry as geometry
 from fracperc.errors import BudgetError, ConfigError
-from fracperc.geometry import orthonormalize, plane_level_measure
+from fracperc.geometry import orthonormalize, plane_level_keep, plane_level_measure
+import fracperc.intersect as intersect
 from fracperc.intersect import (
     _expand_factor,
+    _grown_batch,
+    _grown_forest,
     _poly_keep,
     _product_idx,
     _prune_state,
+    _traverse,
+    intersection_mass,
     product_support_traversal,
+    replicate_masses,
 )
 from fracperc.polynomials import variety_level_measure
+from fracperc.rng import derive, root_key
 
 
 def line(direction, through):
@@ -372,3 +379,208 @@ def test_mass_series_deterministic():
     a = fp.intersection_mass(spec_indep([t]), target, 3)
     b = fp.intersection_mass(spec_indep([t]), target, 3)
     assert a.values == b.values and a.counts == b.counts
+
+
+# ---------------------------------------------------------------------------
+# Replicate batches
+
+def _plane_through(vectors, point):
+    return fp.AffinePlane.from_spanning(vectors, point)
+
+
+_BATCH_CASES = {
+    # name: (mode, d, m, p, variant, target, n, diag_level)
+    "independent-hyperplane": (
+        "independent", 1, 3, 0.8, "surviving",
+        _plane_through([[1, 1, 1], [1, 0, -1]], [0.0, 0.0, 0.0]), 5, 0,
+    ),
+    "independent-line": (
+        "independent", 1, 3, 0.8, "extinction", line([1, 2, 3], [0.1, 0.3, 0.2]), 5, 0,
+    ),
+    "independent-plane-qmc": (
+        "independent", 2, 2, 0.7, "extinction",
+        _plane_through([[1, 1, 0, 1], [0, 1, -1, 2]], [0.5] * 4), 3, 0,
+    ),
+    "independent-coarea": (
+        "independent", 2, 2, 0.7, "extinction", _pair_distance(0.5), 2, 0,
+    ),
+    "power-hyperplane": (
+        "power", 1, 3, 0.9, "extinction",
+        _plane_through([[1, 1, 1], [1, 0, -1]], [0.0, 0.0, 0.0]), 4, 2,
+    ),
+    "weighted-line": (
+        "weighted", 1, 2, 0.8, "extinction", line([1, -1], [0.5, 0.5]), 4, 0,
+    ),
+}
+
+
+def _replicate_specs(mode, d, m, p, variant, keys, n, diag_level):
+    """The one-replicate specs that replicate_masses draws, grown tree by tree."""
+    law = fp.GaltonWatsonLaw.create(d, p)
+    specs = []
+    for key in keys:
+        t = 1 if mode == "power" else m
+        trees = [fp.sample_tree(law, variant, int(derive(key, j + 1)), n) for j in range(t)]
+        aux = None
+        if mode == "weighted":
+            aux_law = fp.GaltonWatsonLaw.create(m * d, p)
+            aux = fp.sample_tree(aux_law, variant, int(derive(key, t + 1)), n)
+        specs.append(fp.ProductMeasureSpec(
+            mode=mode, trees=trees, m=m, diag_level=diag_level, aux_tree=aux
+        ))
+    return specs
+
+
+def _bits(series, field):
+    return np.array([getattr(s, field) for s in series], dtype=float).tobytes()
+
+
+def _row_order_values(spec, target, n, mc_samples):
+    """Y_0..Y_n of one replicate, each level's cube measures added one by one
+    in traversal order."""
+    out = []
+    for lev, idx in product_support_traversal(spec, target, n):
+        if spec.mode == "power" and lev < spec.diag_level:
+            out.append(float("nan"))
+            continue
+        if isinstance(target, fp.AffinePlane):
+            vals, _ = plane_level_measure(target, idx, lev, mc_samples)
+        else:
+            vals, _ = variety_level_measure(target, idx, lev, mc_samples)
+        total = 0.0
+        for v in vals.tolist():
+            total += v
+        out.append(spec.density_factor(lev) * total)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_replicate_batch_matches_one_at_a_time(case, monkeypatch):
+    # Chunks of at most 96 floats (32 pruning rows of three columns, 12
+    # hyperplane cubes, one QMC cube) put chunk boundaries inside and across
+    # replicates; every replicate's series must still equal its own
+    # one-replicate call bit for bit (NaN below the power mode's
+    # decomposition level included).
+    # A cap of 40 tuples also splits the batch into groups of replicates
+    # at most levels.
+    monkeypatch.setattr(geometry, "CHUNK_FLOATS", 96)
+    mode, d, m, p, variant, target, n, diag_level = _BATCH_CASES[case]
+    keys = root_key(np.arange(100, 109, dtype=np.uint64))
+    specs = _replicate_specs(mode, d, m, p, variant, keys, n, diag_level)
+    alone = [intersection_mass(s, target, n, mc_samples=64) for s in specs]
+    serial = [_row_order_values(s, target, n, 64) for s in specs]
+    assert np.array(serial).tobytes() == _bits(alone, "values")
+    for cap in (intersect.BATCH_TUPLES, 40):
+        monkeypatch.setattr(intersect, "BATCH_TUPLES", cap)
+        batch = replicate_masses(specs[0], keys, target, n, mc_samples=64)
+        for field in ("values", "ses", "counts"):
+            assert _bits(batch, field) == _bits(alone, field), (cap, field)
+        assert [s.seed for s in batch] == [s.seed for s in alone]
+        assert {s.kernel for s in batch} == {alone[0].kernel}
+    assert sum(sum(s.counts) for s in batch) > len(keys)
+
+
+def _smallest_budget(spec, target, n):
+    """The least traversal budget under which spec's mass is computed."""
+    lo, hi = 1, 1 << 20
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            intersection_mass(spec, target, n, budget=mid)
+            hi = mid
+        except BudgetError:
+            lo = mid + 1
+    return lo
+
+
+def test_batch_over_budget_is_split_not_refused(monkeypatch):
+    # Only the budget splits here, not the batch cap.
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 1 << 40)
+    mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-hyperplane"]
+    keys = root_key(np.arange(200, 208, dtype=np.uint64))
+    specs = _replicate_specs(mode, d, m, p, variant, keys, n, 0)
+    budget = max(_smallest_budget(s, target, n) for s in specs)
+    # every replicate fits, the whole batch does not: its traversal is split
+    # into groups, which yield some level more than once ...
+    seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
+    whole = _grown_batch(specs[0], keys, seeds, n)
+    assert len(list(_traverse(whole, target, n, budget, True))) > n + 1
+    # ... and the masses are those of the replicates alone
+    batch = replicate_masses(specs[0], keys, target, n, budget=budget)
+    alone = [intersection_mass(s, target, n) for s in specs]
+    for field in ("values", "ses", "counts"):
+        assert _bits(batch, field) == _bits(alone, field), field
+    # a replicate that alone exceeds the budget is still refused
+    with pytest.raises(BudgetError):
+        replicate_masses(specs[0], keys, target, n, budget=budget - 1)
+
+
+def test_forest_over_budget_is_grown_in_halves():
+    law = fp.GaltonWatsonLaw.create(2, 0.9)
+    seeds = np.arange(10, 16, dtype=np.uint64)
+    whole = fp.sample_forest(law, "surviving", seeds, 4)
+    largest = max(np.bincount(tree).max() for tree, _ in whole)
+    with pytest.raises(BudgetError):
+        fp.sample_forest(law, "surviving", seeds, 4, max_cubes=largest)
+    halves = _grown_forest(law, "surviving", seeds, 4, max_cubes=largest)
+    for (ta, ia), (tb, ib) in zip(whole, halves):
+        assert np.array_equal(ta, tb) and np.array_equal(ia, ib)
+    with pytest.raises(BudgetError):
+        _grown_forest(law, "surviving", seeds, 4, max_cubes=largest - 1)
+
+
+def test_second_moment_is_one_batch():
+    # The estimate is that of the replicates' one-replicate masses.
+    mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-hyperplane"]
+    root = root_key(9)
+    keys = [derive(root, 2 * r + 1) for r in range(12)]
+    specs = _replicate_specs(mode, d, m, p, variant, keys, n, 0)
+    rep = fp.second_moment_estimate(specs[0], target, n, 12, base_seed=9)
+    ys = np.array([intersection_mass(s, target, n).values[n] for s in specs])
+    assert rep.mean == float(ys.mean())
+    assert rep.mean_sq == float((ys ** 2).mean())
+    assert rep.positive_frequency == float((ys > 0).mean())
+
+
+# ---------------------------------------------------------------------------
+# Slab pruning
+
+def test_slab_pruning_drops_exactly_the_hyperplane_contacts():
+    # x - 2y + z = 0 meets the level cube (i, j, k) in a positive area when
+    # |i - 2j + k| <= 1 and only in an edge or corner when it is 2.  The test
+    # keeps the first and drops the rest, on every cube of levels 1-5, and
+    # keeps every cube the kernel measures as positive.
+    plane = _plane_through([[1, 1, 1], [1, 0, -1]], [0.0, 0.0, 0.0])
+    for level in range(1, 6):
+        idx = _all_cubes(level, 3)
+        keep = plane_level_keep(plane, idx, level)
+        vals, _ = plane_level_measure(plane, idx, level)
+        s = np.abs(idx[:, 0] - 2 * idx[:, 1] + idx[:, 2])
+        assert np.array_equal(keep, s <= 1), level
+        assert np.all(keep[vals > 0])
+
+
+@pytest.mark.parametrize("kernel", ["line", "hyperplane", "full", "plane-qmc"])
+def test_slab_pruning_keeps_every_measured_cube(kernel):
+    target, m, level = _KERNEL_CASES[kernel]
+    for lev in range(level + 1):
+        idx = _all_cubes(lev, m)
+        keep = plane_level_keep(target, idx, lev)
+        vals, _ = plane_level_measure(target, idx, lev, 256)
+        assert np.all(keep[vals > 0]), (kernel, lev)
+
+
+def test_slab_pruning_keeps_masses_bit_for_bit():
+    # Dropped cubes add exactly 0.0: pruned and unpruned masses are equal bit
+    # for bit, while fewer product cubes are visited.
+    plane = _plane_through([[1, 1, 1], [1, 0, -1]], [0.0, 0.0, 0.0])
+    law = fp.GaltonWatsonLaw.create(1, 0.8)
+    fewer = 0
+    for seed in range(6):
+        trees = [fp.sample_tree(law, "extinction", 10 * seed + j, 5) for j in range(3)]
+        spec = spec_indep(trees)
+        a = intersection_mass(spec, plane, 5)
+        b = intersection_mass(spec, plane, 5, pruned=False)
+        assert np.array(a.values).tobytes() == np.array(b.values).tobytes()
+        fewer += sum(b.counts) - sum(a.counts)
+    assert fewer > 0

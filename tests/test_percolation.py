@@ -136,14 +136,19 @@ def test_extinction_mean_growth():
 
 
 def test_sample_forest_matches_individual_trees():
-    law = fp.GaltonWatsonLaw.create(2, 0.6)
-    seeds = [3, 11, 42]
-    forest = fp.sample_forest(law, "extinction", seeds, 4)
-    for i, seed in enumerate(seeds):
-        tree = fp.sample_tree(law, "extinction", seed, 4)
-        for n in range(5):
-            rep, idx = forest[n]
-            assert np.array_equal(idx[rep == i], tree.levels[n])
+    # Every variant the forest grows, in d = 1, 2, 3: each tree's rows are
+    # contiguous and equal, in order, to that tree grown alone.
+    seeds = [3, 11, 42, 7]
+    for variant in ("extinction", "surviving", "coupled"):
+        for d in (1, 2, 3):
+            law = fp.GaltonWatsonLaw.create(d, 0.6)
+            forest = fp.sample_forest(law, variant, seeds, 4)
+            for n in range(5):
+                rep, idx = forest[n]
+                assert np.all(np.diff(rep) >= 0), (variant, d, n)
+                for i, seed in enumerate(seeds):
+                    tree = fp.sample_tree(law, variant, seed, 4)
+                    assert np.array_equal(idx[rep == i], tree.levels[n]), (variant, d, n, i)
 
 
 def test_coupled_slices_nest():
