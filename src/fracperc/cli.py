@@ -22,7 +22,7 @@ def build_parser():
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker threads")
+        p.add_argument("--threads", type=int, help="accepted; has no effect")
         p.add_argument("--preset", choices=("smoke", "paper"))
         p.add_argument(
             "overrides", nargs="*", metavar="key=value",

@@ -84,9 +84,9 @@ class AffinePlane:
                 axes, widen, slack = np.arange(m), 1.0, 1e-12
             # the tolerance at side 1; at side s it is this / s, as in the
             # kernel
-            tol = widen * _support_tol(u, v, 1.0)
+            tol = _support_tol(u, v, 1.0)
             lo_end, hi_end = float(u[u < 0].sum()), float(u[u > 0].sum())
-            slabs.append((u, axes, v, lo_end, hi_end, tol, slack))
+            slabs.append((u, axes, v, lo_end, hi_end, tol, widen, slack))
         return slabs
 
     @property
@@ -349,41 +349,46 @@ def plane_level_measure(plane, idx, level, n_samples=DEFAULT_MC_SAMPLES):
     return _plane_level_qmc(plane, lo, side, n_samples)
 
 
-def plane_level_keep(plane, idx, level):
-    """Safe pruning test: False only for level cubes idx (K, M) in which the
-    plane V, and every sub-cube, has measure 0 to the level kernels.
+def plane_level_keep(plane, idx, level, radius=0.0):
+    """Safe pruning test: False only for level cubes idx (K, M) farther than
+    `radius` from the plane V, and, with radius 0, only for cubes in which V,
+    and every sub-cube, has measure 0 to the level kernels.
 
     V lies in {u.x = u.o} for each unit normal u of its orthogonal
     complement.  In box units (x = lo + side*y) that is {u.y = c}, and u.y
     spans [sum(u < 0), sum(u > 0)] over the unit box.  A cube is kept when
     every c lies in its range widened by the supporting-plane tolerance
-    `_support_tol` plus 1e-12, so no cube that V meets is dropped.
+    `_support_tol` plus 1e-12, and by radius / side.
 
-    The hyperplane kernel (k = M - 1 >= 2) measures a cube that its plane
-    meets only in an edge or a corner (a normal with r >= 2 nonzero
-    components) as exactly 0.  For such a normal the range is narrowed by a
-    quarter of that tolerance instead.  This drops the edge and corner
-    contacts, yet keeps every cube the kernel can measure as positive and
-    every cube holding such a sub-cube: a sub-cube at the contact has the
-    same level, up to rounding well inside the other three quarters.
+    With radius 0, the hyperplane kernel (k = M - 1 >= 2) measures a cube
+    that its plane meets only in an edge or a corner (a normal with r >= 2
+    nonzero components) as exactly 0.  For such a normal the range is then
+    narrowed by a quarter of that tolerance instead.  This drops the edge
+    and corner contacts, yet keeps every cube the kernel can measure as
+    positive and every cube holding such a sub-cube: a sub-cube at the
+    contact has the same level, up to rounding well inside the other three
+    quarters.
 
     For codimension >= 2 the cube's centre must also lie within half a
-    diagonal of V, which the slabs alone do not imply there.  Every row is
-    tested on its own, with sums taken axis by axis.
+    diagonal plus `radius` of V, which the slabs alone do not imply there.
+    Every row is tested on its own, with sums taken axis by axis.
     """
     side = 2.0 ** -level
     lo = _level_lower(idx, level)
     keep = np.ones(lo.shape[0], dtype=bool)
     slabs = plane._slabs
     dist2 = 0.0
-    for u, axes, v, lo_end, hi_end, tol, slack in slabs:
+    for u, axes, v, lo_end, hi_end, tol, widen, slack in slabs:
         c = _box_level(u, axes, v, lo, side)
-        margin = tol / side + slack
+        # a positive radius widens every slab and never narrows one
+        if radius > 0:
+            widen, slack = 1.0, 1e-12
+        margin = widen * tol / side + slack + radius / side
         keep &= (c > lo_end - margin) & (c < hi_end + margin)
         if len(slabs) >= 2:
             dist2 = dist2 + (0.5 * (lo_end + hi_end) - c) ** 2
     if len(slabs) >= 2:
-        keep &= dist2 <= (0.5 * math.sqrt(plane.ambient) + 1e-12) ** 2
+        keep &= dist2 <= (0.5 * math.sqrt(plane.ambient) + 1e-12 + radius / side) ** 2
     return keep
 
 

@@ -1,11 +1,10 @@
 """Experiment orchestration: flat key=value configs, seeded deterministic
-runs, CSV/JSON/SVG emission, and deterministic thread parallelism.
+runs and CSV/JSON/SVG emission.
 """
 
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -185,15 +184,6 @@ class ExperimentConfig:
         raise ConfigError(f"unknown target_kind {kind!r}")
 
 
-def parallel_map(fn, args_list, threads):
-    """Order-preserving map; results identical for any thread count because
-    each task depends only on its own arguments and reduction is in task order."""
-    if threads <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args_list))
-
-
 def _rep_seed(base_seed, r):
     return int(derive(root_key(int(base_seed)), r + 1))
 
@@ -231,14 +221,13 @@ def _run_sample(cfg, out_dir):
     law = cfg.law()
     variant = cfg.s("variant")
 
-    def one(r):
+    results = []
+    for r in range(reps):
         seed = _rep_seed(cfg.i("seed"), r)
         tree = sample_tree(law, variant, seed, n)
         counts = [tree.count(j) for j in range(n + 1)]
         masses = [NaturalMeasure(tree, j).total_mass for j in range(n + 1)]
-        return seed, counts, masses
-
-    results = parallel_map(one, range(reps), cfg.i("threads"))
+        results.append((seed, counts, masses))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for seed, counts, masses in results:
             for j in range(n + 1):
@@ -273,15 +262,14 @@ def _run_sweep(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     coupled = cfg.flag("coupled")
 
-    def one(r):
+    results = []
+    for r in range(reps):
         seed = _rep_seed(cfg.i("seed"), r)
         prof = presence_profile(
             desc, p_grid, n, seed, coupled=coupled, tolerance=cfg.tolerance,
             variant=cfg.s("variant"),
         )
-        return seed, prof
-
-    results = parallel_map(one, range(reps), cfg.i("threads"))
+        results.append((seed, prof))
     with fio.CsvWriter(
         os.path.join(out_dir, "detail.csv"),
         ["replicate", "seed"] + [f"present_p{p!r}" for p in p_grid],
@@ -329,10 +317,10 @@ def _run_intersect(cfg, out_dir):
             for j in series.levels:
                 csv.row(seed, series.param_id, j, series.values[j],
                         series.kernel, series.ses[j])
-    mean_y = [
-        float(np.nanmean([res[1].values[j] for res in results]))
-        for j in range(n + 1)
-    ]
+    # power mode has no mass below its decomposition level: NaN in every
+    # replicate, and in the mean (null in summary.json)
+    ys = np.array([series.values for _, series in results]).T
+    mean_y = [float(np.nanmean(y)) if np.isfinite(y).any() else math.nan for y in ys]
     fio.svg_line_plot(
         os.path.join(out_dir, "mass.svg"),
         [("mean Y", list(range(n + 1)), mean_y)],
@@ -396,12 +384,11 @@ def _run_dimension(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
 
-    def one(r):
+    results = []
+    for r in range(reps):
         seed = _rep_seed(cfg.i("seed"), r)
         tree = sample_tree(law, cfg.s("variant"), seed, n)
-        return seed, box_dimension_estimate(tree, max(1, n - 6), n)
-
-    results = parallel_map(one, range(reps), cfg.i("threads"))
+        results.append((seed, box_dimension_estimate(tree, max(1, n - 6), n)))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for seed, slope in results:
             csv.row(seed, "box_dim_slope", n, slope, "fit", 0.0)
@@ -421,13 +408,12 @@ def _run_pattern_dim(cfg, out_dir):
     j_lo = cfg.i("j_lo")
     j_hi = int(cfg.raw["j_hi"]) if cfg.raw["j_hi"] else n - 1
 
-    def one(r):
+    results = []
+    for r in range(reps):
         seed = _rep_seed(cfg.i("seed"), r)
         tree = sample_tree(law, cfg.s("variant"), seed, n)
         est = pattern_parameter_dimension(tree, sites, n, j_lo=j_lo, j_hi=j_hi)
-        return seed, est
-
-    results = parallel_map(one, range(reps), cfg.i("threads"))
+        results.append((seed, est))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for seed, est in results:
             csv.row(seed, "pattern_dim_slope", n, est.slope, "fit", 0.0)

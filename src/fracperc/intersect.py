@@ -84,12 +84,6 @@ class ProductMeasureSpec:
             dep = min(dep, self.aux_tree.depth)
         return dep
 
-    def factor_levels(self):
-        """Per-factor list of level index arrays (shared object in power mode)."""
-        if self.mode == "power":
-            return [self.trees[0].levels] * self.m
-        return [t.levels for t in self.trees]
-
     def density_factor(self, j):
         """Normalization p^-mj (times pt^-j in weighted mode)."""
         f = float(self.p) ** (-self.m * j)
@@ -180,21 +174,43 @@ def _product_idx(state, level_arrays):
 
 
 def _prune_state(state, level_arrays, keep_fn):
-    """The rows of `state` whose product cubes keep_fn (idx (C, m*d) -> bool
-    (C,)) keeps, in order.  Indices are built and tested a chunk of rows at a
-    time, at most CHUNK_FLOATS entries each, so that neither the level's index
-    array nor the floats a test derives from it are held whole."""
+    """The rows of `state` that keep_fn(rows, idx) keeps, in order: rows is a
+    slice of state, idx (C, m*d) the product-cube indices of those rows, and
+    keep_fn returns bool (C,).  Indices are built and tested a chunk of rows
+    at a time, at most CHUNK_FLOATS entries each, so that neither the level's
+    index array nor the floats a test derives from it are held whole."""
     md = sum(arr.shape[1] for arr in level_arrays)
     keep = np.empty(state.shape[0], dtype=bool)
     for rows in _row_chunks(state.shape[0], md):
-        keep[rows] = keep_fn(_product_idx(state[rows], level_arrays))
+        keep[rows] = keep_fn(rows, _product_idx(state[rows], level_arrays))
     return state[keep]
 
 
-def _poly_keep(poly, idx_md, level):
+def _poly_keep(polys, idx_md, level, tolerance=0.0):
+    """Safe pruning test: False only for level cubes idx_md (K, M) whose box,
+    widened by `tolerance`, none of `polys` may vanish in (interval bounds)."""
     side = 2.0 ** -level
     lo = idx_md.astype(float) * side
-    return poly.may_vanish(lo, lo + side)
+    hi = lo + side + tolerance
+    lo = lo - tolerance
+    return np.logical_or.reduce([poly.may_vanish(lo, hi) for poly in polys])
+
+
+def _target_keep(target):
+    """The traversal's keep predicate (idx, level) -> bool for a mass target:
+    True whenever the target can carry measure in a cube."""
+    if isinstance(target, AffinePlane):
+        return lambda idx, lev: plane_level_keep(target, idx, lev)
+    return lambda idx, lev: _poly_keep((target,), idx, lev)
+
+
+def _pairwise_distinct(state):
+    """Mask of the rows of `state` whose entries are pairwise distinct."""
+    ok = np.ones(state.shape[0], dtype=bool)
+    for a in range(state.shape[1]):
+        for b in range(a + 1, state.shape[1]):
+            ok &= state[:, a] != state[:, b]
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +218,16 @@ def _poly_keep(poly, idx_md, level):
 
 @dataclass(frozen=True)
 class _Batch:
-    """R replicates of a product measure, their trees held as forests.
+    """R replicates of a product of m factors, their trees held as forests.
 
     factor[lev] = (tree, idx) is level lev of every factor tree, sorted by
-    (tree, idx).  Replicate r's factor j is tree r*T + j, where T =
-    len(spec.trees): in power mode one tree serves every factor.  aux[lev]
-    holds replicate r's product-space tree (weighted mode) as tree r.  The
-    mode, m and laws come from `spec`; its own trees are not read.  A lone
-    spec is a batch of one replicate, whose forests are its trees."""
+    (tree, idx).  Replicate r's factor j is tree r*t + j when t = m; with
+    t = 1 one tree serves every factor.  aux[lev], when given, holds
+    replicate r's product-space tree as tree r.  A lone set of trees is a
+    batch of one replicate, whose forests are its trees."""
 
-    spec: ProductMeasureSpec
+    m: int
+    t: int
     reps: int
     factor: list
     aux: list = None
@@ -243,20 +259,26 @@ def _grown_forest(law, variant, seeds, n, max_cubes=DEFAULT_MAX_CUBES):
     ]
 
 
-def _spec_batch(spec, n, factor_levels=None, aux_levels=None):
-    """The one-replicate batch of spec's trees, or of the given level lists."""
-    if factor_levels is None:
-        factor_levels = spec.factor_levels()
-    if aux_levels is None and spec.aux_tree is not None:
-        aux_levels = spec.aux_tree.levels
-    if any(len(fl) <= n for fl in factor_levels):
-        raise ConfigError("trees not materialized to the requested level")
-    own = factor_levels[: len(spec.trees)]
-    factor = [_stack([fl[lev] for fl in own]) for lev in range(n + 1)]
+def _levels_batch(spec, replicates):
+    """The batch of replicates[r]: the level lists of replicate r's trees, in
+    spec.trees order, then of its product-space tree."""
+    t = len(spec.trees)
+    levels = range(len(replicates[0][0]))
+    factor = [
+        _stack([lv[lev] for rep in replicates for lv in rep[:t]]) for lev in levels
+    ]
     aux = None
-    if aux_levels is not None:
-        aux = [_stack([aux_levels[lev]]) for lev in range(n + 1)]
-    return _Batch(spec, 1, factor, aux)
+    if spec.aux_tree is not None:
+        aux = [_stack([rep[t][lev] for rep in replicates]) for lev in levels]
+    return _Batch(spec.m, t, len(replicates), factor, aux)
+
+
+def _spec_batch(spec, n):
+    """The one-replicate batch of spec's trees, levels 0..n."""
+    if spec.depth < n:
+        raise ConfigError("trees not materialized to the requested level")
+    trees = spec.trees + ((spec.aux_tree,) if spec.aux_tree is not None else ())
+    return _levels_batch(spec, [[t.levels[: n + 1] for t in trees]])
 
 
 def _grown_batch(spec, keys, seeds, n):
@@ -271,7 +293,7 @@ def _grown_batch(spec, keys, seeds, n):
     if spec.aux_tree is not None:
         a = spec.aux_tree
         aux = _grown_forest(a.law, a.variant, derive(keys, len(spec.trees) + 1), n)
-    return _Batch(spec, keys.shape[0], factor, aux)
+    return _Batch(spec.m, len(spec.trees), keys.shape[0], factor, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -304,59 +326,50 @@ def _replicate_cut(rep):
     return int(starts[starts.shape[0] // 2])
 
 
-def _traverse(batch, target, n, budget, pruned):
-    """Yield (level, idx (K, m*d), rep (K,)): surviving product cubes that
-    meet the target, and the replicate of each row.  A replicate's rows at a
-    level come in one yield, contiguous and in the order of its own
-    one-replicate traversal, since expansion, masking and splitting keep row
-    order.
+def _traverse(batch, keep, n, budget, distinct=None):
+    """Yield (level, state (K, m), rep (K,)) for levels 0..n: tuples of
+    surviving factor cubes, as rows into the factor forest level, whose
+    product cube keep(idx (C, m*d), level) -> bool (C,) keeps (all when keep
+    is None) and the replicate's aux tree holds; from level `distinct` on
+    (never when None) their factor rows are pairwise distinct.  rep is each
+    tuple's replicate.  A replicate's tuples at a level come in one yield,
+    contiguous and in the order of its own one-replicate traversal, since
+    expansion, pruning and splitting keep row order.
 
     Replicates go depth-first in groups.  When the expansion of a group of
     several replicates would hold more than min(BATCH_TUPLES, budget)
     tuples, the group is halved at a replicate boundary and each half goes
     on alone, so a level may be yielded once per group.  A lone replicate is
     never split: its expansion over `budget` raises BudgetError.  After the
-    last tuple of a group dies out, its remaining levels are yielded empty.
-    Power mode restricts to pairwise-distinct factor tuples from
-    spec.diag_level on."""
-    spec = batch.spec
-    m, d, t = spec.m, spec.d, len(spec.trees)
-    # safe pruning tests: True whenever the target can carry measure in a cube
-    test = plane_level_keep if isinstance(target, AffinePlane) else _poly_keep
-    diag = spec.mode == "power" and m >= 2
+    last tuple of a group dies out, its remaining levels are yielded empty."""
+    m, t = batch.m, batch.t
     limit = min(BATCH_TUPLES, budget)
     tables = {}
-
-    def keep_fn(idx_md, lev):
-        keep = np.ones(idx_md.shape[0], dtype=bool)
-        if diag and lev >= spec.diag_level:
-            fi = idx_md.reshape(-1, m, d)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    keep &= np.any(fi[:, a] != fi[:, b], axis=1)
-        if pruned:
-            keep &= test(target, idx_md, lev)
-        return keep
 
     def level(state, lev):
         """Prune and yield level lev of a group's tuples, then go deeper."""
         tree, idx = batch.factor[lev]
-        arrays = [idx] * m
-        state = _prune_state(state, arrays, lambda x: keep_fn(x, lev))
-        idx_md = _product_idx(state, arrays)
-        rep = tree[state[:, 0]] // t
+        held = None
         if batch.aux is not None:
-            atree, aidx = batch.aux[lev]
-            inside = _lex_member(
-                np.column_stack([atree, aidx]), np.column_stack([rep, idx_md])
-            )
-            state, idx_md, rep = state[inside], idx_md[inside], rep[inside]
-        yield lev, idx_md, rep
+            held, rep = np.column_stack(batch.aux[lev]), tree[state[:, 0]] // t
+
+        def test(rows, x):
+            ok = np.ones(x.shape[0], dtype=bool) if keep is None else keep(x, lev)
+            if held is not None:
+                ok &= _lex_member(held, np.column_stack([rep[rows], x]))
+            return ok
+
+        if keep is not None or held is not None:
+            state = _prune_state(state, [idx] * m, test)
+        if distinct is not None and lev >= distinct:
+            state = state[_pairwise_distinct(state)]
+        rep = tree[state[:, 0]] // t
+        yield lev, state, rep
         if lev == n:
             return
         if state.shape[0] == 0:
             for l2 in range(lev + 1, n + 1):
-                yield l2, np.zeros((0, m * d), dtype=np.int64), rep
+                yield l2, state, rep
             return
         yield from expand(state, rep, lev)
 
@@ -386,21 +399,17 @@ def _traverse(batch, target, n, budget, pruned):
 
 
 def product_support_traversal(
-    spec,
-    target,
-    n,
-    budget=DEFAULT_CUBE_BUDGET,
-    pruned=True,
-    factor_levels=None,
-    aux_levels=None,
+    spec, target, n, budget=DEFAULT_CUBE_BUDGET, pruned=True,
 ):
     """Yield (level, idx array (K, m*d)) of surviving product cubes meeting
     the target, for levels 0..n.  Power mode restricts to pairwise-distinct
     factor tuples from spec.diag_level on.
     """
-    batch = _spec_batch(spec, n, factor_levels, aux_levels)
-    for lev, idx_md, _ in _traverse(batch, target, n, budget, pruned):
-        yield lev, idx_md
+    batch = _spec_batch(spec, n)
+    keep = _target_keep(target) if pruned else None
+    diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
+    for lev, state, _ in _traverse(batch, keep, n, budget, diag):
+        yield lev, _product_idx(state, [batch.factor[lev][1]] * spec.m)
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +425,25 @@ def _segment_sums(x, rep, start):
     return out
 
 
-def _batch_masses(batch, target, n, mc_samples, budget, pruned):
-    """(values, ses, counts) of every replicate, (R, n+1) arrays: one kernel
-    call per level and group of replicates, summed per replicate."""
-    spec = batch.spec
+def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
+    """(values, ses, counts), (R, n+1) arrays, of the batch's replicates in
+    spec's mode: one kernel call per level and group, summed per replicate."""
     shape = (batch.reps, n + 1)
     totals, variances = np.zeros(shape), np.zeros(shape)
     counts = np.zeros(shape, dtype=np.int64)
-    diag_levels = spec.diag_level if spec.mode == "power" and spec.m >= 2 else 0
-    for lev, idx_md, rep in _traverse(batch, target, n, budget, pruned):
+    # power mode's decomposition level, from which factors are distinct
+    diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
+    keep = _target_keep(target) if pruned else None
+    for lev, state, rep in _traverse(batch, keep, n, budget, diag):
         if rep.shape[0] == 0:
             continue
         r0, r1 = int(rep[0]), int(rep[-1]) + 1
         rep = rep - r0
         cnt = np.bincount(rep, minlength=r1 - r0)
         counts[r0:r1, lev] = cnt
-        if lev < diag_levels:
+        if diag is not None and lev < diag:
             continue
+        idx_md = _product_idx(state, [batch.factor[lev][1]] * spec.m)
         if isinstance(target, AffinePlane):
             vals, se = plane_level_measure(target, idx_md, lev, mc_samples)
         else:
@@ -444,7 +455,7 @@ def _batch_masses(batch, target, n, mc_samples, budget, pruned):
     values, ses = f * totals, f * np.sqrt(variances)
     # below the power mode's decomposition level the mass includes the
     # diagonal and is not reported
-    values[:, :diag_levels] = ses[:, :diag_levels] = np.nan
+    values[:, : diag or 0] = ses[:, : diag or 0] = np.nan
     return values, ses, counts
 
 
@@ -468,10 +479,11 @@ def _check_target(spec, target):
             raise DegenerateInputError("variety dimension must be >= 1")
 
 
-def _series(batch, target, n, mc_samples, budget, pruned, param_id, seeds):
+def _series(spec, batch, target, n, mc_samples, budget, pruned, param_id, seeds):
     """One MassSeries per replicate of the batch; seeds[r] is its seed."""
-    values, ses, counts = _batch_masses(batch, target, n, mc_samples, budget, pruned)
-    spec = batch.spec
+    values, ses, counts = _batch_masses(
+        spec, batch, target, n, mc_samples, budget, pruned
+    )
     kernel = _kernel_name(spec, target)
     return [
         MassSeries(
@@ -497,8 +509,6 @@ def intersection_mass(
     budget=DEFAULT_CUBE_BUDGET,
     pruned=True,
     param_id="target",
-    factor_levels=None,
-    aux_levels=None,
 ):
     """MassSeries Y_0..Y_n: Y_j = density(j) * sum of target measures over the
     surviving level-j product cubes meeting the target.
@@ -507,9 +517,9 @@ def intersection_mass(
     reported as NaN; mass is well-defined from the decomposition level on.
     """
     _check_target(spec, target)
-    batch = _spec_batch(spec, n, factor_levels, aux_levels)
+    batch = _spec_batch(spec, n)
     return _series(
-        batch, target, n, mc_samples, budget, pruned, param_id,
+        spec, batch, target, n, mc_samples, budget, pruned, param_id,
         [spec.trees[0].seed],
     )[0]
 
@@ -542,12 +552,30 @@ def replicate_masses(
     )
     batch = _grown_batch(spec, keys, seeds, n)
     return _series(
-        batch, target, n, mc_samples, budget, True, param_id, seeds[:, 0]
+        spec, batch, target, n, mc_samples, budget, True, param_id, seeds[:, 0]
     )
 
 
 # ---------------------------------------------------------------------------
 # Martingale resampling
+
+def _resample_batches(spec, n, replicates):
+    """Batches of resamples 0..replicates-1, in order, each of as many as fit
+    in DEFAULT_MAX_CUBES stacked level rows (at least one): resample r holds
+    levels 0..n of spec's trees plus their resample_level(tree, n, r)."""
+    trees = spec.trees + ((spec.aux_tree,) if spec.aux_tree is not None else ())
+    frozen = sum(t.levels[lev].shape[0] for t in trees for lev in range(n + 1))
+    group, rows = [], 0
+    for r in range(replicates):
+        rep = [t.levels[: n + 1] + [resample_level(t, n, r)] for t in trees]
+        size = frozen + sum(lv[n + 1].shape[0] for lv in rep)
+        if group and rows + size > DEFAULT_MAX_CUBES:
+            yield _levels_batch(spec, group)
+            group, rows = [], 0
+        group.append(rep)
+        rows += size
+    yield _levels_batch(spec, group)
+
 
 def martingale_resample_check(
     spec, target, n, replicates, mc_samples=DEFAULT_MC_PER_CUBE
@@ -555,32 +583,19 @@ def martingale_resample_check(
     """Freeze levels <= n, re-expand level n+1 `replicates` times.
 
     Returns (Y_n, mean of resampled Y_{n+1}, s.e. of that mean).  For a
-    martingale measure the mean matches Y_n within a few s.e.
+    martingale measure the mean matches Y_n within a few s.e.  Resamples are
+    the replicates of batches, and each Y_{n+1} equals, bit for bit,
+    intersection_mass on the frozen levels plus that resample.
     """
     if replicates < 100:
         raise ConfigError("need at least 100 resamples for a meaningful s.e.")
     base = intersection_mass(spec, target, n, mc_samples=mc_samples)
     y_n = base.values[n]
-    samples = np.empty(replicates)
-    for r in range(replicates):
-        flv = []
-        done = {}
-        for t in spec.trees:
-            if id(t) not in done:
-                done[id(t)] = list(t.levels[: n + 1]) + [resample_level(t, n, r)]
-            flv.append(done[id(t)])
-        if spec.mode == "power":
-            flv = [flv[0]] * spec.m
-        aux = None
-        if spec.aux_tree is not None:
-            aux = list(spec.aux_tree.levels[: n + 1]) + [
-                resample_level(spec.aux_tree, n, r)
-            ]
-        series = intersection_mass(
-            spec, target, n + 1, mc_samples=mc_samples,
-            factor_levels=flv, aux_levels=aux,
-        )
-        samples[r] = series.values[n + 1]
+    budget = DEFAULT_CUBE_BUDGET
+    samples = np.concatenate([
+        _batch_masses(spec, b, target, n + 1, mc_samples, budget, True)[0][:, n + 1]
+        for b in _resample_batches(spec, n, replicates)
+    ])
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(replicates))
     return y_n, mean, se

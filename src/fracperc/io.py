@@ -4,6 +4,7 @@ Floats are rendered with repr so identical results are byte-identical files.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -45,9 +46,18 @@ class CsvWriter:
         self.close()
 
 
+def _finite(value):
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload):
+    """Strict JSON: every NaN or infinite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -74,8 +84,15 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
+def _finite_points(xs, ys):
+    pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+    return [x for x, _ in pts], [y for _, y in pts]
+
+
 def svg_line_plot(path, series, title="", xlabel="", ylabel="", scatter=False):
-    """series: list of (label, xs, ys).  Writes a single self-contained SVG."""
+    """series: list of (label, xs, ys).  Writes a single self-contained SVG.
+    Points with a non-finite coordinate are left out."""
+    series = [(label, *_finite_points(xs, ys)) for label, xs, ys in series]
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

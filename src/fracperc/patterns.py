@@ -2,6 +2,7 @@
 sweeps, realized-value sets, parameter-set dimension and stress tests.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,9 @@ from .percolation import (
     coupled_slice,
     expand_extinction,
     sample_tree,
+)
+from .intersect import (
+    _Batch, _lex_member, _pairwise_distinct, _poly_keep, _stack, _traverse,
 )
 from .rng import derive, root_key
 
@@ -95,6 +99,13 @@ class ConfigDescriptor:
     @property
     def ambient(self):
         return self.m * self.d
+
+    @functools.cached_property
+    def _detection_target(self):
+        """The plane or polynomial systems detection tests, built once."""
+        if self.family in PLANE_FAMILIES:
+            return configuration_plane(self)
+        return _detection_polys(self)
 
     def to_text(self):
         parts = [f"family={self.family}", f"d={self.d}"]
@@ -331,11 +342,7 @@ def _ancestor_levels(cubes, n):
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
         cubes = cubes[:, None]
-    levels = []
-    for j in range(n + 1):
-        lev = np.unique(cubes >> (n - j), axis=0)
-        levels.append(lev)
-    return levels
+    return [np.unique(cubes >> (n - j), axis=0) for j in range(n + 1)]
 
 
 def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
@@ -398,8 +405,6 @@ def _polynomial_fit_rows(polys, centers, tolerance):
 def _detection_polys(desc):
     """Polynomial system(s) for detection: the volume family accepts either
     orientation of the simplex, so both determinant signs are admissible."""
-    if desc.family in PLANE_FAMILIES:
-        return None
     p = configuration_polynomial(desc)
     if desc.family == "volume":
         vol = float(desc.params["vol"])
@@ -411,50 +416,29 @@ def _detection_polys(desc):
     return (p,)
 
 
-def _prune_keep(desc, target, idx_md, level, tolerance):
-    """Safe branch-and-bound prune: keep a product cube iff the configuration
-    could still be realized with every point within `tolerance` of a point of
-    the corresponding factor cube."""
-    md = idx_md.shape[1]
-    side = 2.0 ** -level
+def _detection_keep(desc, target, tolerance):
+    """Safe prune (idx, level) -> bool: keep a product cube iff the
+    configuration could be realized with every point within `tolerance` of
+    its factor cube, i.e. within sqrt(m) * tolerance of the product cube for
+    a plane, or in the cube widened by `tolerance` for polynomials."""
     if desc.family in PLANE_FAMILIES:
-        centers = (idx_md.astype(float) + 0.5) * side
-        halfdiag = 0.5 * math.sqrt(md) * side
-        slack = halfdiag + tolerance * math.sqrt(desc.m) + 1e-12
-        return target.point_distance(centers) <= slack
-    lo = idx_md.astype(float) * side - tolerance
-    hi = idx_md.astype(float) * side + side + tolerance
-    keep = np.zeros(idx_md.shape[0], dtype=bool)
-    for poly in target:
-        keep |= poly.may_vanish(lo, hi)
-    return keep
+        radius = math.sqrt(desc.m) * tolerance
+        return lambda idx, lev: geometry.plane_level_keep(target, idx, lev, radius)
+    return lambda idx, lev: _poly_keep(target, idx, lev, tolerance)
 
 
 def _candidate_tuples(cubes, desc, n, tolerance, target, budget):
-    """Branch-and-bound over the product of the cube hierarchy.
+    """Branch-and-bound over the product of the cube hierarchy: the masses'
+    traversal of one tree, the cubes' ancestors, serving every factor.
 
     Returns the level arrays 0..n and the level-n tuples (B, m) of rows of
     pairwise-distinct cubes that survive the safe prune, in traversal order."""
-    from .intersect import _child_table, _expand_factor, _prune_state
-
-    m = desc.m
     levels = _ancestor_levels(cubes, n)
-    state = np.zeros((1, m), dtype=np.int64)
-    for lev in range(n + 1):
-        state = _prune_state(
-            state, [levels[lev]] * m,
-            lambda idx: _prune_keep(desc, target, idx, lev, tolerance),
-        )
-        if state.shape[0] == 0 or lev == n:
-            break
-        table = _child_table(levels[lev], levels[lev + 1])
-        for j in range(m):
-            state = _expand_factor(state, j, *table, budget)
-    distinct = np.ones(state.shape[0], dtype=bool)
-    for a in range(m):
-        for b in range(a + 1, m):
-            distinct &= state[:, a] != state[:, b]
-    return levels, state[distinct]
+    batch = _Batch(desc.m, 1, 1, [_stack([lev]) for lev in levels])
+    keep = _detection_keep(desc, target, tolerance)
+    for _, state, _ in _traverse(batch, keep, n, budget, distinct=n):
+        pass
+    return levels, state
 
 
 def detect_configuration(
@@ -472,7 +456,7 @@ def detect_configuration(
     parameter values such that every configuration point lies within
     `tolerance` (default sqrt(d) * 2^-n) of the corresponding cube center.
     Branch-and-bound over the product of the cube hierarchy with safe pruning
-    (plane distance / interval arithmetic); candidates at level n are verified
+    (slab / interval arithmetic); candidates at level n are verified
     by a least-squares fit (plane families) or a polished polynomial root.
     Candidates are verified in blocks of doubling size, so the search stops
     soon after the first witness; the witness and `tuples_checked` (its
@@ -494,10 +478,7 @@ def detect_configuration(
         cubes = cubes[:, None]
     if cubes.shape[0] < m:
         return DetectionResult(False, None, tolerance, n)
-    if desc.family in PLANE_FAMILIES:
-        target = configuration_plane(desc)
-    else:
-        target = _detection_polys(desc)
+    target = desc._detection_target
     levels, state = _candidate_tuples(cubes, desc, n, tolerance, target, budget)
 
     side = 2.0 ** -n
@@ -600,11 +581,7 @@ def realized_value_set(cubes, functional, n, d, max_tuples=2_000_000, seed=0):
         tuples = np.array(
             list(itertools.product(range(nn), repeat=arity)), dtype=np.int64
         )
-    ok = np.ones(tuples.shape[0], dtype=bool)
-    for a in range(arity):
-        for b in range(a + 1, arity):
-            ok &= tuples[:, a] != tuples[:, b]
-    tuples = tuples[ok]
+    tuples = tuples[_pairwise_distinct(tuples)]
     pts = centers[tuples]  # (K, arity, d)
     if functional == "angle":
         u = pts[:, 0] - pts[:, 1]
@@ -814,8 +791,6 @@ def _percolate_within(ancestors, d, p, seed, n):
     set; returns the surviving level-n cubes inside the set."""
     idx = np.zeros((1, d), dtype=np.int64)
     keys = np.array([root_key(seed)], dtype=np.uint64)
-    from .intersect import _lex_member
-
     for lev in range(n):
         cidx, ckeys, _ = expand_extinction(idx, keys, d, p)
         keep = _lex_member(ancestors[lev + 1], cidx)

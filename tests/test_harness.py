@@ -3,6 +3,7 @@ files, aggregation, and CLI exit codes."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fracperc.harness import (
     COMMANDS,
     ExperimentConfig,
     aggregate,
-    parallel_map,
     parse_config_file,
     run,
 )
@@ -205,17 +205,45 @@ def test_aggregate_schema_mismatch(tmp_path):
         aggregate([str(good), str(bad)])
 
 
-def test_parallel_map_preserves_order():
-    xs = list(range(200))
-    out = parallel_map(lambda x: x * x, xs, threads=8)
-    assert out == [x * x for x in xs]
-    assert parallel_map(lambda x: x + 1, xs, threads=1) == [x + 1 for x in xs]
-
-
 def test_every_command_has_smoke_preset(tmp_path):
     for cmd in COMMANDS:
         cfg = ExperimentConfig(cmd, preset="smoke")
         assert cfg.i("replicates") >= 1 or cmd == "sample"
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["intersect", "--preset", "smoke", "--seed", "3", "mode=power"],
+    ["second-moment", "--preset", "smoke", "--seed", "3", "p=0.3", "variant=extinction"],
+])
+def test_summary_is_strict_json(tmp_path, argv):
+    # Power-mode levels below the decomposition level have no mass (NaN),
+    # and a second moment of an all-zero sample has an infinite ratio: both
+    # are written as null, with no warning and no nan in the plot.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == 0
+    summary = _strict_json((out / "summary.json").read_text())
+    results = summary["results"]
+    if argv[0] == "intersect":
+        assert results["mean_Y"][0] is None
+        assert all(y is not None for y in results["mean_Y"][1:])
+        assert "nan" not in (out / "mass.svg").read_text()
+    else:
+        assert results["ratio"] is None and results["mean"] == 0.0
+
+
+def test_write_json_maps_non_finite_floats_to_null(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(str(path), {"a": [float("nan"), 1.5], "b": {"c": float("-inf")}})
+    assert _strict_json(path.read_text()) == {"a": [None, 1.5], "b": {"c": None}}
 
 
 def test_write_json_deterministic(tmp_path):

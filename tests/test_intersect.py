@@ -21,6 +21,7 @@ from fracperc.intersect import (
     _poly_keep,
     _product_idx,
     _prune_state,
+    _target_keep,
     _traverse,
     intersection_mass,
     product_support_traversal,
@@ -221,6 +222,88 @@ def test_martingale_resample_small():
         assert abs(mean - y) <= 6 * se
 
 
+def _frozen_plus_resample(tree, n, r):
+    """A tree holding tree's levels 0..n and its resample r of level n+1."""
+    levels = list(tree.levels[: n + 1]) + [fp.resample_level(tree, n, r)]
+    return fp.PercolationTree(tree.law, tree.variant, tree.seed, levels=levels)
+
+
+def _resample_reference(spec, target, n, replicates):
+    """martingale_resample_check from public calls: one intersection_mass
+    per resample, on trees of frozen levels plus that resample."""
+    y_n = intersection_mass(spec, target, n).values[n]
+    samples = []
+    for r in range(replicates):
+        aux = spec.aux_tree
+        spec_r = fp.ProductMeasureSpec(
+            mode=spec.mode,
+            trees=[_frozen_plus_resample(t, n, r) for t in spec.trees],
+            m=spec.m,
+            diag_level=spec.diag_level,
+            aux_tree=None if aux is None else _frozen_plus_resample(aux, n, r),
+        )
+        samples.append(intersection_mass(spec_r, target, n + 1).values[n + 1])
+    samples = np.array(samples)
+    return (
+        y_n,
+        float(samples.mean()),
+        float(samples.std(ddof=1) / math.sqrt(replicates)),
+    )
+
+
+_RESAMPLE_CASES = {
+    # name: (mode, d, m, p, target, n, diag_level)
+    "independent-line": ("independent", 1, 2, 0.8, line([1, -1], [0.55, 0.55]), 2, 0),
+    "independent-circle": (
+        "independent", 2, 1, 0.7,
+        fp.PolynomialMap(ambient=2, components=(
+            {(2, 0): 1.0, (1, 0): -1.0, (0, 2): 1.0, (0, 1): -1.0, (0, 0): 0.34},
+        )),
+        1, 0,
+    ),
+    "power-line": ("power", 1, 2, 0.8, line([1, -0.37], [0.55, 0.45]), 2, 1),
+    "weighted-line": ("weighted", 1, 2, 0.8, line([1, -0.37], [0.55, 0.45]), 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESAMPLE_CASES))
+def test_batched_resamples_match_one_at_a_time(case):
+    mode, d, m, p, target, n, diag_level = _RESAMPLE_CASES[case]
+    spec = _replicate_specs(
+        mode, d, m, p, "extinction", [root_key(41)], n, diag_level
+    )[0]
+    got = fp.martingale_resample_check(spec, target, n, 100)
+    want = _resample_reference(spec, target, n, 100)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[2] > 0
+
+
+def test_resamples_split_into_groups_under_the_row_cap(monkeypatch):
+    mode, d, m, p, target, n, diag_level = _RESAMPLE_CASES["weighted-line"]
+    spec = _replicate_specs(
+        mode, d, m, p, "extinction", [root_key(41)], n, diag_level
+    )[0]
+    want = _resample_reference(spec, target, n, 100)
+    frozen = sum(
+        t.levels[lev].shape[0]
+        for t in list(spec.trees) + [spec.aux_tree] for lev in range(n + 1)
+    )
+    # room for two or three resamples per group
+    monkeypatch.setattr(intersect, "DEFAULT_MAX_CUBES", 8 * frozen)
+    groups = []
+    batches_of = intersect._resample_batches
+
+    def counted(*args):
+        for batch in batches_of(*args):
+            groups.append(batch.reps)
+            yield batch
+
+    monkeypatch.setattr(intersect, "_resample_batches", counted)
+    got = fp.martingale_resample_check(spec, target, n, 100)
+    assert len(groups) > 10 and max(groups) > 1 and sum(groups) == 100
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_second_moment_degenerate_at_full_retention():
     t = tree_d(2, 1.0, 5, 2)
     rep = fp.second_moment_estimate(
@@ -357,10 +440,10 @@ def test_pruning_holds_one_chunk_of_indices(monkeypatch):
         fp.ConfigDescriptor(family="distance", d=2, params={"lam": 0.5})
     )
 
-    def keep_fn(idx):
-        return _poly_keep(poly, idx, 6)
+    def keep_fn(rows, idx):
+        return _poly_keep((poly,), idx, 6)
 
-    want = state[keep_fn(_product_idx(state, [cubes, cubes]))]
+    want = state[keep_fn(None, _product_idx(state, [cubes, cubes]))]
     tracemalloc.start()
     try:
         kept = _prune_state(state, [cubes, cubes], keep_fn)
@@ -504,7 +587,7 @@ def test_batch_over_budget_is_split_not_refused(monkeypatch):
     # into groups, which yield some level more than once ...
     seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
     whole = _grown_batch(specs[0], keys, seeds, n)
-    assert len(list(_traverse(whole, target, n, budget, True))) > n + 1
+    assert len(list(_traverse(whole, _target_keep(target), n, budget))) > n + 1
     # ... and the masses are those of the replicates alone
     batch = replicate_masses(specs[0], keys, target, n, budget=budget)
     alone = [intersection_mass(s, target, n) for s in specs]

@@ -238,6 +238,63 @@ def test_enumerate_all_returns_every_witness():
         assert len(set(wit["cubes"])) == 3
 
 
+_PLANE_PRUNE_CASES = {
+    # name: (descriptor, n, cubes drawn); the codimension of the plane
+    "homothetic-d1": (desc_homothetic(), 5, 14),  # 1
+    "homothetic-d2": (desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3, 11),  # 3
+    "translate-d2": (
+        fp.ConfigDescriptor("translate", 2, {"sites": [[0, 0], [0.25, 0.5]]}), 3, 14,
+    ),  # 2
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PLANE_PRUNE_CASES))
+def test_plane_pruning_keeps_every_witness(case):
+    # The slab prune may only drop tuples that no fit accepts: the witness
+    # set equals that of fitting every ordered tuple of distinct cubes.
+    from fracperc.patterns import _plane_fit_rows
+
+    desc, n, size = _PLANE_PRUNE_CASES[case]
+    d, m = desc.d, desc.m
+    tol = math.sqrt(d) * 2.0 ** -n
+    rng = np.random.default_rng(17)
+    rows = np.array(list(itertools.permutations(range(size), m)), dtype=np.int64)
+    for _ in range(4):
+        cells = rng.choice(1 << (n * d), size=size, replace=False)
+        cubes = np.stack([(cells >> (n * k)) & ((1 << n) - 1) for k in range(d)], axis=1)
+        res = fp.detect_configuration(cubes, desc, n, enumerate_all=True)
+        got = sorted(tuple(w["cubes"]) for w in res.witness or [])
+        centers = (cubes[rows].astype(float) + 0.5) * 2.0 ** -n
+        ok, _ = _plane_fit_rows(desc, centers, tol)
+        want = sorted(
+            tuple(tuple(int(v) for v in cubes[r]) for r in row) for row in rows[ok]
+        )
+        assert got and got == want
+        assert res.tuples_checked < rows.shape[0]
+
+
+@pytest.mark.parametrize("case", sorted(_PLANE_PRUNE_CASES))
+def test_widened_slabs_keep_a_subset_of_the_ball(case):
+    # With a radius, plane_level_keep keeps only cubes whose centre lies
+    # within half a diagonal plus the radius of the plane (the detector's
+    # former centre-distance test), and drops some of those.
+    desc = _PLANE_PRUNE_CASES[case][0]
+    plane = fp.configuration_plane(desc)
+    dim = desc.ambient
+    rng = np.random.default_rng(3)
+    dropped = 0
+    for level, t in itertools.product(range(1, 6), (0.05, 0.4, 1.3)):
+        idx = rng.integers(0, 1 << level, size=(2000, dim))
+        side = 2.0 ** -level
+        radius = t * side
+        keep = fp.plane_level_keep(plane, idx, level, radius)
+        centers = (idx.astype(float) + 0.5) * side
+        ball = plane.point_distance(centers) <= 0.5 * math.sqrt(dim) * side + radius + 1e-12
+        assert not np.any(keep & ~ball), (level, t)
+        dropped += int(ball.sum() - keep.sum())
+    assert dropped > 0
+
+
 def test_descriptor_round_trip():
     descs = [
         desc_homothetic(),
