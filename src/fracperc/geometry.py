@@ -157,16 +157,116 @@ def principal_angle(v, w):
 CHUNK_FLOATS = 1 << 18
 
 
+# Joe & Kuo (2008) direction-number seeds of the first 64 Sobol coordinates,
+# one line each: the primitive polynomial, then m_1, ..., m_s with s its
+# degree.  The first coordinate has no seeds; its direction integers are all
+# 1.
+_SOBOL_SEEDS = """
+1
+3 1
+7 1 3
+11 1 3 1
+13 1 1 1
+19 1 1 3 3
+25 1 3 5 13
+37 1 1 5 5 17
+41 1 1 5 5 5
+47 1 1 7 11 19
+55 1 1 5 1 1
+59 1 1 1 3 11
+61 1 3 5 5 31
+67 1 3 3 9 7 49
+91 1 1 1 15 21 21
+97 1 3 1 13 27 49
+103 1 1 1 15 7 5
+109 1 3 1 15 13 25
+115 1 1 5 5 19 61
+131 1 3 7 11 23 15 103
+137 1 3 7 13 13 15 69
+143 1 1 3 13 7 35 63
+145 1 3 5 9 1 25 53
+157 1 3 1 13 9 35 107
+167 1 3 1 5 27 61 31
+171 1 1 5 11 19 41 61
+185 1 3 5 3 3 13 69
+191 1 1 7 13 1 19 1
+193 1 3 7 5 13 19 59
+203 1 1 3 9 25 29 41
+211 1 3 5 13 23 1 55
+213 1 3 7 3 13 59 17
+229 1 3 1 3 5 53 69
+239 1 1 5 5 23 33 13
+241 1 1 7 7 1 61 123
+247 1 1 7 9 13 61 49
+253 1 3 3 5 3 55 33
+285 1 3 1 15 31 13 49 245
+299 1 3 5 15 31 59 63 97
+301 1 3 1 11 11 11 77 249
+333 1 3 1 11 27 43 71 9
+351 1 1 7 15 21 11 81 45
+355 1 3 7 3 25 31 65 79
+357 1 3 1 1 19 11 3 205
+361 1 1 5 9 19 21 29 157
+369 1 3 7 11 1 33 89 185
+391 1 3 3 3 15 9 79 71
+397 1 3 7 11 15 39 119 27
+425 1 1 3 1 11 31 97 225
+451 1 1 1 3 23 43 57 177
+463 1 3 7 7 17 17 37 71
+487 1 3 1 5 27 63 123 213
+501 1 1 3 5 11 43 53 133
+529 1 3 5 5 29 17 47 173 479
+539 1 3 3 11 3 1 109 9 69
+545 1 1 1 5 17 39 23 5 343
+557 1 3 1 5 25 15 31 103 499
+563 1 1 1 11 11 17 63 105 183
+601 1 1 5 11 9 29 97 231 363
+607 1 1 5 15 19 45 41 7 383
+617 1 3 7 7 31 19 83 137 221
+623 1 1 1 3 23 15 111 223 83
+631 1 1 5 13 31 15 55 25 161
+637 1 1 3 13 25 47 39 87 257
+""".strip().splitlines()
+_SOBOL_MAX_DIM = len(_SOBOL_SEEDS)
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(dim):
+    """Direction integers (bits, dim), row b for bit b of the Gray code,
+    expanded from the seeds by the Bratley–Fox recurrence."""
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        poly, *m = map(int, _SOBOL_SEEDS[d].split())
+        s = len(m)
+        v[d, :s] = m
+        for j in range(s, _SOBOL_BITS):
+            new = v[d, j - s]
+            for k in range(1, s + 1):
+                if (poly >> (s - k)) & 1:
+                    new ^= v[d, j - k] << k
+            v[d, j] = new
+    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).T
+
+
 @functools.lru_cache(maxsize=None)
 def _sobol_points(dim, n):
     """The first n points of the unscrambled Sobol sequence in [0,1)^dim.
 
-    Memoised and read-only: every cube maps the same set affinely into
-    itself, so a cube's estimate does not depend on the cubes measured with
-    it."""
-    from scipy.stats import qmc
-
-    pts = qmc.Sobol(d=dim, scramble=False).random(n)
+    Joe & Kuo (2008) direction numbers, points in Gray-code order at 30
+    bits: bit for bit `scipy.stats.qmc.Sobol(d=dim, scramble=False).random(n)`.
+    Defined for 1 <= dim <= 64 and n <= 2**30; other sizes raise ConfigError
+    before anything is allocated.  Memoised and read-only: every cube maps
+    the same set affinely into itself, so a cube's estimate does not depend
+    on the cubes measured with it."""
+    if not 1 <= dim <= _SOBOL_MAX_DIM:
+        raise ConfigError(f"Sobol points need 1 <= dim <= {_SOBOL_MAX_DIM}, got {dim}")
+    if not 0 <= n <= 1 << _SOBOL_BITS:
+        raise ConfigError(f"Sobol points need 0 <= n <= 2**{_SOBOL_BITS}, got {n}")
+    i = np.arange(1, n, dtype=np.int64)
+    low_bit = np.frexp(i & -i)[1] - 1
+    x = np.zeros((n, dim), dtype=np.int64)
+    np.bitwise_xor.accumulate(_sobol_directions(dim)[low_bit], axis=0, out=x[1:])
+    pts = x * 2.0**-_SOBOL_BITS
     pts.setflags(write=False)
     return pts
 

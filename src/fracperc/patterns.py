@@ -337,12 +337,26 @@ class DetectionResult:
     newton_unconverged: int = 0
 
 
+def _unique_rows(rows):
+    """np.unique(rows, axis=0): the distinct rows, lexicographically sorted."""
+    if rows.shape[0] == 0:
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return rows[new]
+
+
 def _ancestor_levels(cubes, n):
-    """Level index arrays 0..n reconstructed from an arbitrary level-n set."""
+    """Level index arrays 0..n reconstructed from an arbitrary level-n set,
+    each level from its children."""
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
         cubes = cubes[:, None]
-    return [np.unique(cubes >> (n - j), axis=0) for j in range(n + 1)]
+    levels = [_unique_rows(cubes)]
+    for _ in range(n):
+        levels.append(_unique_rows(levels[-1] >> 1))
+    return levels[::-1]
 
 
 def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):

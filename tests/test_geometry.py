@@ -3,12 +3,16 @@ section measures, transversality reports, and text serialization."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 import fracperc as fp
+from fracperc.errors import ConfigError
 from fracperc.geometry import (
+    _sobol_points,
     coordinate_plane,
     orthonormalize,
     plane_from_text,
@@ -188,3 +192,26 @@ def test_plane_text_round_trip():
     back = plane_from_text(plane_to_text(pl))
     assert np.array_equal(back.basis, pl.basis)
     assert np.array_equal(back.offset, pl.offset)
+
+
+@pytest.mark.filterwarnings("ignore:The balance properties")
+def test_sobol_points_match_scipy_bit_for_bit():
+    for dim in range(1, 65):
+        for n in [1, 2, 3, 255, 4096] + ([1 << 18] if dim <= 4 else []):
+            pts = _sobol_points(dim, n)
+            want = qmc.Sobol(d=dim, scramble=False).random(n)
+            assert pts.shape == want.shape == (n, dim)
+            assert np.array_equal(pts.view(np.int64), want.view(np.int64)), (dim, n)
+            assert not pts.flags.writeable
+
+
+@pytest.mark.parametrize("dim,n", [(65, 16), (0, 16), (1, (1 << 30) + 1)])
+def test_sobol_points_refuse_before_allocating(dim, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            _sobol_points(dim, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

@@ -10,6 +10,7 @@ import pytest
 import fracperc as fp
 from fracperc.errors import BudgetError, ConfigError
 from fracperc.patterns import (
+    _ancestor_levels,
     intervals_cover,
     pattern_witnesses,
     presence_profile,
@@ -602,3 +603,26 @@ def test_polynomial_fit_rows_counts_unconverged_newton_runs():
     assert unconverged.tolist() == [0, 2, 0]
     x, _ = fp.newton_refine(cone, centers[2])
     assert params(2) == {"points": x.tolist()}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ancestor_levels_match_row_unique(d):
+    # Each level is built from the one below it; it must equal the
+    # row-wise np.unique of the level-n set shifted up, on shuffled input
+    # with repeated rows, on a 1-D index array and on an empty set.
+    rng = np.random.default_rng(d)
+    n = 6
+    cubes = rng.integers(0, 1 << n, size=(500, d))
+    cubes = np.concatenate([cubes, cubes[:200]])
+    rng.shuffle(cubes)
+    inputs = [cubes, np.unique(cubes, axis=0), np.zeros((0, d), dtype=np.int64)]
+    if d == 1:
+        inputs.append(cubes[:, 0])
+    for c in inputs:
+        rows = c.reshape(len(c), d)
+        want = [np.unique(rows >> (n - j), axis=0) for j in range(n + 1)]
+        got = _ancestor_levels(c, n)
+        assert len(got) == n + 1
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.shape == w.shape
+            assert np.array_equal(g, w)

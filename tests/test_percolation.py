@@ -56,6 +56,30 @@ def test_import_loads_neither_scipy_nor_sympy():
     assert out.stdout.strip() == "[]"
 
 
+def test_qmc_kernels_load_no_scipy():
+    # The coarea kernel and the plane QMC kernel (k = 2 in R^4) both draw
+    # Sobol points; neither may pull scipy in for them.
+    code = (
+        "import sys, numpy as np, fracperc as fp\n"
+        "from fracperc.geometry import _sobol_points, orthonormalize\n"
+        "idx = np.array([[0, 0, 1, 1], [1, 0, 0, 1]])\n"
+        "poly = fp.configuration_polynomial(\n"
+        "    fp.ConfigDescriptor(family='distance', d=2, params={'lam': 0.5}))\n"
+        "fp.variety_level_measure(poly, idx, 1, 4096)\n"
+        "basis = orthonormalize([[1, 2, 0, 1], [0, 1, 1, -1]])\n"
+        "plane = fp.AffinePlane(basis=basis, offset=np.full(4, 0.5))\n"
+        "fp.plane_level_measure(plane, idx, 1, 4096)\n"
+        "print(_sobol_points.cache_info().currsize,\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "2 []"
+
+
 def test_extinction_probability_subcritical_is_one():
     assert fp.extinction_probability(1, 0.5) == pytest.approx(1.0)
     assert fp.extinction_probability(2, 0.2) == pytest.approx(1.0)
