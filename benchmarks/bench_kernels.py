@@ -16,34 +16,46 @@ predicate drops:
              benchmark's inputs);
   detection: 3-term progressions in the coupled slices of the line at
              p=0.63, level 9, of seeds 0-99 (those with at least 3 cubes),
-             under the detector's widened slab prune.
+             under the detector's widened slab prune, as one batch of
+             those slices, the way a sweep detects them.
+
+Last, it times detection verification, in candidate rows fitted per second
+(the least of five rounds), on every level-n candidate of a batch, in blocks
+of the verifier's cap (CHUNK_FLOATS floats):
+  plane:     the least-squares fit of the progression candidates above;
+  newton:    Gauss-Newton roots of |x - y| = 0.5 on the candidate pairs of
+             the coupled slices of the plane at p=0.5, level 4, of seeds
+             0-99 (the sweep-distance benchmark's inputs).
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
 
+import math
 import sys
 import time
 
 import numpy as np
 
+from fracperc import geometry
 from fracperc.intersect import (
     DEFAULT_CUBE_BUDGET,
     ProductMeasureSpec,
     _Batch,
     _grown_batch,
-    _stack,
     _target_keep,
     _traverse,
 )
 from fracperc.patterns import (
     ConfigDescriptor,
-    _ancestor_levels,
+    _candidate_groups,
     _detection_keep,
+    _fit_rows,
+    _slice_forest,
     configuration_plane,
 )
 from fracperc.percolation import (
     GaltonWatsonLaw,
-    coupled_slice,
+    coupled_law,
     sample_forest,
     sample_tree,
 )
@@ -84,18 +96,42 @@ def mass_traversal():
     return traversal([batch], _target_keep(configuration_plane(desc)), n)
 
 
+def slice_levels(desc, p, n, seeds=range(100)):
+    """Ancestor levels of the coupled slices at p of `seeds` with at least m
+    level-n cubes (detect_configuration answers the others without a
+    traversal), as one forest."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    return _slice_forest(desc, coupled_law(desc.d, p), "coupled", seeds, n)[1]
+
+
+PROGRESSION = (ConfigDescriptor("homothetic", 1, {"sites": [[0], [1], [2]]}), 0.63, 9)
+DISTANCE = (ConfigDescriptor("distance", 2, {"lam": 0.5}), 0.5, 4)
+
+
 def detection_traversal():
-    n = 9
-    desc = ConfigDescriptor("homothetic", 1, {"sites": [[0], [1], [2]]})
-    keep = _detection_keep(desc, configuration_plane(desc), 2.0 ** -n)
-    batches = []
-    for seed in range(100):
-        cubes = coupled_slice(1, seed, 0.63, n).levels[n]
-        if cubes.shape[0] < desc.m:
-            continue  # detect_configuration answers without a traversal
-        levels = _ancestor_levels(cubes, n)
-        batches.append(_Batch(desc.m, 1, 1, [_stack([lev]) for lev in levels]))
-    return traversal(batches, keep, n, distinct=n)
+    desc, p, n = PROGRESSION
+    levels = slice_levels(desc, p, n)
+    keep = _detection_keep(desc, desc._detection_target, 2.0 ** -n)
+    batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
+    return traversal([batch], keep, n, distinct=n)
+
+
+def verification(desc, p, n, rounds=5):
+    """(rows fitted, seconds): every level-n candidate of the batch of
+    slices, fitted in blocks of the verifier's cap; least of `rounds`."""
+    levels = slice_levels(desc, p, n)
+    tol = math.sqrt(desc.d) * 2.0 ** -n
+    target = desc._detection_target
+    states = [s for s, _ in _candidate_groups(levels, desc, n, tol, target, DEFAULT_CUBE_BUDGET)]
+    centers = (levels[n][1][np.concatenate(states)].astype(float) + 0.5) * 2.0 ** -n
+    cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
+    secs = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for a in range(0, centers.shape[0], cap):
+            _fit_rows(desc, target, centers[a : a + cap], tol, 0.0)
+        secs.append(time.perf_counter() - t0)
+    return centers.shape[0], min(secs)
 
 
 def main():
@@ -121,6 +157,12 @@ def main():
     for name, run in (("mass", mass_traversal), ("detection", detection_traversal)):
         tested, secs, dropped = run()
         print(f"{name:>10}{tested:>12}{secs:>10.3f}{tested / secs:>14.0f}{dropped:>10.3f}")
+
+    print()
+    print(f"{'verify':>10}{'rows':>12}{'s':>10}{'rows/s':>14}")
+    for name, case in (("plane", PROGRESSION), ("newton", DISTANCE)):
+        rows, secs = verification(*case)
+        print(f"{name:>10}{rows:>12}{secs:>10.3f}{rows / secs:>14.0f}")
 
 
 if __name__ == "__main__":

@@ -67,6 +67,7 @@ from .patterns import (
     harris_check,
     pattern_parameter_dimension,
     percolation_dimension_test,
+    presence_profiles,
     realized_value_set,
     subset_stress_test,
     threshold_sweep,

@@ -30,7 +30,7 @@ from .patterns import (
     harris_check,
     pattern_parameter_dimension,
     percolation_dimension_test,
-    presence_profile,
+    presence_profiles,
     subset_stress_test,
     wilson_interval,
 )
@@ -214,7 +214,9 @@ def _product_spec(cfg, seed, n, m=None):
 
 # ---------------------------------------------------------------------------
 # Command implementations.  Each returns a JSON-serializable result dict and
-# writes its CSV/SVG files under out_dir.
+# writes its CSV/SVG files under out_dir.  Deterministic counters of what the
+# algorithm did go under the dict's "counters" key; `run` writes them apart
+# from the results and the timing.
 
 def _run_sample(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
@@ -262,24 +264,20 @@ def _run_sweep(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     coupled = cfg.flag("coupled")
 
-    results = []
-    for r in range(reps):
-        seed = _rep_seed(cfg.i("seed"), r)
-        prof = presence_profile(
-            desc, p_grid, n, seed, coupled=coupled, tolerance=cfg.tolerance,
-            variant=cfg.s("variant"),
-        )
-        results.append((seed, prof))
+    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    present, counters = presence_profiles(
+        desc, p_grid, n, seeds, coupled=coupled, tolerance=cfg.tolerance,
+        variant=cfg.s("variant"),
+    )
     with fio.CsvWriter(
         os.path.join(out_dir, "detail.csv"),
         ["replicate", "seed"] + [f"present_p{p!r}" for p in p_grid],
     ) as csv:
-        for r, (seed, prof) in enumerate(results):
+        for r, (seed, prof) in enumerate(zip(seeds, present.tolist())):
             csv.row(*([r, seed] + [int(v) for v in prof]))
     freqs = []
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), FREQ_COLUMNS) as csv:
-        for i, p in enumerate(p_grid):
-            hits = sum(res[1][i] for res in results)
+        for p, hits in zip(p_grid, present.sum(axis=0).tolist()):
             lo, hi = wilson_interval(hits, reps)
             freqs.append(hits / reps)
             csv.row(desc.family, desc.to_text(), p, n, reps, hits / reps, lo, hi)
@@ -288,14 +286,12 @@ def _run_sweep(cfg, out_dir):
         [("presence frequency", p_grid, freqs)],
         title=f"{desc.family} presence vs p", xlabel="p", ylabel="frequency",
     )
-    monotone = all(
-        all(a <= b for a, b in zip(prof, prof[1:])) for _, prof in results
-    )
     return {
         "p_grid": p_grid,
         "frequencies": freqs,
-        "per_replicate_monotone": monotone,
+        "per_replicate_monotone": bool(np.all(present[:, 1:] >= present[:, :-1])),
         "coupled": coupled,
+        "counters": counters,
     }
 
 
@@ -553,7 +549,10 @@ def run(cfg, out_dir):
         "complete": False,
     }
     try:
-        summary["results"] = _RUNNERS[cfg.command](cfg, out_dir)
+        results = _RUNNERS[cfg.command](cfg, out_dir)
+        if "counters" in results:
+            summary["counters"] = results.pop("counters")
+        summary["results"] = results
         summary["complete"] = True
     finally:
         summary["wall_time_s"] = round(time.monotonic() - t0, 3)

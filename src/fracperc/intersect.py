@@ -390,7 +390,11 @@ def _traverse(batch, keep, n, budget, distinct=None):
             return
         for j in range(m):
             state = _expand_factor(state, j, *table, budget)
-        yield from level(state, lev + 1)
+        # hold no reference to the unpruned expansion while the consumer
+        # works on what level() yields from it
+        deeper = level(state, lev + 1)
+        del state
+        yield from deeper
 
     # rows into the factor forest level; level 0 holds each tree's root, in
     # tree order

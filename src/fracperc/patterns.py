@@ -15,12 +15,13 @@ from .geometry import AffinePlane
 from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
     GaltonWatsonLaw,
-    coupled_slice,
+    coupled_law,
     expand_extinction,
     sample_tree,
 )
 from .intersect import (
-    _Batch, _lex_member, _pairwise_distinct, _poly_keep, _stack, _traverse,
+    _Batch, _grown_forest, _lex_member, _pairwise_distinct, _poly_keep, _stack,
+    _traverse,
 )
 from .rng import derive, root_key
 
@@ -347,16 +348,30 @@ def _unique_rows(rows):
     return rows[new]
 
 
+def _forest_ancestors(tree, cubes, n):
+    """Forest levels 0..n, (tree, idx) sorted by (tree, idx), of the
+    ancestors of level-n cubes (N, d) held by trees `tree` (N,); each level
+    is built from its children."""
+    rows = _unique_rows(np.column_stack([tree, cubes]))
+    levels = [rows]
+    for _ in range(n):
+        up = levels[-1].copy()
+        up[:, 1:] >>= 1
+        levels.append(_unique_rows(up))
+    return [
+        (np.ascontiguousarray(lev[:, 0]), np.ascontiguousarray(lev[:, 1:]))
+        for lev in levels[::-1]
+    ]
+
+
 def _ancestor_levels(cubes, n):
-    """Level index arrays 0..n reconstructed from an arbitrary level-n set,
-    each level from its children."""
+    """Level index arrays 0..n reconstructed from an arbitrary level-n set:
+    the one-tree forest of its ancestors."""
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
         cubes = cubes[:, None]
-    levels = [_unique_rows(cubes)]
-    for _ in range(n):
-        levels.append(_unique_rows(levels[-1] >> 1))
-    return levels[::-1]
+    tree = np.zeros(cubes.shape[0], dtype=np.int64)
+    return [idx for _, idx in _forest_ancestors(tree, cubes, n)]
 
 
 def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
@@ -441,18 +456,143 @@ def _detection_keep(desc, target, tolerance):
     return lambda idx, lev: _poly_keep(target, idx, lev, tolerance)
 
 
-def _candidate_tuples(cubes, desc, n, tolerance, target, budget):
-    """Branch-and-bound over the product of the cube hierarchy: the masses'
-    traversal of one tree, the cubes' ancestors, serving every factor.
+def _detection_tolerance(desc, n, tolerance):
+    """The detector's tolerance (default sqrt(d) * 2^-n), refused below the
+    cube-centre resolution floor; arity > 4 beyond level 8 is refused as out
+    of budget."""
+    if tolerance is None:
+        tolerance = math.sqrt(desc.d) * 2.0 ** -n
+    if tolerance < math.sqrt(desc.d) * 2.0 ** -n * (1 - 1e-9):
+        raise ConfigError("tolerance below the cube-center resolution floor")
+    if desc.m > 4 and n > 8:
+        raise BudgetError("arity > 4 beyond level 8 is out of budget")
+    return tolerance
 
-    Returns the level arrays 0..n and the level-n tuples (B, m) of rows of
-    pairwise-distinct cubes that survive the safe prune, in traversal order."""
-    levels = _ancestor_levels(cubes, n)
-    batch = _Batch(desc.m, 1, 1, [_stack([lev]) for lev in levels])
+
+def _candidate_groups(levels, desc, n, tolerance, target, budget):
+    """Branch-and-bound over the product of each tree's cube hierarchy: the
+    masses' traversal of a forest of ancestor levels, in which every tree is
+    a replicate serving all m factors.
+
+    Yields, group by group, the level-n tuples (K, m) of rows into levels[n]
+    of pairwise-distinct cubes that survive the safe prune, with each
+    tuple's tree (K,); a tree's tuples come in one yield, in the order of its
+    own one-tree traversal."""
+    batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
     keep = _detection_keep(desc, target, tolerance)
-    for _, state, _ in _traverse(batch, keep, n, budget, distinct=n):
+    for lev, state, tree in _traverse(batch, keep, n, budget, distinct=n):
+        if lev == n:
+            yield state, tree
+
+
+def _candidate_tuples(cubes, desc, n, tolerance, target, budget):
+    """The level arrays 0..n of the cubes' ancestors and their level-n
+    candidate tuples (B, m), in traversal order: one tree's candidates."""
+    levels = _ancestor_levels(cubes, n)
+    forest = [_stack([lev]) for lev in levels]
+    for state, _ in _candidate_groups(forest, desc, n, tolerance, target, budget):
         pass
     return levels, state
+
+
+def _fit_rows(desc, target, centers, tolerance, min_diameter):
+    """(ok (B,), params(i), unconverged (B,)) of candidate rows of centers
+    (B, m, d): the plane fit, or the polished root of the polynomials."""
+    if desc.family in PLANE_FAMILIES:
+        ok, params = _plane_fit_rows(desc, centers, tolerance, min_diameter)
+        return ok, params, np.zeros(centers.shape[0], dtype=np.int64)
+    return _polynomial_fit_rows(
+        target, centers.reshape(centers.shape[0], -1), tolerance
+    )
+
+
+def _check_candidates(fit, tree, cap, enumerate_all=False):
+    """Verify the candidate rows of several trees, each tree's rows
+    contiguous in `tree` (K,), in rounds.  Round k fits the k-th block of
+    every undecided tree's rows at once: blocks of 1, 2, 4, ... rows capped
+    at `cap`, or of `cap` rows under enumerate_all.  A tree is decided at
+    its first witness and leaves the rounds; under enumerate_all every row
+    is fitted.  fit(rows) -> (ok, params(i), unconverged) fits the rows with
+    those indices, and a row's fit does not depend on the rows beside it, so
+    each tree's outcome is that of checking its own rows one by one.
+
+    Returns (hits, trees, checked, unconverged).  hits lists (row, params)
+    of each tree's first witness (every witness under enumerate_all), in
+    check order.  trees (g,) are the trees with rows, in order; checked (g,)
+    counts their rows up to and including the first witness (all of them
+    without one, or under enumerate_all), and unconverged (g,) the Newton
+    runs on those rows that did not converge."""
+    starts = np.flatnonzero(np.r_[True, tree[1:] != tree[:-1]])
+    lengths = np.diff(np.r_[starts, tree.shape[0]])
+    undecided = np.ones(starts.shape[0], dtype=bool)
+    checked = np.zeros(starts.shape[0], dtype=np.int64)
+    unconverged = np.zeros(starts.shape[0], dtype=np.int64)
+    hits = []
+    lo, size = 0, cap if enumerate_all else 1
+    while True:
+        # the round: positions lo..hi-1 of every undecided tree with rows there
+        todo = np.flatnonzero(undecided & (lengths > lo))
+        if todo.shape[0] == 0:
+            break
+        hi = np.minimum(lengths[todo], lo + size)
+        count = hi - lo
+        local = np.repeat(todo, count)
+        # each row's position among its tree's rows
+        pos = np.arange(local.shape[0]) - np.repeat(np.cumsum(count) - count - lo, count)
+        rows = starts[local] + pos
+        ok, params, fails = fit(rows)
+        found = np.flatnonzero(ok)
+        checked[todo] = hi
+        if not enumerate_all:
+            # a tree's first witness decides it; the rows fitted after it in
+            # its block are not counted
+            decided, at = np.unique(local[found], return_index=True)
+            found = found[at]
+            undecided[decided] = False
+            checked[decided] = pos[found] + 1
+        counted = pos < checked[local]
+        np.add.at(unconverged, local[counted], fails[counted])
+        hits.extend((int(rows[i]), params(i)) for i in found)
+        lo, size = lo + size, min(2 * size, cap)
+    return hits, tree[starts], checked, unconverged
+
+
+def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
+                   enumerate_all=False):
+    """Detection in every tree of a forest: levels 0..n are the ancestor
+    levels of its level-n cubes, and each of the trees 0..T-1 holds some.
+    The trees are traversed together, and each group's candidates are
+    verified as they arrive.
+
+    Returns (hits, candidates, checked, unconverged).  hits lists (tree,
+    witness cubes (m, d), params) of each tree's first witness (every
+    witness under enumerate_all).  The others (T,) count each tree's
+    candidate tuples, those checked and the Newton runs on them that did not
+    converge, as DetectionResult does."""
+    reps = levels[0][0].shape[0]
+    target = desc._detection_target
+    cubes = levels[n][1]
+    side = 2.0 ** -n
+    cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
+    candidates = np.zeros(reps, dtype=np.int64)
+    checked = np.zeros(reps, dtype=np.int64)
+    unconverged = np.zeros(reps, dtype=np.int64)
+    hits = []
+    for state, tree in _candidate_groups(levels, desc, n, tolerance, target, budget):
+        if state.shape[0] == 0:
+            continue
+
+        def fit(rows):
+            centers = (cubes[state[rows]].astype(float) + 0.5) * side  # (B, m, d)
+            return _fit_rows(desc, target, centers, tolerance, min_diameter)
+
+        found, trees, chk, unc = _check_candidates(fit, tree, cap, enumerate_all)
+        np.add.at(candidates, tree, 1)
+        checked[trees], unconverged[trees] = chk, unc
+        hits.extend((int(tree[row]), cubes[state[row]], params) for row, params in found)
+        # the traversal of the next group need not find this one still held
+        del state, tree
+    return hits, candidates, checked, unconverged
 
 
 def detect_configuration(
@@ -474,64 +614,34 @@ def detect_configuration(
     by a least-squares fit (plane families) or a polished polynomial root.
     Candidates are verified in blocks of doubling size, so the search stops
     soon after the first witness; the witness and `tuples_checked` (its
-    position + 1) are those of checking the candidates one by one.
+    position + 1) are those of checking the candidates one by one.  This is
+    the one-tree call of the detection that sweeps run on whole forests.
 
     min_diameter sets a resolvability floor on the realized copy's diameter
     for the scale-bearing homothetic family (sub-resolution copies arise from
     any cube cluster and say nothing about the limit set).
     """
-    d, m = desc.d, desc.m
-    if tolerance is None:
-        tolerance = math.sqrt(d) * 2.0 ** -n
-    if tolerance < math.sqrt(d) * 2.0 ** -n * (1 - 1e-9):
-        raise ConfigError("tolerance below the cube-center resolution floor")
-    if m > 4 and n > 8:
-        raise BudgetError("arity > 4 beyond level 8 is out of budget")
+    tolerance = _detection_tolerance(desc, n, tolerance)
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
         cubes = cubes[:, None]
-    if cubes.shape[0] < m:
+    if cubes.shape[0] < desc.m:
         return DetectionResult(False, None, tolerance, n)
-    target = desc._detection_target
-    levels, state = _candidate_tuples(cubes, desc, n, tolerance, target, budget)
-
-    side = 2.0 ** -n
-    cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
-    size = cap if enumerate_all else 1
-    witnesses = []
-    unconverged = 0
-    start = 0
-    while start < state.shape[0]:
-        block = state[start : start + size]
-        centers = (levels[n][block].astype(float) + 0.5) * side  # (B, m, d)
-        if desc.family in PLANE_FAMILIES:
-            ok, params = _plane_fit_rows(desc, centers, tolerance, min_diameter)
-            fails = np.zeros(block.shape[0], dtype=np.int64)
-        else:
-            ok, params, fails = _polynomial_fit_rows(
-                target, centers.reshape(block.shape[0], -1), tolerance
-            )
-
-        def witness(i):
-            cubes_i = [tuple(int(v) for v in levels[n][r]) for r in block[i]]
-            return {"cubes": cubes_i, "params": params(i)}
-
-        hits = np.flatnonzero(ok)
-        if hits.size and not enumerate_all:
-            i = int(hits[0])
-            unconverged += int(fails[: i + 1].sum())
-            return DetectionResult(
-                True, witness(i), tolerance, n, start + i + 1, unconverged
-            )
-        unconverged += int(fails.sum())
-        witnesses.extend(witness(i) for i in hits)
-        start += block.shape[0]
-        size = min(2 * size, cap)
+    levels = _forest_ancestors(np.zeros(cubes.shape[0], dtype=np.int64), cubes, n)
+    hits, _, checked, unconverged = _detect_forest(
+        desc, levels, n, tolerance, budget, min_diameter, enumerate_all
+    )
+    witnesses = [
+        {"cubes": [tuple(int(v) for v in c) for c in wit], "params": params}
+        for _, wit, params in hits
+    ]
     if enumerate_all:
-        return DetectionResult(
-            bool(witnesses), witnesses or None, tolerance, n, start, unconverged
-        )
-    return DetectionResult(False, None, tolerance, n, start, unconverged)
+        witness = witnesses or None
+    else:
+        witness = witnesses[0] if witnesses else None
+    return DetectionResult(
+        bool(hits), witness, tolerance, n, int(checked[0]), int(unconverged[0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,37 +770,103 @@ def sweep_min_diameter(desc, n):
     return 0.0
 
 
+SWEEP_COUNTERS = (
+    "detected", "candidate_tuples", "tuples_checked", "newton_unconverged",
+)
+
+
+def _slice_forest(desc, law, variant, seeds, n):
+    """Grow the trees of `seeds` (law, variant) as one forest.  Returns the
+    indices into seeds of the trees with at least m level-n cubes (fewer
+    hold no configuration, and level 0 of a batch must hold a root for every
+    tree), and the ancestor levels 0..n of their level-n cubes, the trees
+    numbered 0, 1, ... in that order."""
+    tree, cubes = _grown_forest(law, variant, seeds, n)[n]
+    big = np.bincount(tree, minlength=seeds.shape[0]) >= desc.m
+    rows = big[tree]
+    renumbered = (np.cumsum(big) - 1)[tree[rows]]
+    return np.flatnonzero(big), _forest_ancestors(renumbered, cubes[rows], n)
+
+
+def _slice_presence(desc, law, variant, seeds, n, tolerance, budget, min_diameter):
+    """Which of the trees grown from `seeds` (law, variant) hold the
+    configuration at level n, as indices into seeds, and the totals of
+    SWEEP_COUNTERS over them: every tree is grown in one forest and detected
+    in one batch."""
+    kept, levels = _slice_forest(desc, law, variant, seeds, n)
+    if kept.shape[0] == 0:
+        return kept, dict.fromkeys(SWEEP_COUNTERS, 0)
+    hits, candidates, checked, unconverged = _detect_forest(
+        desc, levels, n, tolerance, budget, min_diameter
+    )
+    found = kept[[t for t, _, _ in hits]]
+    totals = (len(hits), candidates.sum(), checked.sum(), unconverged.sum())
+    return found, dict(zip(SWEEP_COUNTERS, map(int, totals)))
+
+
+def presence_profiles(
+    desc, p_grid, n, seeds, coupled=True, tolerance=None,
+    variant="surviving", budget=DEFAULT_CUBE_BUDGET, min_diameter=None,
+):
+    """Presence of the configuration in each replicate at each p.
+
+    Replicate r's realization at p is coupled_slice(d, seeds[r], p, n) in
+    coupled mode, else sample_tree(law at p, variant, seeds[r], n).  At each
+    p of the sorted grid, the realizations of all replicates still to be
+    searched are grown as one forest and detected as one batch: they are
+    traversed together, in groups of at most BATCH_TUPLES tuples, and each
+    group's candidates are verified as they arrive, every replicate in its
+    own doubling blocks until its first witness.  Each presence equals that
+    of detect_configuration on the replicate's realization alone.  A
+    replicate that alone exceeds `budget` raises BudgetError.
+
+    Coupled mode percolates one uniform field per replicate and slices it
+    at every p, so each profile is monotone nondecreasing in p by
+    construction: a replicate present at some p is present at every larger
+    p (supersets preserve detections) and is not searched again.
+
+    Returns (present (R, P) bool, counters): counters maps each name of
+    SWEEP_COUNTERS to P ints, one per p: the replicates a search found
+    present, their candidate tuples, the tuples checked (up to each
+    replicate's first witness) and the Newton runs on them that did not
+    converge.
+    """
+    if min_diameter is None:
+        min_diameter = sweep_min_diameter(desc, n)
+    tolerance = _detection_tolerance(desc, n, tolerance)
+    p_grid = sorted(float(p) for p in p_grid)
+    seeds = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
+    present = np.zeros((seeds.shape[0], len(p_grid)), dtype=bool)
+    counters = {name: [] for name in SWEEP_COUNTERS}
+    for i, p in enumerate(p_grid):
+        if coupled:
+            if i:
+                present[:, i] = present[:, i - 1]
+            todo = np.flatnonzero(~present[:, i])
+            law, kind = coupled_law(desc.d, p), "coupled"
+        else:
+            todo = np.arange(seeds.shape[0])
+            law, kind = GaltonWatsonLaw.create(d=desc.d, p=p), variant
+        found, totals = _slice_presence(
+            desc, law, kind, seeds[todo], n, tolerance, budget, min_diameter
+        )
+        present[todo[found], i] = True
+        for name in SWEEP_COUNTERS:
+            counters[name].append(totals[name])
+    return present, counters
+
+
 def presence_profile(
     desc, p_grid, n, seed, coupled=True, tolerance=None,
     variant="surviving", budget=DEFAULT_CUBE_BUDGET, min_diameter=None,
 ):
-    """Presence indicator per p for a single replicate.
-
-    Coupled mode percolates one uniform field and slices it at each p, so the
-    profile is monotone nondecreasing in p by construction (a detection at
-    some p short-circuits every larger p: supersets preserve detections).
-    """
-    if min_diameter is None:
-        min_diameter = sweep_min_diameter(desc, n)
-    p_grid = sorted(float(p) for p in p_grid)
-    out = []
-    present_above = False
-    for p in p_grid:
-        if coupled and present_above:
-            out.append(True)
-            continue
-        if coupled:
-            tree = coupled_slice(desc.d, seed, p, n)
-        else:
-            law = GaltonWatsonLaw.create(d=desc.d, p=p)
-            tree = sample_tree(law, variant, seed, n)
-        res = detect_configuration(
-            tree.levels[n], desc, n, tolerance=tolerance, budget=budget,
-            min_diameter=min_diameter,
-        )
-        out.append(bool(res.present))
-        present_above = present_above or res.present
-    return out
+    """Presence indicator per p for a single replicate: the one-replicate
+    call of presence_profiles."""
+    present, _ = presence_profiles(
+        desc, p_grid, n, [seed], coupled=coupled, tolerance=tolerance,
+        variant=variant, budget=budget, min_diameter=min_diameter,
+    )
+    return [bool(v) for v in present[0]]
 
 
 def threshold_sweep(
@@ -701,20 +877,17 @@ def threshold_sweep(
     """Presence frequency of the configuration per retention probability.
 
     Coupled mode guarantees per-replicate monotonicity in p (one uniform
-    field per replicate, sliced at every p).
+    field per replicate, sliced at every p).  Replicate r has the seed
+    derive(root_key(base_seed), r + 1); all replicates form one batch.
     """
     p_grid = sorted(float(p) for p in p_grid)
-    hits = [0] * len(p_grid)
-    for r in range(replicates):
-        seed = int(derive(root_key(base_seed), r + 1))
-        prof = presence_profile(
-            desc, p_grid, n, seed, coupled=coupled, tolerance=tolerance,
-            variant=variant, budget=budget, min_diameter=min_diameter,
-        )
-        for i, ok in enumerate(prof):
-            hits[i] += ok
+    seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
+    present, _ = presence_profiles(
+        desc, p_grid, n, seeds, coupled=coupled, tolerance=tolerance,
+        variant=variant, budget=budget, min_diameter=min_diameter,
+    )
     rows = []
-    for p, h in zip(p_grid, hits):
+    for p, h in zip(p_grid, present.sum(axis=0).tolist()):
         lo, hi = wilson_interval(h, replicates)
         rows.append(SweepRow(p, h / replicates, lo, hi, replicates))
     return rows
@@ -763,13 +936,14 @@ class DimensionEstimate:
     j_range: tuple
 
 
-def box_count_slope(points, j_lo, j_hi, lower=None, upper=None):
+def box_count_slope(points, j_lo, j_hi):
     """Least-squares slope of log2(number of occupied 2^-j boxes) vs j."""
     pts = np.asarray(points, dtype=float)
+    pts = pts.reshape(pts.shape[0], -1)
     counts = []
     js = list(range(j_lo, j_hi + 1))
     for j in js:
-        cells = np.unique(np.floor(pts * (1 << j)).astype(np.int64), axis=0)
+        cells = _unique_rows(np.floor(pts * (1 << j)).astype(np.int64))
         counts.append(cells.shape[0])
     logs = np.log2(np.maximum(counts, 1))
     slope = float(np.polyfit(js, logs, 1)[0])

@@ -276,17 +276,21 @@ def sample_tree(law, variant, seed, n_max, max_cubes=DEFAULT_MAX_CUBES):
     return tree
 
 
+def coupled_law(d, p):
+    """The law of the coupled ensemble's slice at p, for p in [0, 1]."""
+    if not (0.0 <= p <= 1.0):
+        raise ConfigError("p must be in [0, 1]")
+    if p == 0.0:
+        return GaltonWatsonLaw(d=d, p=0.0, q=1.0, offspring=None, s=float("-inf"))
+    return GaltonWatsonLaw.create(d, p)
+
+
 def coupled_slice(d, seed, p, n_max, max_cubes=DEFAULT_MAX_CUBES):
     """Extinction-variant realization A_p of the coupled ensemble.
 
     For a fixed seed the level sets are monotone nondecreasing in p.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError("p must be in [0, 1]")
-    if p == 0.0:
-        law = GaltonWatsonLaw(d=d, p=0.0, q=1.0, offspring=None, s=float("-inf"))
-    else:
-        law = GaltonWatsonLaw.create(d, p)
+    law = coupled_law(d, p)
     return sample_tree(law, "coupled", seed, n_max, max_cubes=max_cubes)
 
 
@@ -343,7 +347,7 @@ def natural_measure(tree, n):
 # ---------------------------------------------------------------------------
 # Batched forests: many trees expanded together, one array per level.  The
 # mass pipeline (`intersect`, `second-moment`) grows every factor tree of every
-# replicate this way.
+# replicate this way, and sweeps grow every replicate's slice at each p.
 
 def sample_forest(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES):
     """Sample len(seeds) independent trees in one batched structure.

@@ -18,6 +18,7 @@ from fracperc.harness import (
     run,
 )
 from fracperc.io import read_csv, svg_line_plot, write_json
+from fracperc.patterns import SWEEP_COUNTERS
 
 
 def test_parse_config_file(tmp_path):
@@ -143,6 +144,31 @@ def test_cli_threads_flag_reproducible(tmp_path):
         outs.append(out)
     for name in ("results.csv", "detail.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_sweep_counters_repeat_across_reruns_and_threads(tmp_path):
+    # summary.json carries the sweep's per-p counters apart from the results
+    # and the timing; they repeat exactly across reruns and --threads.
+    summaries = []
+    for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / tag
+        argv = ["sweep", "--preset", "smoke", "--seed", "7", "--threads", threads]
+        assert main(argv + ["--out", str(out)]) == 0
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    counters = summaries[0]["counters"]
+    assert sorted(counters) == sorted(SWEEP_COUNTERS)
+    for values in counters.values():
+        assert len(values) == 4 and all(isinstance(v, int) and v >= 0 for v in values)
+    assert "counters" not in summaries[0]["results"]
+    for other in summaries[1:]:
+        assert other["counters"] == counters
+    # a coupled replicate is searched until its first detection, so the
+    # detections at each p are the growth of the presence count
+    _, rows = read_csv(str(tmp_path / "a" / "results.csv"))
+    present = [round(float(row["frequency"]) * 20) for row in rows]
+    assert counters["detected"] == [b - a for a, b in zip([0] + present, present)]
+    pairs = zip(counters["tuples_checked"], counters["candidate_tuples"])
+    assert all(checked <= total for checked, total in pairs)
 
 
 def test_aggregate_identity_and_pooling(tmp_path):

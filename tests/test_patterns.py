@@ -626,3 +626,160 @@ def test_ancestor_levels_match_row_unique(d):
         for g, w in zip(got, want):
             assert g.dtype == np.int64 and g.shape == w.shape
             assert np.array_equal(g, w)
+
+
+_SWEEP_CASES = {
+    # name: (descriptor, n, p grid, replicates, diameter floor)
+    "homothetic-d1": (desc_homothetic(), 6, [0.55, 0.7, 0.85], 12, 8 * 2.0**-6),
+    "homothetic-d2": (
+        desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3, [0.4, 0.55, 0.7], 6, 0.0,
+    ),
+    "translate-d2": (
+        fp.ConfigDescriptor("translate", 2, {"sites": [[0, 0], [0.25, 0.5]]}),
+        4, [0.3, 0.5, 0.7], 8, 0.0,
+    ),
+    "distance-d2": (fp.ConfigDescriptor("distance", 2, {"lam": 0.5}), 4, [0.25, 0.35, 0.5], 10, 0.0),
+    "angle-d2": (fp.ConfigDescriptor("angle", 2, {"lam": 0.3}), 3, [0.35, 0.5, 0.6], 5, 0.0),
+    "volume-d2": (fp.ConfigDescriptor("volume", 2, {"vol": 0.3}), 3, [0.35, 0.5, 0.55], 5, 0.0),
+    # no triangle has these side ratios: most Newton runs do not converge
+    "triangle-d2": (
+        fp.ConfigDescriptor("triangle", 2, {"ratios": (1.0, 3.0)}), 3, [0.3, 0.45], 4, 0.0,
+    ),
+}
+
+
+def _one_at_a_time(desc, grid, n, seeds, coupled, search):
+    """Presence (R, P) and the per-p sums of the sweep counters from
+    search(cubes) -> (present, candidates, checked, unconverged) on the
+    realization of each (replicate, p), a coupled replicate not being
+    searched again once present."""
+    present = np.zeros((len(seeds), len(grid)), dtype=bool)
+    sums = {name: [0] * len(grid) for name in fp.patterns.SWEEP_COUNTERS}
+    for r, seed in enumerate(seeds):
+        for i, p in enumerate(grid):
+            if coupled and i and present[r, i - 1]:
+                present[r, i] = True
+                continue
+            if coupled:
+                cubes = fp.coupled_slice(desc.d, seed, p, n).levels[n]
+            else:
+                law = fp.GaltonWatsonLaw.create(desc.d, p)
+                cubes = fp.sample_tree(law, "extinction", seed, n).levels[n]
+            found, candidates, checked, unconverged = search(cubes)
+            present[r, i] = found
+            sums["detected"][i] += found
+            sums["candidate_tuples"][i] += candidates
+            sums["tuples_checked"][i] += checked
+            sums["newton_unconverged"][i] += unconverged
+    return present, sums
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "uncoupled"])
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_batched_profiles_match_one_replicate_detections(case, coupled, monkeypatch):
+    # Every (replicate, p) presence of the batch, and every per-p counter,
+    # equals that of checking the replicate's candidates one by one.  The
+    # batch fits as many rows as one detect_configuration per replicate, each
+    # in its own doubling blocks: no row is fitted twice or after its
+    # replicate is decided.  Small groups and chunks put group and block
+    # boundaries inside and across replicates.
+    from fracperc import geometry, intersect, patterns
+
+    desc, n, grid, reps, floor = _SWEEP_CASES[case]
+    seeds = [int(fp.rng.derive(fp.rng.root_key(11), r + 1)) for r in range(reps)]
+    tol = math.sqrt(desc.d) * 2.0 ** -n
+
+    def by_candidate(cubes):
+        if cubes.shape[0] < desc.m:
+            return False, 0, 0, 0
+        found, _, checked, unconverged = _serial_detection(cubes, desc, n, False, floor)
+        _, state = patterns._candidate_tuples(
+            cubes, desc, n, tol, desc._detection_target, 5_000_000
+        )
+        return found, state.shape[0], checked, unconverged
+
+    def one_tree(cubes):
+        res = fp.detect_configuration(cubes, desc, n, min_diameter=floor)
+        return res.present, 0, res.tuples_checked, res.newton_unconverged
+
+    want, sums = _one_at_a_time(desc, grid, n, seeds, coupled, by_candidate)
+    fit_rows = patterns._fit_rows
+
+    def counting(fitted, key):
+        def fit(desc, target, centers, *args):
+            fitted[key] += centers.shape[0]
+            return fit_rows(desc, target, centers, *args)
+        return fit
+
+    for limit, chunk in ((intersect.BATCH_TUPLES, geometry.CHUNK_FLOATS), (40, 96)):
+        monkeypatch.setattr(intersect, "BATCH_TUPLES", limit)
+        monkeypatch.setattr(geometry, "CHUNK_FLOATS", chunk)
+        fitted = {"serial": 0, "batch": 0}
+        monkeypatch.setattr(patterns, "_fit_rows", counting(fitted, "serial"))
+        _one_at_a_time(desc, grid, n, seeds, coupled, one_tree)
+        monkeypatch.setattr(patterns, "_fit_rows", counting(fitted, "batch"))
+        got, counters = fp.presence_profiles(
+            desc, grid, n, seeds, coupled=coupled, variant="extinction",
+            min_diameter=floor,
+        )
+        assert got.tolist() == want.tolist(), (limit, chunk)
+        assert counters == sums, (limit, chunk)
+        assert fitted["batch"] == fitted["serial"], (limit, chunk)
+    assert want.any() and not want.all()
+    assert sums["tuples_checked"] != sums["candidate_tuples"]
+    if case == "triangle-d2":
+        assert 0 < sum(sums["newton_unconverged"]) < sum(sums["tuples_checked"])
+    monkeypatch.setattr(patterns, "_fit_rows", fit_rows)
+    if coupled:
+        profiles = [presence_profile(desc, grid, n, s, min_diameter=floor) for s in seeds]
+        assert profiles == want.tolist()
+
+
+def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
+    # With no group limit beyond the budget, a batch whose replicates fit
+    # the budget one by one but not together is split, not refused; a
+    # budget that one replicate alone exceeds raises BudgetError.
+    from fracperc import intersect
+
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 1 << 40)
+    desc, n, grid, reps, _ = _SWEEP_CASES["distance-d2"]
+    seeds = [int(fp.rng.derive(fp.rng.root_key(11), r + 1)) for r in range(reps)]
+
+    def fits(budget):
+        for seed, p in itertools.product(seeds, grid):
+            law = fp.GaltonWatsonLaw.create(2, p)
+            cubes = fp.sample_tree(law, "extinction", seed, n).levels[n]
+            try:
+                fp.detect_configuration(cubes, desc, n, budget=budget)
+            except BudgetError:
+                return False
+        return True
+
+    budget = 16
+    while not fits(budget):
+        budget *= 2
+    want = fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
+    got = fp.presence_profiles(
+        desc, grid, n, seeds, coupled=False, variant="extinction", budget=budget
+    )
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+    # unsplit, the last expansion of all replicates at the largest p would
+    # have held more tuples than the budget
+    assert got[1]["candidate_tuples"][-1] > budget
+    with pytest.raises(BudgetError):
+        fp.presence_profiles(
+            desc, grid, n, seeds, coupled=False, variant="extinction", budget=budget // 2
+        )
+
+
+def test_box_count_slope_matches_row_unique():
+    from fracperc.patterns import box_count_slope
+
+    rng = np.random.default_rng(4)
+    for cols in (1, 2, 3):
+        pts = rng.uniform(0, 1, size=(3000, cols)) ** 2
+        slope, counts = box_count_slope(pts, 2, 7)
+        want = [np.unique(np.floor(pts * (1 << j)).astype(np.int64), axis=0).shape[0]
+                for j in range(2, 8)]
+        assert counts == want
+        assert slope == float(np.polyfit(range(2, 8), np.log2(want), 1)[0])
