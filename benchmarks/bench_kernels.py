@@ -27,6 +27,11 @@ of the verifier's cap (CHUNK_FLOATS floats):
              the coupled slices of the plane at p=0.5, level 4, of seeds
              0-99 (the sweep-distance benchmark's inputs).
 
+Then it times witness enumeration, in witness parameter rows per second (the
+least of three rounds): `pattern_witnesses` of the 3-term progression
+pattern on the level-8 cubes of the first 50 replicates of
+`pattern-dim --preset paper --seed 1` (d=1, p=0.8, surviving trees).
+
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
 
@@ -45,6 +50,7 @@ from fracperc.intersect import (
     _target_keep,
     _traverse,
 )
+from fracperc.harness import _rep_seed
 from fracperc.patterns import (
     ConfigDescriptor,
     _candidate_groups,
@@ -52,6 +58,7 @@ from fracperc.patterns import (
     _fit_rows,
     _slice_forest,
     configuration_plane,
+    pattern_witnesses,
 )
 from fracperc.percolation import (
     GaltonWatsonLaw,
@@ -134,6 +141,20 @@ def verification(desc, p, n, rounds=5):
     return centers.shape[0], min(secs)
 
 
+def witness_enumeration(rounds=3):
+    """(witness rows, seconds) of pattern_witnesses on the pattern-dim paper
+    inputs; least of `rounds`."""
+    law, n = GaltonWatsonLaw.create(1, 0.8), 8
+    sites = np.array([[0.0], [1.0], [2.0]])
+    sets = [sample_tree(law, "surviving", _rep_seed(1, r), n).levels[n] for r in range(50)]
+    secs = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        rows = sum(pattern_witnesses(cubes, sites, n, 1).shape[0] for cubes in sets)
+        secs.append(time.perf_counter() - t0)
+    return rows, min(secs)
+
+
 def main():
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     d, p, n = 2, 0.7, 9
@@ -163,6 +184,11 @@ def main():
     for name, case in (("plane", PROGRESSION), ("newton", DISTANCE)):
         rows, secs = verification(*case)
         print(f"{name:>10}{rows:>12}{secs:>10.3f}{rows / secs:>14.0f}")
+
+    print()
+    print(f"{'enumerate':>10}{'rows':>12}{'s':>10}{'rows/s':>14}")
+    rows, secs = witness_enumeration()
+    print(f"{'witnesses':>10}{rows:>12}{secs:>10.3f}{rows / secs:>14.0f}")
 
 
 if __name__ == "__main__":

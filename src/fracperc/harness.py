@@ -419,6 +419,10 @@ def _run_pattern_dim(cfg, out_dir):
         "mean_slope": float(np.mean(slopes)),
         "se": float(np.std(slopes, ddof=1) / math.sqrt(len(slopes))) if reps > 1 else 0.0,
         "predicted": predicted,
+        "counters": {
+            "witnesses": sum(est.witnesses for _, est in results),
+            "candidate_tuples": sum(est.candidate_tuples for _, est in results),
+        },
     }
 
 

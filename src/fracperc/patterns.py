@@ -378,10 +378,11 @@ def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
     """Least-squares homothety/translation fits of rows of centers (B, m, d)
     to the sites.
 
-    Returns (ok (B,), params(i)): each point's residual must stay within
-    tolerance, the scale must be positive for the homothetic family, and the
-    realized copy's diameter must reach min_diameter (0 disables the floor).
-    Every row is fitted with the reductions a single (m, d) fit would use."""
+    Returns (ok (B,), params (B, P) rows [scale, offset...], or [offset...]
+    for translates): each point's residual must stay within tolerance, the
+    scale must be positive for the homothetic family, and the realized
+    copy's diameter must reach min_diameter (0 disables the floor).  Every
+    row is fitted with the reductions a single (m, d) fit would use."""
     sites = desc.params["sites"]
     c = centers
     if desc.family == "homothetic":
@@ -401,11 +402,11 @@ def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
             & (lam * diam >= min_diameter)
             & (np.max(np.linalg.norm(resid, axis=2), axis=1) <= tolerance)
         )
-        return ok, lambda i: {"scale": float(lam[i]), "offset": b[i].tolist()}
+        return ok, np.column_stack([lam, b])
     b = (c - sites).mean(axis=1)
     resid = c - (sites + b[:, None, :])
     ok = np.max(np.linalg.norm(resid, axis=2), axis=1) <= tolerance
-    return ok, lambda i: {"offset": b[i].tolist()}
+    return ok, b
 
 
 def _polynomial_fit_rows(polys, centers, tolerance):
@@ -413,8 +414,8 @@ def _polynomial_fit_rows(polys, centers, tolerance):
     around each row of centers (B, M), found by Gauss-Newton polish; a row
     tries the next system only when the previous one gave it no root.
 
-    Returns (ok (B,), params(i), unconverged (B,)), the last counting the
-    Newton runs on each row that did not converge."""
+    Returns (ok (B,), points (B, M), unconverged (B,)): the roots of the ok
+    rows, and the Newton runs on each row that did not converge."""
     rows = centers.shape[0]
     ok = np.zeros(rows, dtype=bool)
     unconverged = np.zeros(rows, dtype=np.int64)
@@ -428,7 +429,7 @@ def _polynomial_fit_rows(polys, centers, tolerance):
         near = conv & (np.max(np.abs(x - centers[todo]), axis=1) <= tolerance + 1e-12)
         ok[todo[near]] = True
         points[todo[near]] = x[near]
-    return ok, lambda i: {"points": points[i].tolist()}, unconverged
+    return ok, points, unconverged
 
 
 def _detection_polys(desc):
@@ -496,7 +497,7 @@ def _candidate_tuples(cubes, desc, n, tolerance, target, budget):
 
 
 def _fit_rows(desc, target, centers, tolerance, min_diameter):
-    """(ok (B,), params(i), unconverged (B,)) of candidate rows of centers
+    """(ok (B,), params (B, P), unconverged (B,)) of candidate rows of centers
     (B, m, d): the plane fit, or the polished root of the polynomials."""
     if desc.family in PLANE_FAMILIES:
         ok, params = _plane_fit_rows(desc, centers, tolerance, min_diameter)
@@ -512,22 +513,22 @@ def _check_candidates(fit, tree, cap, enumerate_all=False):
     every undecided tree's rows at once: blocks of 1, 2, 4, ... rows capped
     at `cap`, or of `cap` rows under enumerate_all.  A tree is decided at
     its first witness and leaves the rounds; under enumerate_all every row
-    is fitted.  fit(rows) -> (ok, params(i), unconverged) fits the rows with
+    is fitted.  fit(rows) -> (ok, params, unconverged) fits the rows with
     those indices, and a row's fit does not depend on the rows beside it, so
     each tree's outcome is that of checking its own rows one by one.
 
-    Returns (hits, trees, checked, unconverged).  hits lists (row, params)
-    of each tree's first witness (every witness under enumerate_all), in
-    check order.  trees (g,) are the trees with rows, in order; checked (g,)
-    counts their rows up to and including the first witness (all of them
-    without one, or under enumerate_all), and unconverged (g,) the Newton
-    runs on those rows that did not converge."""
+    Returns (rows (H,), params (H, P), trees, checked, unconverged).  rows
+    and params are those of each tree's first witness (every witness under
+    enumerate_all), in check order.  trees (g,) are the trees with rows, in
+    order; checked (g,) counts their rows up to and including the first
+    witness (all of them without one, or under enumerate_all), and
+    unconverged (g,) the Newton runs on those rows that did not converge."""
     starts = np.flatnonzero(np.r_[True, tree[1:] != tree[:-1]])
     lengths = np.diff(np.r_[starts, tree.shape[0]])
     undecided = np.ones(starts.shape[0], dtype=bool)
     checked = np.zeros(starts.shape[0], dtype=np.int64)
     unconverged = np.zeros(starts.shape[0], dtype=np.int64)
-    hits = []
+    hit_rows, hit_params = [], []
     lo, size = 0, cap if enumerate_all else 1
     while True:
         # the round: positions lo..hi-1 of every undecided tree with rows there
@@ -552,9 +553,11 @@ def _check_candidates(fit, tree, cap, enumerate_all=False):
             checked[decided] = pos[found] + 1
         counted = pos < checked[local]
         np.add.at(unconverged, local[counted], fails[counted])
-        hits.extend((int(rows[i]), params(i)) for i in found)
+        hit_rows.append(rows[found])
+        hit_params.append(params[found])
         lo, size = lo + size, min(2 * size, cap)
-    return hits, tree[starts], checked, unconverged
+    hits = np.concatenate(hit_rows), np.concatenate(hit_params)
+    return (*hits, tree[starts], checked, unconverged)
 
 
 def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
@@ -564,11 +567,11 @@ def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
     The trees are traversed together, and each group's candidates are
     verified as they arrive.
 
-    Returns (hits, candidates, checked, unconverged).  hits lists (tree,
-    witness cubes (m, d), params) of each tree's first witness (every
-    witness under enumerate_all).  The others (T,) count each tree's
-    candidate tuples, those checked and the Newton runs on them that did not
-    converge, as DetectionResult does."""
+    Returns (hits, candidates, checked, unconverged).  hits are the arrays
+    (tree (H,), cubes (H, m, d), params (H, P)) of each tree's first witness
+    (every witness under enumerate_all), in check order.  The others (T,)
+    count each tree's candidate tuples, those checked and the Newton runs on
+    them that did not converge, as DetectionResult does."""
     reps = levels[0][0].shape[0]
     target = desc._detection_target
     cubes = levels[n][1]
@@ -577,7 +580,7 @@ def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
     candidates = np.zeros(reps, dtype=np.int64)
     checked = np.zeros(reps, dtype=np.int64)
     unconverged = np.zeros(reps, dtype=np.int64)
-    hits = []
+    hits = [_no_hits(desc)]
     for state, tree in _candidate_groups(levels, desc, n, tolerance, target, budget):
         if state.shape[0] == 0:
             continue
@@ -586,13 +589,43 @@ def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
             centers = (cubes[state[rows]].astype(float) + 0.5) * side  # (B, m, d)
             return _fit_rows(desc, target, centers, tolerance, min_diameter)
 
-        found, trees, chk, unc = _check_candidates(fit, tree, cap, enumerate_all)
+        rows, params, trees, chk, unc = _check_candidates(fit, tree, cap, enumerate_all)
         np.add.at(candidates, tree, 1)
         checked[trees], unconverged[trees] = chk, unc
-        hits.extend((int(tree[row]), cubes[state[row]], params) for row, params in found)
+        hits.append((tree[rows], cubes[state[rows]], params))
         # the traversal of the next group need not find this one still held
         del state, tree
+    hits = tuple(np.concatenate(h) for h in zip(*hits))
     return hits, candidates, checked, unconverged
+
+
+def _no_hits(desc):
+    """Empty (tree (0,), cubes (0, m, d), params (0, P)) detection hits."""
+    width = desc.ambient
+    if desc.family in PLANE_FAMILIES:
+        width = desc.d + (desc.family == "homothetic")
+    return np.zeros(0, np.int64), np.zeros((0, desc.m, desc.d), np.int64), np.zeros((0, width))
+
+
+def _tree_hits(cubes, desc, n, tolerance, budget, min_diameter=0.0,
+               enumerate_all=False):
+    """Detection in the one tree of a level-n cube set (N, d), or (N,) for
+    d = 1, with the tolerance set by _detection_tolerance.  A set of fewer
+    than m cubes holds no candidate and is not traversed.
+
+    Returns (tolerance, cubes (H, m, d), params (H, P), counts): the hits
+    of _detect_forest and the tree's (candidates, checked, unconverged)."""
+    tolerance = _detection_tolerance(desc, n, tolerance)
+    cubes = np.asarray(cubes, dtype=np.int64)
+    if cubes.ndim == 1:
+        cubes = cubes[:, None]
+    if cubes.shape[0] < desc.m:
+        return (tolerance, *_no_hits(desc)[1:], (0, 0, 0))
+    levels = _forest_ancestors(np.zeros(cubes.shape[0], dtype=np.int64), cubes, n)
+    (_, wit, params), *counts = _detect_forest(
+        desc, levels, n, tolerance, budget, min_diameter, enumerate_all
+    )
+    return tolerance, wit, params, tuple(int(c[0]) for c in counts)
 
 
 def detect_configuration(
@@ -621,27 +654,20 @@ def detect_configuration(
     for the scale-bearing homothetic family (sub-resolution copies arise from
     any cube cluster and say nothing about the limit set).
     """
-    tolerance = _detection_tolerance(desc, n, tolerance)
-    cubes = np.asarray(cubes, dtype=np.int64)
-    if cubes.ndim == 1:
-        cubes = cubes[:, None]
-    if cubes.shape[0] < desc.m:
-        return DetectionResult(False, None, tolerance, n)
-    levels = _forest_ancestors(np.zeros(cubes.shape[0], dtype=np.int64), cubes, n)
-    hits, _, checked, unconverged = _detect_forest(
-        desc, levels, n, tolerance, budget, min_diameter, enumerate_all
+    tolerance, wit, params, (_, checked, unconverged) = _tree_hits(
+        cubes, desc, n, tolerance, budget, min_diameter, enumerate_all
     )
-    witnesses = [
-        {"cubes": [tuple(int(v) for v in c) for c in wit], "params": params}
-        for _, wit, params in hits
-    ]
-    if enumerate_all:
-        witness = witnesses or None
-    else:
-        witness = witnesses[0] if witnesses else None
-    return DetectionResult(
-        bool(hits), witness, tolerance, n, int(checked[0]), int(unconverged[0])
-    )
+    witnesses = []
+    for cells, row in zip(wit.tolist(), params.tolist()):
+        if desc.family == "homothetic":
+            fitted = {"scale": row[0], "offset": row[1:]}
+        elif desc.family == "translate":
+            fitted = {"offset": row}
+        else:
+            fitted = {"points": row}
+        witnesses.append({"cubes": [tuple(c) for c in cells], "params": fitted})
+    witness = (witnesses if enumerate_all else witnesses[0]) if witnesses else None
+    return DetectionResult(bool(witnesses), witness, tolerance, n, checked, unconverged)
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +822,11 @@ def _slice_presence(desc, law, variant, seeds, n, tolerance, budget, min_diamete
     kept, levels = _slice_forest(desc, law, variant, seeds, n)
     if kept.shape[0] == 0:
         return kept, dict.fromkeys(SWEEP_COUNTERS, 0)
-    hits, candidates, checked, unconverged = _detect_forest(
+    (tree, _, _), candidates, checked, unconverged = _detect_forest(
         desc, levels, n, tolerance, budget, min_diameter
     )
-    found = kept[[t for t, _, _ in hits]]
-    totals = (len(hits), candidates.sum(), checked.sum(), unconverged.sum())
-    return found, dict(zip(SWEEP_COUNTERS, map(int, totals)))
+    totals = (tree.shape[0], candidates.sum(), checked.sum(), unconverged.sum())
+    return kept[tree], dict(zip(SWEEP_COUNTERS, map(int, totals)))
 
 
 def presence_profiles(
@@ -898,34 +923,10 @@ def threshold_sweep(
 
 def pattern_witnesses(cubes, sites, n, d, tolerance=None, budget=DEFAULT_CUBE_BUDGET):
     """All (scale, offset) parameters of homothetic copies of the site
-    pattern realized by distinct surviving cube tuples at level n."""
-    m = sites.shape[0]
+    pattern realized by distinct surviving cube tuples at level n: rows
+    (H, d + 1) of [scale, offset...], in the detector's check order."""
     desc = ConfigDescriptor(family="homothetic", d=d, params={"sites": sites})
-    if tolerance is None:
-        tolerance = math.sqrt(d) * 2.0 ** -n
-    cubes = np.asarray(cubes, dtype=np.int64)
-    if cubes.ndim == 1:
-        cubes = cubes[:, None]
-    side = 2.0 ** -n
-    if m == 2 and d == 1:
-        # vectorized fast path over ordered pairs
-        c = (cubes[:, 0].astype(float) + 0.5) * side
-        s0, s1 = float(sites[0, 0]), float(sites[1, 0])
-        ci = c[:, None]
-        ck = c[None, :]
-        a = (ck - ci) / (s1 - s0)
-        b = ci - a * s0
-        ok = a > 0
-        return np.stack([a[ok], b[ok]], axis=1)
-    res = detect_configuration(
-        cubes, desc, n, tolerance=tolerance, budget=budget, enumerate_all=True
-    )
-    if not res.present:
-        return np.zeros((0, d + 1))
-    out = []
-    for wit in res.witness:
-        out.append([wit["params"]["scale"]] + list(wit["params"]["offset"]))
-    return np.array(out)
+    return _tree_hits(cubes, desc, n, tolerance, budget, enumerate_all=True)[2]
 
 
 @dataclass
@@ -934,6 +935,9 @@ class DimensionEstimate:
     predicted: float
     counts: list
     j_range: tuple
+    # witness parameter rows and the candidate tuples they were fitted from
+    witnesses: int = 0
+    candidate_tuples: int = 0
 
 
 def box_count_slope(points, j_lo, j_hi):
@@ -963,12 +967,17 @@ def pattern_parameter_dimension(
     m = sites.shape[0]
     if j_hi is None:
         j_hi = n - 1
-    wit = pattern_witnesses(tree.levels[n], sites, n, d, tolerance, budget)
+    desc = ConfigDescriptor(family="homothetic", d=d, params={"sites": sites})
+    _, _, wit, (candidates, _, _) = _tree_hits(
+        tree.levels[n], desc, n, tolerance, budget, enumerate_all=True
+    )
     predicted = m * (tree.law.s - d) + d + 1
-    if wit.shape[0] == 0:
-        return DimensionEstimate(0.0, predicted, [0] * (j_hi - j_lo + 1), (j_lo, j_hi))
-    slope, counts = box_count_slope(wit, j_lo, j_hi)
-    return DimensionEstimate(slope, predicted, counts, (j_lo, j_hi))
+    slope, counts = 0.0, [0] * (j_hi - j_lo + 1)
+    if wit.shape[0]:
+        slope, counts = box_count_slope(wit, j_lo, j_hi)
+    return DimensionEstimate(
+        slope, predicted, counts, (j_lo, j_hi), wit.shape[0], candidates
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1038,26 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
 # ---------------------------------------------------------------------------
 # Subset stress test
 
+def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
+    """The level-n cubes (N, d) left after `removals` greedy steps, each
+    removing the cube that appears in the most of the first max_witnesses
+    witnesses of the cubes left (on a tie, the one seen first in witness
+    order); the steps stop early once no witness is left."""
+    remaining = cubes
+    for _ in range(removals):
+        _, wit, _, _ = _tree_hits(
+            remaining, desc, n, tolerance, budget, enumerate_all=True
+        )
+        if wit.shape[0] == 0:
+            break
+        seen = wit[:max_witnesses].reshape(-1, desc.d)
+        key = np.ravel_multi_index(seen.T, (1 << n,) * desc.d)
+        _, first, tally = np.unique(key, return_index=True, return_counts=True)
+        worst = seen[first[tally == tally.max()].min()]
+        remaining = remaining[np.any(remaining != worst, axis=1)]
+    return remaining
+
+
 def subset_stress_test(
     tree, desc, fraction, strategy, n, replicates, base_seed=0,
     tolerance=None, budget=DEFAULT_CUBE_BUDGET, max_witnesses=200_000,
@@ -1055,21 +1084,9 @@ def subset_stress_test(
             keep = rng.permutation(cubes.shape[0])[budget_removals:]
             remaining = cubes[np.sort(keep)]
         else:
-            remaining = cubes
-            for _ in range(budget_removals):
-                res = detect_configuration(
-                    remaining, desc, n, tolerance=tolerance, budget=budget,
-                    enumerate_all=True,
-                )
-                if not res.present:
-                    break
-                tally = {}
-                for wit in res.witness[:max_witnesses]:
-                    for cube in wit["cubes"]:
-                        tally[cube] = tally.get(cube, 0) + 1
-                worst = max(tally, key=tally.get)
-                mask = ~np.all(remaining == np.array(worst), axis=1)
-                remaining = remaining[mask]
+            remaining = _greedy_removal(
+                cubes, desc, n, budget_removals, tolerance, budget, max_witnesses
+            )
         res = detect_configuration(
             remaining, desc, n, tolerance=tolerance, budget=budget
         )

@@ -148,10 +148,6 @@ class DyadicCube:
             self.level + 1, tuple(2 * i + o for i, o in zip(self.index, offsets))
         )
 
-    def contains(self, x):
-        lo = self.lower
-        return bool(np.all(x >= lo) and np.all(x < lo + self.side))
-
 
 def _lexsort(idx, keys):
     order = np.lexsort(idx.T[::-1])
@@ -179,10 +175,6 @@ class PercolationTree:
 
     def count(self, n):
         return self.levels[n].shape[0]
-
-    def level_set(self, n):
-        """Set of index tuples at level n."""
-        return set(map(tuple, self.levels[n].tolist()))
 
 
 # ---------------------------------------------------------------------------

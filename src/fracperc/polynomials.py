@@ -60,12 +60,6 @@ class PolynomialMap:
     def codomain(self):
         return len(self.components)
 
-    @property
-    def degree(self):
-        return max(
-            (sum(a) for comp in self.components for a in comp), default=0
-        )
-
     def __call__(self, x):
         """Evaluate at points x of shape (..., M); returns (..., q)."""
         x = np.asarray(x, dtype=float)
@@ -81,20 +75,6 @@ class PolynomialMap:
         for ci, i, c, factors in self._dterms:
             out[..., ci, i] += _monomial(x, c, factors)
         return out
-
-    def partial(self, i):
-        """The polynomial map of partial derivatives d/dx_i."""
-        comps = []
-        for comp in self.components:
-            dcomp = {}
-            for alpha, c in comp.items():
-                if alpha[i] == 0:
-                    continue
-                beta = list(alpha)
-                beta[i] -= 1
-                dcomp[tuple(beta)] = dcomp.get(tuple(beta), 0.0) + c * alpha[i]
-            comps.append(dcomp)
-        return PolynomialMap(ambient=self.ambient, components=tuple(comps))
 
     def interval(self, lo, hi):
         """Interval-arithmetic enclosure of the range over the box [lo, hi].

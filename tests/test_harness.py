@@ -147,28 +147,37 @@ def test_cli_threads_flag_reproducible(tmp_path):
 
 
 def test_sweep_counters_repeat_across_reruns_and_threads(tmp_path):
-    # summary.json carries the sweep's per-p counters apart from the results
-    # and the timing; they repeat exactly across reruns and --threads.
-    summaries = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
-        out = tmp_path / tag
-        argv = ["sweep", "--preset", "smoke", "--seed", "7", "--threads", threads]
-        assert main(argv + ["--out", str(out)]) == 0
-        summaries.append(json.loads((out / "summary.json").read_text()))
-    counters = summaries[0]["counters"]
-    assert sorted(counters) == sorted(SWEEP_COUNTERS)
-    for values in counters.values():
+    # summary.json carries the counters of sweep (per p) and pattern-dim
+    # (summed over replicates) apart from the results and the timing; they
+    # repeat exactly across reruns and --threads.
+    counters = {}
+    for command in ("sweep", "pattern-dim"):
+        summaries = []
+        for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / command / tag
+            argv = [command, "--preset", "smoke", "--seed", "7", "--threads", threads]
+            assert main(argv + ["--out", str(out)]) == 0
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        counters[command] = summaries[0]["counters"]
+        assert "counters" not in summaries[0]["results"]
+        for other in summaries[1:]:
+            assert other["counters"] == counters[command]
+    sweep = counters["sweep"]
+    assert sorted(sweep) == sorted(SWEEP_COUNTERS)
+    for values in sweep.values():
         assert len(values) == 4 and all(isinstance(v, int) and v >= 0 for v in values)
-    assert "counters" not in summaries[0]["results"]
-    for other in summaries[1:]:
-        assert other["counters"] == counters
     # a coupled replicate is searched until its first detection, so the
     # detections at each p are the growth of the presence count
-    _, rows = read_csv(str(tmp_path / "a" / "results.csv"))
+    _, rows = read_csv(str(tmp_path / "sweep" / "a" / "results.csv"))
     present = [round(float(row["frequency"]) * 20) for row in rows]
-    assert counters["detected"] == [b - a for a, b in zip([0] + present, present)]
-    pairs = zip(counters["tuples_checked"], counters["candidate_tuples"])
+    assert sweep["detected"] == [b - a for a, b in zip([0] + present, present)]
+    pairs = zip(sweep["tuples_checked"], sweep["candidate_tuples"])
     assert all(checked <= total for checked, total in pairs)
+    # every pattern-dim candidate is fitted; the witnesses are those it keeps
+    pattern = counters["pattern-dim"]
+    assert sorted(pattern) == ["candidate_tuples", "witnesses"]
+    assert all(isinstance(v, int) for v in pattern.values())
+    assert 0 < pattern["witnesses"] <= pattern["candidate_tuples"]
 
 
 def test_aggregate_identity_and_pooling(tmp_path):

@@ -416,6 +416,32 @@ def test_pattern_witnesses_are_realizable_parameters():
             assert cell in cells
 
 
+
+def _sorted_bits(rows):
+    """The rows' float64 bit patterns as int64, in lexicographic order."""
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
+    return bits[np.lexsort(bits.T[::-1])]
+
+
+def test_pattern_witnesses_match_ordered_pair_enumeration():
+    # For two sites on the line, the detector enumerates exactly the rows of
+    # the closed form over ordered pairs of cubes with a > 0:
+    # a = (c_k - c_i) / (s_1 - s_0), b = c_i - a s_0, bit for bit.
+    law = fp.GaltonWatsonLaw.create(1, 0.9)
+    sites = np.array([[0.0], [1.0]])
+    s0, s1 = 0.0, 1.0
+    n = 9
+    for seed in range(4000, 4005):
+        cubes = fp.sample_tree(law, "surviving", seed, n).levels[n]
+        c = (cubes[:, 0].astype(float) + 0.5) * 2.0**-n
+        a = (c[None, :] - c[:, None]) / (s1 - s0)
+        b = c[:, None] - a * s0
+        ok = a > 0
+        want = np.stack([a[ok], b[ok]], axis=1)
+        got = pattern_witnesses(cubes, sites, n, 1)
+        assert got.shape == want.shape and want.shape[0] > 0
+        assert np.array_equal(_sorted_bits(got), _sorted_bits(want))
+
 def test_box_dimension_exact_for_full_tree():
     law = fp.GaltonWatsonLaw.create(1, 1.0)
     tree = fp.sample_tree(law, "extinction", 0, 8)
@@ -484,6 +510,52 @@ def test_subset_stress_reduces_presence():
     # The adversarial strategy can only do at least as much damage.
     assert greedy.frequency <= out.frequency + 1e-12
 
+
+
+def _dict_tally_removals(cubes, desc, n, removals, max_witnesses):
+    """Reference greedy loop: per step, tally every cube of the first
+    max_witnesses witness dicts and remove the max of the tally dict.
+    Returns the removed cubes in order and whether each step had a tie."""
+    remaining, removed, ties = cubes, [], []
+    for _ in range(removals):
+        res = fp.detect_configuration(remaining, desc, n, enumerate_all=True)
+        if not res.present:
+            break
+        tally = {}
+        for wit in res.witness[:max_witnesses]:
+            for cube in wit["cubes"]:
+                tally[cube] = tally.get(cube, 0) + 1
+        worst = max(tally, key=tally.get)
+        ties.append(list(tally.values()).count(tally[worst]) > 1)
+        removed.append(worst)
+        remaining = remaining[~np.all(remaining == np.array(worst), axis=1)]
+    return removed, ties
+
+
+def test_greedy_removal_matches_dict_tally():
+    # The array tally removes the same cubes in the same order as the dict
+    # tally, a tie going to the cube seen first in witness order.
+    from fracperc.patterns import DEFAULT_CUBE_BUDGET, _greedy_removal
+
+    desc = desc_homothetic()
+    law = fp.GaltonWatsonLaw.create(1, 0.9)
+    n = 6
+    tied = 0
+    for seed, max_witnesses in ((1, 200_000), (2, 200_000), (3, 200_000), (4, 7)):
+        cubes = fp.sample_tree(law, "surviving", seed, n).levels[n]
+        removals = math.ceil(0.4 * cubes.shape[0])
+        removed, ties = _dict_tally_removals(cubes, desc, n, removals, max_witnesses)
+        tied += sum(ties)
+        assert removed
+        args = (None, DEFAULT_CUBE_BUDGET, max_witnesses)
+        remaining = cubes
+        for k in range(1, len(removed) + 1):
+            remaining = _greedy_removal(remaining, desc, n, 1, *args)
+            want = cubes[[tuple(c) not in removed[:k] for c in cubes.tolist()]]
+            assert np.array_equal(remaining, want), (seed, k)
+        # all steps in one call, stopping early if no witness is left
+        assert np.array_equal(_greedy_removal(cubes, desc, n, removals, *args), remaining)
+    assert tied > 0
 
 def _serial_plane_fit(desc, flat, tolerance, min_diameter):
     # Reference: one (m, d) least-squares fit per candidate.
@@ -602,7 +674,7 @@ def test_polynomial_fit_rows_counts_unconverged_newton_runs():
     assert ok.tolist() == [True, False, True]
     assert unconverged.tolist() == [0, 2, 0]
     x, _ = fp.newton_refine(cone, centers[2])
-    assert params(2) == {"points": x.tolist()}
+    assert params[2].tolist() == x.tolist()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
