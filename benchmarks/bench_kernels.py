@@ -2,10 +2,15 @@
 
 Reports the throughput of expanding a surviving forest of `reps` trees
 (d=2, p=0.7, to level 9) plus the time to grow up to 200 extinction-variant
-trees.
+trees one at a time.  The forest grows in groups of consecutive trees
+(forest_groups), so only a tree that alone exceeds the 20 M cube budget would
+stop it with BudgetError; the default of 500 trees holds about 5.3 M cubes at
+level 9.
 
-The default of 500 trees keeps level 9 (about 5.3 M cubes) under the
-forest's 20 M cube budget; 2000 trees exceed it and stop with BudgetError.
+Next, grouped growth against one tree at a time, in seconds (the least of
+three rounds): 400 surviving d=2 trees (p=0.8) to level 8, the trees of
+`sample --preset paper d=2`, grown by forest_groups, and the same trees by
+sample_tree one by one.
 
 It then times the one product-cube traversal (`intersect._traverse`) that
 masses and detection share, in tuples tested by its keep predicate per
@@ -56,13 +61,14 @@ from fracperc.patterns import (
     _candidate_groups,
     _detection_keep,
     _fit_rows,
-    _slice_forest,
+    _forest_ancestors,
     configuration_plane,
     pattern_witnesses,
 )
 from fracperc.percolation import (
     GaltonWatsonLaw,
     coupled_law,
+    forest_groups,
     sample_forest,
     sample_tree,
 )
@@ -108,7 +114,8 @@ def slice_levels(desc, p, n, seeds=range(100)):
     level-n cubes (detect_configuration answers the others without a
     traversal), as one forest."""
     seeds = np.array(seeds, dtype=np.uint64)
-    return _slice_forest(desc, coupled_law(desc.d, p), "coupled", seeds, n)[1]
+    tree, cubes = sample_forest(coupled_law(desc.d, p), "coupled", seeds, n)[n]
+    return _forest_ancestors(tree, cubes, n, desc.m)[1]
 
 
 PROGRESSION = (ConfigDescriptor("homothetic", 1, {"sites": [[0], [1], [2]]}), 0.63, 9)
@@ -139,6 +146,26 @@ def verification(desc, p, n, rounds=5):
             _fit_rows(desc, target, centers[a : a + cap], tol, 0.0)
         secs.append(time.perf_counter() - t0)
     return centers.shape[0], min(secs)
+
+
+def grouped_growth(rounds=3):
+    """(cubes, groups, grouped s, one-by-one s) of growing the 400 trees of
+    `sample --preset paper --seed 1 d=2`; least of `rounds`."""
+    law, n = GaltonWatsonLaw.create(2, 0.8), 8
+    seeds = [_rep_seed(1, r) for r in range(400)]
+    grouped, alone = [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        groups = cubes = 0
+        for levels in forest_groups(law, "surviving", seeds, n):
+            groups += 1
+            cubes += levels[n][0].shape[0]
+        grouped.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for seed in seeds:
+            sample_tree(law, "surviving", seed, n)
+        alone.append(time.perf_counter() - t0)
+    return cubes, groups, min(grouped), min(alone)
 
 
 def witness_enumeration(rounds=3):
@@ -172,6 +199,11 @@ def main():
 
     print(f"{'forest s':>10}{'cubes':>12}{'cubes/s':>14}{'extinction s':>14}")
     print(f"{forest_s:>10.3f}{cubes:>12}{cubes / forest_s:>14.0f}{extinction_s:>14.3f}")
+
+    print()
+    print(f"{'growth':>10}{'cubes':>12}{'groups':>10}{'grouped s':>12}{'alone s':>10}")
+    cubes, groups, grouped, alone = grouped_growth()
+    print(f"{'d=2 p=0.8':>10}{cubes:>12}{groups:>10}{grouped:>12.3f}{alone:>10.3f}")
 
     print()
     print(f"{'traversal':>10}{'tuples':>12}{'s':>10}{'tuples/s':>14}{'pruned':>10}")

@@ -13,7 +13,9 @@ from .geometry import AffinePlane, plane_from_text
 from .polynomials import polynomial_from_text
 from .percolation import (
     GaltonWatsonLaw,
-    NaturalMeasure,
+    forest_groups,
+    natural_mass,
+    sample_forest,
     sample_tree,
 )
 from .intersect import (
@@ -24,11 +26,11 @@ from .intersect import (
 )
 from .patterns import (
     ConfigDescriptor,
-    box_dimension_estimate,
     configuration_plane,
     configuration_polynomial,
+    count_slope,
     harris_check,
-    pattern_parameter_dimension,
+    parameter_dimensions,
     percolation_dimension_test,
     presence_profiles,
     subset_stress_test,
@@ -218,29 +220,31 @@ def _product_spec(cfg, seed, n, m=None):
 # algorithm did go under the dict's "counters" key; `run` writes them apart
 # from the results and the timing.
 
+def _tree_counts(cfg, seeds):
+    """(R, n+1) cubes per level of the tree of each seed, grown group by group."""
+    out = []
+    for levels in forest_groups(cfg.law(), cfg.s("variant"), seeds, cfg.i("n")):
+        roots = levels[0][0]
+        out.append([
+            np.bincount(tree - roots[0], minlength=len(roots)) for tree, _, _ in levels
+        ])
+    return np.concatenate([np.stack(group, axis=1) for group in out])
+
+
 def _run_sample(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
-    variant = cfg.s("variant")
 
-    results = []
-    for r in range(reps):
-        seed = _rep_seed(cfg.i("seed"), r)
-        tree = sample_tree(law, variant, seed, n)
-        counts = [tree.count(j) for j in range(n + 1)]
-        masses = [NaturalMeasure(tree, j).total_mass for j in range(n + 1)]
-        results.append((seed, counts, masses))
+    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    counts = _tree_counts(cfg, seeds)
+    masses = np.stack([natural_mass(law, counts[:, j], j) for j in range(n + 1)], axis=1)
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
-        for seed, counts, masses in results:
+        for seed, count, mass in zip(seeds, counts.tolist(), masses.tolist()):
             for j in range(n + 1):
-                csv.row(seed, "count", j, float(counts[j]), "exact", 0.0)
-                csv.row(seed, "natural_mass", j, masses[j], "exact", 0.0)
-    mean_counts = [
-        float(np.mean([res[1][j] for res in results])) for j in range(n + 1)
-    ]
-    mean_mass = [
-        float(np.mean([res[2][j] for res in results])) for j in range(n + 1)
-    ]
+                csv.row(seed, "count", j, float(count[j]), "exact", 0.0)
+                csv.row(seed, "natural_mass", j, mass[j], "exact", 0.0)
+    mean_counts = [float(np.mean(c)) for c in counts.T]
+    mean_mass = [float(np.mean(m)) for m in masses.T]
     js = list(range(1, n + 1))
     slope = float(
         np.polyfit(js, np.log2([max(c, 1e-300) for c in mean_counts[1:]]), 1)[0]
@@ -255,6 +259,7 @@ def _run_sample(cfg, out_dir):
         "mean_natural_mass": mean_mass,
         "log2_slope": slope,
         "expected_dimension": law.s,
+        "counters": {"cubes": counts.sum(axis=0).tolist()},
     }
 
 
@@ -380,19 +385,17 @@ def _run_dimension(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
 
-    results = []
-    for r in range(reps):
-        seed = _rep_seed(cfg.i("seed"), r)
-        tree = sample_tree(law, cfg.s("variant"), seed, n)
-        results.append((seed, box_dimension_estimate(tree, max(1, n - 6), n)))
+    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    counts = _tree_counts(cfg, seeds)
+    slopes = [count_slope(c, max(1, n - 6), n) for c in counts.tolist()]
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
-        for seed, slope in results:
+        for seed, slope in zip(seeds, slopes):
             csv.row(seed, "box_dim_slope", n, slope, "fit", 0.0)
-    slopes = [s for _, s in results]
     return {
         "mean_slope": float(np.mean(slopes)),
         "se": float(np.std(slopes, ddof=1) / math.sqrt(len(slopes))) if reps > 1 else 0.0,
         "expected": law.s,
+        "counters": {"cubes": counts.sum(axis=0).tolist()},
     }
 
 
@@ -404,24 +407,20 @@ def _run_pattern_dim(cfg, out_dir):
     j_lo = cfg.i("j_lo")
     j_hi = int(cfg.raw["j_hi"]) if cfg.raw["j_hi"] else n - 1
 
-    results = []
-    for r in range(reps):
-        seed = _rep_seed(cfg.i("seed"), r)
-        tree = sample_tree(law, cfg.s("variant"), seed, n)
-        est = pattern_parameter_dimension(tree, sites, n, j_lo=j_lo, j_hi=j_hi)
-        results.append((seed, est))
+    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    tree, cubes = sample_forest(law, cfg.s("variant"), seeds, n)[n]
+    estimates = parameter_dimensions(tree, cubes, reps, law, sites, n, j_lo, j_hi)
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
-        for seed, est in results:
+        for seed, est in zip(seeds, estimates):
             csv.row(seed, "pattern_dim_slope", n, est.slope, "fit", 0.0)
-    slopes = [est.slope for _, est in results]
-    predicted = results[0][1].predicted
+    slopes = [est.slope for est in estimates]
     return {
         "mean_slope": float(np.mean(slopes)),
         "se": float(np.std(slopes, ddof=1) / math.sqrt(len(slopes))) if reps > 1 else 0.0,
-        "predicted": predicted,
+        "predicted": estimates[0].predicted,
         "counters": {
-            "witnesses": sum(est.witnesses for _, est in results),
-            "candidate_tuples": sum(est.candidate_tuples for _, est in results),
+            "witnesses": sum(est.witnesses for est in estimates),
+            "candidate_tuples": sum(est.candidate_tuples for est in estimates),
         },
     }
 
@@ -463,6 +462,7 @@ def _run_perc_dim_test(cfg, out_dir):
         "p_star": res.p_star,
         "dim_estimate": res.dim_estimate,
         "curve": [(r.p, r.frequency) for r in res.curve],
+        "counters": {"hits": res.hits},
     }
 
 
@@ -512,7 +512,9 @@ def _run_stress(cfg, out_dir):
     desc = cfg.descriptor()
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
-    tree = sample_tree(law, cfg.s("variant"), _rep_seed(cfg.i("seed"), 0), n)
+    # the replicates' trees are grown in subset_stress_test; this depth-0
+    # tree only carries their law and variant
+    tree = sample_tree(law, cfg.s("variant"), _rep_seed(cfg.i("seed"), 0), 0)
     row = subset_stress_test(
         tree, desc, cfg.f("fraction"), cfg.s("strategy"), n, reps,
         base_seed=cfg.i("seed"), tolerance=cfg.tolerance,
@@ -525,6 +527,7 @@ def _run_stress(cfg, out_dir):
         "strategy": cfg.s("strategy"),
         "frequency": row.frequency,
         "ci": [row.ci_lo, row.ci_hi],
+        "counters": row.counters,
     }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DegenerateInputError
 from .geometry import AffinePlane, _row_chunks, plane_level_keep, plane_level_measure
 from .polynomials import variety_level_measure
-from .percolation import DEFAULT_MAX_CUBES, resample_level, sample_forest
+from .percolation import DEFAULT_MAX_CUBES, _replicate_cut, resample_level, sample_forest
 from .rng import derive, root_key
 
 DEFAULT_CUBE_BUDGET = 5_000_000
@@ -241,24 +241,6 @@ def _stack(arrays):
     return np.repeat(np.arange(len(arrays), dtype=np.int64), sizes), np.concatenate(arrays)
 
 
-def _grown_forest(law, variant, seeds, n, max_cubes=DEFAULT_MAX_CUBES):
-    """sample_forest over `seeds`.  A forest with a level over `max_cubes` is
-    grown in halves and stacked, so that, as with sample_tree, only a tree
-    that alone exceeds it raises BudgetError."""
-    try:
-        return sample_forest(law, variant, seeds, n, max_cubes=max_cubes)
-    except BudgetError:
-        if len(seeds) == 1:
-            raise
-    h = len(seeds) // 2
-    a = _grown_forest(law, variant, seeds[:h], n, max_cubes)
-    b = _grown_forest(law, variant, seeds[h:], n, max_cubes)
-    return [
-        (np.concatenate([ta, tb + h]), np.concatenate([ia, ib]))
-        for (ta, ia), (tb, ib) in zip(a, b)
-    ]
-
-
 def _levels_batch(spec, replicates):
     """The batch of replicates[r]: the level lists of replicate r's trees, in
     spec.trees order, then of its product-space tree."""
@@ -288,11 +270,11 @@ def _grown_batch(spec, keys, seeds, n):
     t0 = spec.trees[0]
     if any(t.variant != t0.variant for t in spec.trees):
         raise ConfigError("replicated factors must share one variant")
-    factor = _grown_forest(t0.law, t0.variant, seeds.ravel(), n)
+    factor = sample_forest(t0.law, t0.variant, seeds.ravel(), n)
     aux = None
     if spec.aux_tree is not None:
         a = spec.aux_tree
-        aux = _grown_forest(a.law, a.variant, derive(keys, len(spec.trees) + 1), n)
+        aux = sample_forest(a.law, a.variant, derive(keys, len(spec.trees) + 1), n)
     return _Batch(spec.m, len(spec.trees), keys.shape[0], factor, aux)
 
 
@@ -316,14 +298,6 @@ def _expansion_peak(state, counts):
         c *= counts[state[:, j]]
         peak = max(peak, int(c.sum()))
     return peak
-
-
-def _replicate_cut(rep):
-    """The first row of the middle replicate among those with rows (rep
-    nondecreasing, with at least two distinct values); halving by replicates,
-    not rows, keeps the depth of the splits within log2 of their number."""
-    starts = np.flatnonzero(rep[1:] != rep[:-1]) + 1
-    return int(starts[starts.shape[0] // 2])
 
 
 def _traverse(batch, keep, n, budget, distinct=None):

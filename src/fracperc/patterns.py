@@ -16,12 +16,11 @@ from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
     GaltonWatsonLaw,
     coupled_law,
-    expand_extinction,
-    sample_tree,
+    forest_groups,
+    sample_forest,
 )
 from .intersect import (
-    _Batch, _grown_forest, _lex_member, _pairwise_distinct, _poly_keep, _stack,
-    _traverse,
+    _Batch, _lex_member, _pairwise_distinct, _poly_keep, _stack, _traverse,
 )
 from .rng import derive, root_key
 
@@ -348,17 +347,20 @@ def _unique_rows(rows):
     return rows[new]
 
 
-def _forest_ancestors(tree, cubes, n):
-    """Forest levels 0..n, (tree, idx) sorted by (tree, idx), of the
-    ancestors of level-n cubes (N, d) held by trees `tree` (N,); each level
-    is built from its children."""
-    rows = _unique_rows(np.column_stack([tree, cubes]))
+def _forest_ancestors(tree, cubes, n, m=1):
+    """The trees among `tree` (N,) that hold at least m of the level-n cubes
+    (N, d), in order, and the forest levels 0..n, (tree, idx) sorted by
+    (tree, idx), of the ancestors of their cubes, with those trees numbered
+    0, 1, ...; each level is built from its children."""
+    big = np.bincount(tree) >= m
+    kept, rows = np.flatnonzero(big), big[tree]
+    rows = _unique_rows(np.column_stack([np.searchsorted(kept, tree[rows]), cubes[rows]]))
     levels = [rows]
     for _ in range(n):
         up = levels[-1].copy()
         up[:, 1:] >>= 1
         levels.append(_unique_rows(up))
-    return [
+    return kept, [
         (np.ascontiguousarray(lev[:, 0]), np.ascontiguousarray(lev[:, 1:]))
         for lev in levels[::-1]
     ]
@@ -371,7 +373,7 @@ def _ancestor_levels(cubes, n):
     if cubes.ndim == 1:
         cubes = cubes[:, None]
     tree = np.zeros(cubes.shape[0], dtype=np.int64)
-    return [idx for _, idx in _forest_ancestors(tree, cubes, n)]
+    return [idx for _, idx in _forest_ancestors(tree, cubes, n)[1]]
 
 
 def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
@@ -390,7 +392,7 @@ def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
         cbar = c.mean(axis=1)
         denom = float(np.sum((sites - sbar) ** 2))
         prod = (sites - sbar) * (c - cbar[:, None, :])
-        lam = np.sum(prod.reshape(c.shape[0], -1), axis=1) / denom
+        lam = np.sum(prod.reshape(c.shape[0], desc.m * desc.d), axis=1) / denom
         b = cbar - lam[:, None] * sbar
         resid = c - (b[:, None, :] + lam[:, None, None] * sites)
         diam = max(
@@ -450,8 +452,11 @@ def _detection_keep(desc, target, tolerance):
     """Safe prune (idx, level) -> bool: keep a product cube iff the
     configuration could be realized with every point within `tolerance` of
     its factor cube, i.e. within sqrt(m) * tolerance of the product cube for
-    a plane, or in the cube widened by `tolerance` for polynomials."""
+    a plane, or in the cube widened by `tolerance` for polynomials.  None (no
+    prune) for a plane that fills the product space, which meets every cube."""
     if desc.family in PLANE_FAMILIES:
+        if target.dim == desc.ambient:
+            return None
         radius = math.sqrt(desc.m) * tolerance
         return lambda idx, lev: geometry.plane_level_keep(target, idx, lev, radius)
     return lambda idx, lev: _poly_keep(target, idx, lev, tolerance)
@@ -560,28 +565,38 @@ def _check_candidates(fit, tree, cap, enumerate_all=False):
     return (*hits, tree[starts], checked, unconverged)
 
 
-def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
-                   enumerate_all=False):
-    """Detection in every tree of a forest: levels 0..n are the ancestor
-    levels of its level-n cubes, and each of the trees 0..T-1 holds some.
-    The trees are traversed together, and each group's candidates are
-    verified as they arrive.
+SWEEP_COUNTERS = (
+    "detected", "candidate_tuples", "tuples_checked", "newton_unconverged",
+)
 
-    Returns (hits, candidates, checked, unconverged).  hits are the arrays
-    (tree (H,), cubes (H, m, d), params (H, P)) of each tree's first witness
-    (every witness under enumerate_all), in check order.  The others (T,)
-    count each tree's candidate tuples, those checked and the Newton runs on
-    them that did not converge, as DetectionResult does."""
-    reps = levels[0][0].shape[0]
+
+def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
+                   budget=DEFAULT_CUBE_BUDGET, min_diameter=0.0,
+                   enumerate_all=False):
+    """Detection in each of the trees 0..trees-1 of a forest's level n: the
+    cubes (N, d), or (N,) for d = 1, held by trees `tree` (N,), or all by
+    tree `tree` if it is an int, with _detection_tolerance.  Trees with
+    fewer than m cubes hold no candidate; the others are traversed together,
+    and each group's candidates are verified as they arrive.
+
+    Returns (hits, counts).  hits are the arrays (tree (H,), cubes (H, m, d),
+    params (H, P)) of each tree's first witness (every witness under
+    enumerate_all), in check order.  counts maps SWEEP_COUNTERS to (trees,)
+    arrays: the trees with a hit, their candidate tuples, those checked and
+    the Newton runs on them that did not converge, as DetectionResult has."""
+    tolerance = _detection_tolerance(desc, n, tolerance)
+    cubes = np.asarray(cubes, dtype=np.int64)
+    if cubes.ndim == 1:
+        cubes = cubes[:, None]
+    tree = np.broadcast_to(np.asarray(tree, dtype=np.int64), cubes.shape[:1])
+    kept, levels = _forest_ancestors(tree, cubes, n, desc.m)
     target = desc._detection_target
     cubes = levels[n][1]
     side = 2.0 ** -n
     cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
-    candidates = np.zeros(reps, dtype=np.int64)
-    checked = np.zeros(reps, dtype=np.int64)
-    unconverged = np.zeros(reps, dtype=np.int64)
+    counts = {name: np.zeros(trees, dtype=np.int64) for name in SWEEP_COUNTERS}
     hits = [_no_hits(desc)]
-    for state, tree in _candidate_groups(levels, desc, n, tolerance, target, budget):
+    for state, owner in _candidate_groups(levels, desc, n, tolerance, target, budget):
         if state.shape[0] == 0:
             continue
 
@@ -589,14 +604,18 @@ def _detect_forest(desc, levels, n, tolerance, budget, min_diameter,
             centers = (cubes[state[rows]].astype(float) + 0.5) * side  # (B, m, d)
             return _fit_rows(desc, target, centers, tolerance, min_diameter)
 
-        rows, params, trees, chk, unc = _check_candidates(fit, tree, cap, enumerate_all)
-        np.add.at(candidates, tree, 1)
-        checked[trees], unconverged[trees] = chk, unc
-        hits.append((tree[rows], cubes[state[rows]], params))
+        rows, params, done, checked, unconverged = _check_candidates(
+            fit, owner, cap, enumerate_all
+        )
+        counts["candidate_tuples"][kept] += np.bincount(owner, minlength=kept.shape[0])
+        counts["tuples_checked"][kept[done]] = checked
+        counts["newton_unconverged"][kept[done]] = unconverged
+        hits.append((kept[owner[rows]], cubes[state[rows]], params))
         # the traversal of the next group need not find this one still held
-        del state, tree
+        del state, owner
     hits = tuple(np.concatenate(h) for h in zip(*hits))
-    return hits, candidates, checked, unconverged
+    counts["detected"][hits[0]] = 1
+    return hits, counts
 
 
 def _no_hits(desc):
@@ -605,27 +624,6 @@ def _no_hits(desc):
     if desc.family in PLANE_FAMILIES:
         width = desc.d + (desc.family == "homothetic")
     return np.zeros(0, np.int64), np.zeros((0, desc.m, desc.d), np.int64), np.zeros((0, width))
-
-
-def _tree_hits(cubes, desc, n, tolerance, budget, min_diameter=0.0,
-               enumerate_all=False):
-    """Detection in the one tree of a level-n cube set (N, d), or (N,) for
-    d = 1, with the tolerance set by _detection_tolerance.  A set of fewer
-    than m cubes holds no candidate and is not traversed.
-
-    Returns (tolerance, cubes (H, m, d), params (H, P), counts): the hits
-    of _detect_forest and the tree's (candidates, checked, unconverged)."""
-    tolerance = _detection_tolerance(desc, n, tolerance)
-    cubes = np.asarray(cubes, dtype=np.int64)
-    if cubes.ndim == 1:
-        cubes = cubes[:, None]
-    if cubes.shape[0] < desc.m:
-        return (tolerance, *_no_hits(desc)[1:], (0, 0, 0))
-    levels = _forest_ancestors(np.zeros(cubes.shape[0], dtype=np.int64), cubes, n)
-    (_, wit, params), *counts = _detect_forest(
-        desc, levels, n, tolerance, budget, min_diameter, enumerate_all
-    )
-    return tolerance, wit, params, tuple(int(c[0]) for c in counts)
 
 
 def detect_configuration(
@@ -654,8 +652,9 @@ def detect_configuration(
     for the scale-bearing homothetic family (sub-resolution copies arise from
     any cube cluster and say nothing about the limit set).
     """
-    tolerance, wit, params, (_, checked, unconverged) = _tree_hits(
-        cubes, desc, n, tolerance, budget, min_diameter, enumerate_all
+    tolerance = _detection_tolerance(desc, n, tolerance)
+    (_, wit, params), counts = _detect_forest(
+        0, cubes, 1, desc, n, tolerance, budget, min_diameter, enumerate_all
     )
     witnesses = []
     for cells, row in zip(wit.tolist(), params.tolist()):
@@ -667,6 +666,7 @@ def detect_configuration(
             fitted = {"points": row}
         witnesses.append({"cubes": [tuple(c) for c in cells], "params": fitted})
     witness = (witnesses if enumerate_all else witnesses[0]) if witnesses else None
+    checked, unconverged = (int(counts[name][0]) for name in SWEEP_COUNTERS[2:])
     return DetectionResult(bool(witnesses), witness, tolerance, n, checked, unconverged)
 
 
@@ -785,6 +785,7 @@ class SweepRow:
     ci_lo: float
     ci_hi: float
     replicates: int
+    counters: dict = None  # SWEEP_COUNTERS totals of the search behind the row
 
 
 def sweep_min_diameter(desc, n):
@@ -794,39 +795,6 @@ def sweep_min_diameter(desc, n):
     if desc.family == "homothetic":
         return 8.0 * math.sqrt(desc.d) * 2.0 ** -n
     return 0.0
-
-
-SWEEP_COUNTERS = (
-    "detected", "candidate_tuples", "tuples_checked", "newton_unconverged",
-)
-
-
-def _slice_forest(desc, law, variant, seeds, n):
-    """Grow the trees of `seeds` (law, variant) as one forest.  Returns the
-    indices into seeds of the trees with at least m level-n cubes (fewer
-    hold no configuration, and level 0 of a batch must hold a root for every
-    tree), and the ancestor levels 0..n of their level-n cubes, the trees
-    numbered 0, 1, ... in that order."""
-    tree, cubes = _grown_forest(law, variant, seeds, n)[n]
-    big = np.bincount(tree, minlength=seeds.shape[0]) >= desc.m
-    rows = big[tree]
-    renumbered = (np.cumsum(big) - 1)[tree[rows]]
-    return np.flatnonzero(big), _forest_ancestors(renumbered, cubes[rows], n)
-
-
-def _slice_presence(desc, law, variant, seeds, n, tolerance, budget, min_diameter):
-    """Which of the trees grown from `seeds` (law, variant) hold the
-    configuration at level n, as indices into seeds, and the totals of
-    SWEEP_COUNTERS over them: every tree is grown in one forest and detected
-    in one batch."""
-    kept, levels = _slice_forest(desc, law, variant, seeds, n)
-    if kept.shape[0] == 0:
-        return kept, dict.fromkeys(SWEEP_COUNTERS, 0)
-    (tree, _, _), candidates, checked, unconverged = _detect_forest(
-        desc, levels, n, tolerance, budget, min_diameter
-    )
-    totals = (tree.shape[0], candidates.sum(), checked.sum(), unconverged.sum())
-    return kept[tree], dict(zip(SWEEP_COUNTERS, map(int, totals)))
 
 
 def presence_profiles(
@@ -872,12 +840,13 @@ def presence_profiles(
         else:
             todo = np.arange(seeds.shape[0])
             law, kind = GaltonWatsonLaw.create(d=desc.d, p=p), variant
-        found, totals = _slice_presence(
-            desc, law, kind, seeds[todo], n, tolerance, budget, min_diameter
+        tree, cubes = sample_forest(law, kind, seeds[todo], n)[n]
+        _, counts = _detect_forest(
+            tree, cubes, todo.shape[0], desc, n, tolerance, budget, min_diameter
         )
-        present[todo[found], i] = True
+        present[todo[counts["detected"] > 0], i] = True
         for name in SWEEP_COUNTERS:
-            counters[name].append(totals[name])
+            counters[name].append(int(counts[name].sum()))
     return present, counters
 
 
@@ -926,7 +895,8 @@ def pattern_witnesses(cubes, sites, n, d, tolerance=None, budget=DEFAULT_CUBE_BU
     pattern realized by distinct surviving cube tuples at level n: rows
     (H, d + 1) of [scale, offset...], in the detector's check order."""
     desc = ConfigDescriptor(family="homothetic", d=d, params={"sites": sites})
-    return _tree_hits(cubes, desc, n, tolerance, budget, enumerate_all=True)[2]
+    hits, _ = _detect_forest(0, cubes, 1, desc, n, tolerance, budget, enumerate_all=True)
+    return hits[2]
 
 
 @dataclass
@@ -954,76 +924,93 @@ def box_count_slope(points, j_lo, j_hi):
     return slope, counts
 
 
+def _split_by_tree(tree, rows, trees):
+    """The rows held by each of the trees 0..trees-1, in their order."""
+    order = np.argsort(tree, kind="stable")
+    return np.split(rows[order], np.searchsorted(tree[order], np.arange(1, trees)))
+
+
+def parameter_dimensions(
+    tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=None, tolerance=None,
+    budget=DEFAULT_CUBE_BUDGET,
+):
+    """pattern_parameter_dimension of each of the replicates 0..R-1, whose
+    level-n cubes (N, d) are held by trees `tree` (N,), or by the one tree
+    `tree` when it is an int: the witnesses of every replicate are
+    enumerated in one batch and split by replicate."""
+    sites = np.asarray(sites, dtype=float)
+    if sites.ndim == 1:
+        sites = sites[:, None]
+    if j_hi is None:
+        j_hi = n - 1
+    desc = ConfigDescriptor(family="homothetic", d=law.d, params={"sites": sites})
+    (owner, _, wit), counts = _detect_forest(
+        tree, cubes, replicates, desc, n, tolerance, budget, enumerate_all=True
+    )
+    predicted = desc.m * (law.s - law.d) + law.d + 1
+    out = []
+    for rows, total in zip(
+        _split_by_tree(owner, wit, replicates), counts["candidate_tuples"].tolist()
+    ):
+        slope, box = 0.0, [0] * (j_hi - j_lo + 1)
+        if rows.shape[0]:
+            slope, box = box_count_slope(rows, j_lo, j_hi)
+        out.append(DimensionEstimate(
+            slope, predicted, box, (j_lo, j_hi), rows.shape[0], total
+        ))
+    return out
+
+
 def pattern_parameter_dimension(
     tree, sites, n, j_lo=4, j_hi=None, tolerance=None, budget=DEFAULT_CUBE_BUDGET
 ):
     """Box-count dimension of the set of (scale, offset) parameters whose
     homothetic copy of the site pattern is realized at level n, against the
     predicted value m (s - d) + d + 1."""
-    sites = np.asarray(sites, dtype=float)
-    if sites.ndim == 1:
-        sites = sites[:, None]
-    d = tree.law.d
-    m = sites.shape[0]
-    if j_hi is None:
-        j_hi = n - 1
-    desc = ConfigDescriptor(family="homothetic", d=d, params={"sites": sites})
-    _, _, wit, (candidates, _, _) = _tree_hits(
-        tree.levels[n], desc, n, tolerance, budget, enumerate_all=True
+    (est,) = parameter_dimensions(
+        0, tree.levels[n], 1, tree.law, sites, n, j_lo, j_hi, tolerance, budget
     )
-    predicted = m * (tree.law.s - d) + d + 1
-    slope, counts = 0.0, [0] * (j_hi - j_lo + 1)
-    if wit.shape[0]:
-        slope, counts = box_count_slope(wit, j_lo, j_hi)
-    return DimensionEstimate(
-        slope, predicted, counts, (j_lo, j_hi), wit.shape[0], candidates
-    )
+    return est
 
 
 # ---------------------------------------------------------------------------
 # Percolation dimension test
-
-def _percolate_within(ancestors, d, p, seed, n):
-    """Extinction percolation restricted to the ancestor hierarchy of a cube
-    set; returns the surviving level-n cubes inside the set."""
-    idx = np.zeros((1, d), dtype=np.int64)
-    keys = np.array([root_key(seed)], dtype=np.uint64)
-    for lev in range(n):
-        cidx, ckeys, _ = expand_extinction(idx, keys, d, p)
-        keep = _lex_member(ancestors[lev + 1], cidx)
-        idx, keys = cidx[keep], ckeys[keep]
-        if idx.shape[0] == 0:
-            return idx
-    return idx
-
 
 @dataclass
 class PercDimResult:
     curve: list          # SweepRow per p
     p_star: float
     dim_estimate: float  # d - s(d, p_star) = -log2(p_star)
+    hits: list = field(default_factory=list)  # replicates hitting the set, per p
 
 
 def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
     """Frequency, per p, that an independent percolation hits the given
-    level-n cube set; the steepest transition p* estimates dim = -log2(p*)."""
+    level-n cube set; the steepest transition p* estimates dim = -log2(p*).
+    At each p the replicates grow as one forest restricted to the ancestors
+    of the set."""
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
         cubes = cubes[:, None]
     if cubes.shape[0] == 0:
         raise ConfigError("empty target set")
     ancestors = _ancestor_levels(cubes, n)
-    rows = []
+    rows, hits = [], []
     p_grid = sorted(float(p) for p in p_grid)
     for pi, p in enumerate(p_grid):
+        seeds = [
+            int(derive(root_key(base_seed), (pi + 1) * 1_000_003 + r))
+            for r in range(replicates)
+        ]
         hit = 0
-        for r in range(replicates):
-            seed = int(derive(root_key(base_seed), (pi + 1) * 1_000_003 + r))
-            surv = _percolate_within(ancestors, d, p, seed, n)
-            if surv.shape[0] > 0:
-                hit += 1
+        for levels in forest_groups(
+            coupled_law(d, p), "extinction", seeds, n,
+            keep=lambda lev, idx: _lex_member(ancestors[lev], idx),
+        ):
+            hit += np.unique(levels[n][0]).shape[0]
         lo, hi = wilson_interval(hit, replicates)
         rows.append(SweepRow(p, hit / replicates, lo, hi, replicates))
+        hits.append(hit)
     # steepest transition
     best, p_star = -1.0, p_grid[0]
     for a, b in zip(rows, rows[1:]):
@@ -1032,7 +1019,7 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
         if slope > best:
             best = slope
             p_star = 0.5 * (a.p + b.p)
-    return PercDimResult(curve=rows, p_star=p_star, dim_estimate=-math.log2(p_star))
+    return PercDimResult(rows, p_star, -math.log2(p_star), hits)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,8 +1032,8 @@ def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
     order); the steps stop early once no witness is left."""
     remaining = cubes
     for _ in range(removals):
-        _, wit, _, _ = _tree_hits(
-            remaining, desc, n, tolerance, budget, enumerate_all=True
+        (_, wit, _), _ = _detect_forest(
+            0, remaining, 1, desc, n, tolerance, budget, enumerate_all=True
         )
         if wit.shape[0] == 0:
             break
@@ -1067,32 +1054,34 @@ def subset_stress_test(
     strategy "random" removes uniformly; "greedy" repeatedly removes the cube
     participating in the most currently-detected witnesses (an adversarial
     heuristic, not an optimal hitting set).  Trees are re-drawn per replicate
-    from the law and variant of the given tree.
+    from the law and variant of the given tree, grown as one forest; after
+    the removals, the remaining cubes of every replicate are detected as one
+    batch.  The row's counters are the totals of SWEEP_COUNTERS over it.
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigError("fraction must be in [0, 1)")
     if strategy not in ("random", "greedy"):
         raise ConfigError("strategy must be random or greedy")
-    hits = 0
-    for r in range(replicates):
-        seed = int(derive(root_key(base_seed), r + 1))
-        t = sample_tree(tree.law, tree.variant, seed, n)
-        cubes = t.levels[n]
-        budget_removals = math.ceil(fraction * cubes.shape[0])
+    seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
+    owner, cubes = sample_forest(tree.law, tree.variant, seeds, n)[n]
+    remaining = []
+    for seed, rows in zip(seeds, _split_by_tree(owner, cubes, replicates)):
+        removals = math.ceil(fraction * rows.shape[0])
         if strategy == "random":
-            rng = np.random.default_rng(seed)
-            keep = rng.permutation(cubes.shape[0])[budget_removals:]
-            remaining = cubes[np.sort(keep)]
+            keep = np.random.default_rng(seed).permutation(rows.shape[0])[removals:]
+            remaining.append(rows[np.sort(keep)])
         else:
-            remaining = _greedy_removal(
-                cubes, desc, n, budget_removals, tolerance, budget, max_witnesses
-            )
-        res = detect_configuration(
-            remaining, desc, n, tolerance=tolerance, budget=budget
-        )
-        hits += bool(res.present)
+            remaining.append(_greedy_removal(
+                rows, desc, n, removals, tolerance, budget, max_witnesses
+            ))
+    owner = np.repeat(np.arange(replicates), [rows.shape[0] for rows in remaining])
+    _, counts = _detect_forest(
+        owner, np.concatenate(remaining), replicates, desc, n, tolerance, budget
+    )
+    counters = {name: int(counts[name].sum()) for name in SWEEP_COUNTERS}
+    hits = counters["detected"]
     lo, hi = wilson_interval(hits, replicates)
-    return SweepRow(float(fraction), hits / replicates, lo, hi, replicates)
+    return SweepRow(float(fraction), hits / replicates, lo, hi, replicates, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,15 +1126,17 @@ def harris_check(event1, event2, law, n, replicates, base_seed=0, variant="extin
     for ev, name in ((event1, "event1"), (event2, "event2")):
         if not _monotone_probe(ev, law.d, n, rng):
             raise ConfigError(f"{name} is not monotone on sampled nested pairs")
+    seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
     c1 = c2 = c12 = 0
-    for r in range(replicates):
-        seed = int(derive(root_key(base_seed), r + 1))
-        t = sample_tree(law, variant, seed, n)
-        e1 = bool(event1(t.levels[n], n))
-        e2 = bool(event2(t.levels[n], n))
-        c1 += e1
-        c2 += e2
-        c12 += e1 and e2
+    for levels in forest_groups(law, variant, seeds, n):
+        roots = levels[0][0]
+        tree, cubes, _ = levels[n]
+        for level_n in _split_by_tree(tree - roots[0], cubes, roots.shape[0]):
+            e1 = bool(event1(level_n, n))
+            e2 = bool(event2(level_n, n))
+            c1 += e1
+            c2 += e2
+            c12 += e1 and e2
     p1, p2, p12 = c1 / replicates, c2 / replicates, c12 / replicates
     q = law.q if variant == "extinction" else 0.0
     bound = (1 - q) * p1 * p2
@@ -1167,10 +1158,15 @@ def harris_check(event1, event2, law, n, replicates, base_seed=0, variant="extin
 
 def box_dimension_estimate(tree, n_lo, n_hi):
     """Least-squares slope of log2 N_j against j over [n_lo, n_hi]."""
+    return count_slope([tree.count(j) for j in range(tree.depth + 1)], n_lo, n_hi)
+
+
+def count_slope(counts, n_lo, n_hi):
+    """box_dimension_estimate of a tree whose level j holds counts[j] cubes."""
     if n_hi - n_lo < 2:
         raise ConfigError("need at least 3 levels")
     js = list(range(n_lo, n_hi + 1))
-    counts = [tree.count(j) for j in js]
+    counts = [counts[j] for j in js]
     if any(c == 0 for c in counts):
         raise ConfigError("empty level in the requested range")
     logs = np.log2(counts)

@@ -123,35 +123,12 @@ class DyadicCube:
             raise ConfigError("cube index out of range for its level")
 
     @property
-    def ambient(self):
-        return len(self.index)
-
-    @property
     def side(self):
         return 2.0 ** -self.level
 
     @property
     def lower(self):
         return np.array(self.index, dtype=float) * self.side
-
-    @property
-    def center(self):
-        return (np.array(self.index, dtype=float) + 0.5) * self.side
-
-    def parent(self):
-        if self.level == 0:
-            raise ConfigError("the root cube has no parent")
-        return DyadicCube(self.level - 1, tuple(i >> 1 for i in self.index))
-
-    def child(self, offsets):
-        return DyadicCube(
-            self.level + 1, tuple(2 * i + o for i, o in zip(self.index, offsets))
-        )
-
-
-def _lexsort(idx, keys):
-    order = np.lexsort(idx.T[::-1])
-    return idx[order], keys[order]
 
 
 @dataclass
@@ -241,31 +218,110 @@ def _expand_raw(law, variant, idx, keys):
     raise ConfigError(f"unknown variant {variant!r}")
 
 
-def _expand(law, variant, idx, keys, max_cubes):
-    cidx, ckeys, _ = _expand_raw(law, variant, idx, keys)
+# Most cubes a group of several trees may grow into at one level.  A group
+# that could grow more is first halved at a tree boundary and each half grows
+# on alone, so the arrays an expansion holds stay near those of the largest
+# single tree, however many trees grow.
+FOREST_CUBES = 1 << 14
+
+
+def _replicate_cut(rep):
+    """The first row of the middle replicate among those with rows (rep
+    nondecreasing, with at least two distinct values); halving by replicates,
+    not rows, keeps the depth of the splits within log2 of their number."""
+    starts = np.flatnonzero(rep[1:] != rep[:-1]) + 1
+    return int(starts[starts.shape[0] // 2])
+
+
+def _forest_order(tree, idx):
+    """The order sorting rows by (tree, idx), tree nondecreasing: an argsort
+    of keys packing tree and indices where they fit in 63 bits."""
+    if tree.shape[0] == 0:
+        return tree
+    width = int(idx.max()).bit_length()
+    key = tree - tree[0]
+    if width * idx.shape[1] + int(key[-1]).bit_length() > 63:
+        return np.lexsort(tuple(idx.T[::-1]) + (tree,))
+    for col in idx.T:
+        key = (key << width) | col
+    # the stable sort merges the sorted runs that children come in
+    return np.argsort(key, kind="stable")
+
+
+def _step(law, variant, level, max_cubes):
+    """The next level (tree, idx, keys) of a forest level, sorted by (tree,
+    idx) as the level is; BudgetError if it would hold over max_cubes."""
+    tree, idx, keys = level
+    cidx, ckeys, par = _expand_raw(law, variant, idx, keys)
     if cidx.shape[0] > max_cubes:
-        raise BudgetError(
-            f"level would hold {cidx.shape[0]} cubes (budget {max_cubes})"
-        )
-    return _lexsort(cidx, np.ascontiguousarray(ckeys))
+        raise BudgetError(f"level would hold {cidx.shape[0]} cubes (budget {max_cubes})")
+    order = _forest_order(tree[par], cidx)
+    return tree[par[order]], cidx[order], ckeys[order]
+
+
+def forest_groups(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES, keep=None):
+    """Grow one tree per seed to level n_max, yielding the forest group by
+    group, in seed order: levels 0..n_max of (tree, idx, keys), sorted by
+    (tree, idx), tree the index into seeds.  keep(lev, idx) -> bool, when
+    given, filters each level lev >= 1 as it is grown.
+
+    A group of several trees that could grow a level of more than
+    min(FOREST_CUBES, max_cubes) cubes (2^d per cube) is first halved at a
+    tree boundary.  So only a lone tree's level over max_cubes raises
+    BudgetError, and, as every tree grows from its own keys, the grouping
+    never changes a tree."""
+    if variant not in ("extinction", "surviving", "coupled"):
+        raise ConfigError(f"unknown variant {variant!r}")
+    if variant == "surviving" and not law.supercritical:
+        raise ConfigError("surviving variant requires p > 2^-d")
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+    tree = np.arange(seeds.shape[0], dtype=np.int64)
+    roots = (tree, np.zeros((tree.shape[0], law.d), dtype=np.int64), root_key(seeds))
+    limit = min(FOREST_CUBES, max_cubes)
+    stack = [[roots]]  # groups to grow; split halves are copies, freeing the whole
+    while stack:
+        levels = stack.pop()
+        tree = levels[-1][0]
+        if len(levels) > n_max:
+            yield levels
+        elif tree.shape[0] << law.d > limit and tree[0] != tree[-1]:
+            cut = tree[_replicate_cut(tree)]
+            at = [np.searchsorted(lev[0], cut) for lev in levels]
+            stack.append([tuple(a[i:].copy() for a in lev) for lev, i in zip(levels, at)])
+            stack.append([tuple(a[:i].copy() for a in lev) for lev, i in zip(levels, at)])
+        else:
+            child = _step(law, variant, levels[-1], max_cubes)
+            if keep is not None:
+                held = keep(len(levels), child[1])
+                child = tuple(a[held] for a in child)
+            stack.append(levels + [child])
+
+
+def sample_forest(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES):
+    """Sample len(seeds) independent trees in one batched structure.
+
+    Returns (rep, idx) per level: rep[n] is an (N,) int64 array of replicate
+    ids and idx[n] the matching (N, d) cube indices.  Bit-identical to
+    sampling each tree separately with its own seed.  The trees grow in
+    groups (forest_groups), so only a tree that alone exceeds max_cubes
+    raises BudgetError.
+    """
+    groups = [
+        [lev[:2] for lev in levels]
+        for levels in forest_groups(law, variant, seeds, n_max, max_cubes)
+    ]
+    return [tuple(np.concatenate(a) for a in zip(*lev)) for lev in zip(*groups)]
 
 
 def sample_tree(law, variant, seed, n_max, max_cubes=DEFAULT_MAX_CUBES):
-    """Sample a percolation tree down to level n_max."""
-    if variant == "surviving" and not law.supercritical:
-        raise ConfigError("surviving variant requires p > 2^-d")
-    if variant not in ("extinction", "surviving", "coupled"):
-        raise ConfigError(f"unknown variant {variant!r}")
-    idx = np.zeros((1, law.d), dtype=np.int64)
-    keys = np.atleast_1d(root_key(seed))
-    tree = PercolationTree(law=law, variant=variant, seed=int(seed))
-    tree.levels.append(idx)
-    tree._keys.append(keys)
-    for _ in range(n_max):
-        idx, keys = _expand(law, variant, idx, keys, max_cubes)
-        tree.levels.append(idx)
-        tree._keys.append(keys)
-    return tree
+    """Sample a percolation tree down to level n_max: the one-seed call of
+    forest_groups."""
+    seeds = [int(seed) & ((1 << 64) - 1)]
+    (levels,) = forest_groups(law, variant, seeds, n_max, max_cubes)
+    return PercolationTree(
+        law=law, variant=variant, seed=int(seed),
+        levels=[idx for _, idx, _ in levels], _keys=[keys for _, _, keys in levels],
+    )
 
 
 def coupled_law(d, p):
@@ -297,8 +353,8 @@ def resample_level(tree, n, resample_index):
         raise ConfigError("level not materialized")
     idx = tree.levels[n]
     keys = derive(tree._keys[n], RESAMPLE_SALT + int(resample_index) + 1)
-    cidx, _ = _expand(tree.law, tree.variant, idx, keys, DEFAULT_MAX_CUBES)
-    return cidx
+    level = (np.zeros(idx.shape[0], dtype=np.int64), idx, keys)
+    return _step(tree.law, tree.variant, level, DEFAULT_MAX_CUBES)[1]
 
 
 @dataclass(frozen=True)
@@ -310,58 +366,16 @@ class NaturalMeasure:
 
     @property
     def total_mass(self):
-        # ||nu_n|| = N_n p^-n 2^-dn = N_n 2^-sn
-        law = self.tree.law
-        return self.tree.count(self.n) * (law.p * 2.0 ** law.d) ** -self.n
+        return natural_mass(self.tree.law, self.tree.count(self.n), self.n)
 
-    def mass(self, region):
-        """Mass of a union of dyadic cubes of level <= n."""
-        law = self.tree.law
-        idx = self.tree.levels[self.n]
-        total = 0
-        for cube in region:
-            if cube.level > self.n:
-                raise ConfigError("region not resolvable at this level")
-            if cube.ambient != law.d:
-                raise ConfigError("region ambient dimension mismatch")
-            anc = idx >> (self.n - cube.level)
-            inside = np.all(anc == np.array(cube.index, dtype=np.int64), axis=1)
-            total += int(inside.sum())
-        return total * (law.p * 2.0 ** law.d) ** -self.n
+
+def natural_mass(law, count, n):
+    """||nu_n|| = N_n p^-n 2^-dn = N_n 2^-sn of `count` level-n cubes (an
+    int or an array of counts)."""
+    return count * (law.p * 2.0 ** law.d) ** -n
 
 
 def natural_measure(tree, n):
     if n > tree.depth:
         raise ConfigError("level not materialized")
     return NaturalMeasure(tree=tree, n=n)
-
-
-# ---------------------------------------------------------------------------
-# Batched forests: many trees expanded together, one array per level.  The
-# mass pipeline (`intersect`, `second-moment`) grows every factor tree of every
-# replicate this way, and sweeps grow every replicate's slice at each p.
-
-def sample_forest(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES):
-    """Sample len(seeds) independent trees in one batched structure.
-
-    Returns (rep, idx) per level: rep[n] is an (N,) int64 array of replicate
-    ids and idx[n] the matching (N, d) cube indices.  Bit-identical to
-    sampling each tree separately with its own seed.
-    """
-    if variant == "surviving" and not law.supercritical:
-        raise ConfigError("surviving variant requires p > 2^-d")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    r = seeds.shape[0]
-    rep = np.arange(r, dtype=np.int64)
-    idx = np.zeros((r, law.d), dtype=np.int64)
-    keys = np.atleast_1d(root_key(seeds))
-    levels = [(rep.copy(), idx.copy())]
-    for _ in range(n_max):
-        cidx, ckeys, par = _expand_raw(law, variant, idx, keys)
-        if cidx.shape[0] > max_cubes:
-            raise BudgetError("forest level exceeds cube budget")
-        rep = rep[par]
-        order = np.lexsort(tuple(cidx.T[::-1]) + (rep,))
-        rep, idx, keys = rep[order], cidx[order], np.ascontiguousarray(ckeys[order])
-        levels.append((rep, idx))
-    return levels

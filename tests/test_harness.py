@@ -147,11 +147,13 @@ def test_cli_threads_flag_reproducible(tmp_path):
 
 
 def test_sweep_counters_repeat_across_reruns_and_threads(tmp_path):
-    # summary.json carries the counters of sweep (per p) and pattern-dim
-    # (summed over replicates) apart from the results and the timing; they
-    # repeat exactly across reruns and --threads.
+    # summary.json carries the counters of sweep and perc-dim-test (per p),
+    # sample and dimension (per level) and pattern-dim and stress (summed
+    # over replicates) apart from the results and the timing; they repeat
+    # exactly across reruns and --threads.
     counters = {}
-    for command in ("sweep", "pattern-dim"):
+    commands = ("sweep", "pattern-dim", "sample", "dimension", "perc-dim-test", "stress")
+    for command in commands:
         summaries = []
         for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
             out = tmp_path / command / tag
@@ -178,6 +180,21 @@ def test_sweep_counters_repeat_across_reruns_and_threads(tmp_path):
     assert sorted(pattern) == ["candidate_tuples", "witnesses"]
     assert all(isinstance(v, int) for v in pattern.values())
     assert 0 < pattern["witnesses"] <= pattern["candidate_tuples"]
+    # cubes per level of the 20 trees: one root each, n = 5
+    for command in ("sample", "dimension"):
+        cubes = counters[command]["cubes"]
+        assert len(cubes) == 6 and cubes[0] == 20
+        assert all(isinstance(v, int) and v > 0 for v in cubes)
+    assert counters["sample"] == counters["dimension"]
+    # the replicates hitting the set at each p, and those present after the
+    # removals, are the frequencies' numerators
+    for command, key in (("perc-dim-test", "hits"), ("stress", "detected")):
+        _, rows = read_csv(str(tmp_path / command / "a" / "results.csv"))
+        hits = [round(float(row["frequency"]) * 20) for row in rows]
+        assert counters[command][key] == (hits if command == "perc-dim-test" else hits[0])
+    stress = counters["stress"]
+    assert sorted(stress) == sorted(SWEEP_COUNTERS)
+    assert stress["tuples_checked"] <= stress["candidate_tuples"]
 
 
 def test_aggregate_identity_and_pooling(tmp_path):

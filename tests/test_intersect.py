@@ -17,7 +17,6 @@ import fracperc.intersect as intersect
 from fracperc.intersect import (
     _expand_factor,
     _grown_batch,
-    _grown_forest,
     _poly_keep,
     _product_idx,
     _prune_state,
@@ -603,13 +602,12 @@ def test_forest_over_budget_is_grown_in_halves():
     seeds = np.arange(10, 16, dtype=np.uint64)
     whole = fp.sample_forest(law, "surviving", seeds, 4)
     largest = max(np.bincount(tree).max() for tree, _ in whole)
-    with pytest.raises(BudgetError):
-        fp.sample_forest(law, "surviving", seeds, 4, max_cubes=largest)
-    halves = _grown_forest(law, "surviving", seeds, 4, max_cubes=largest)
+    # a forest over max_cubes whose every tree fits grows in groups
+    halves = fp.sample_forest(law, "surviving", seeds, 4, max_cubes=largest)
     for (ta, ia), (tb, ib) in zip(whole, halves):
         assert np.array_equal(ta, tb) and np.array_equal(ia, ib)
     with pytest.raises(BudgetError):
-        _grown_forest(law, "surviving", seeds, 4, max_cubes=largest - 1)
+        fp.sample_forest(law, "surviving", seeds, 4, max_cubes=largest - 1)
 
 
 def test_second_moment_is_one_batch():

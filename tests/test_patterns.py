@@ -855,3 +855,75 @@ def test_box_count_slope_matches_row_unique():
                 for j in range(2, 8)]
         assert counts == want
         assert slope == float(np.polyfit(range(2, 8), np.log2(want), 1)[0])
+
+
+@pytest.mark.parametrize("family", ["homothetic", "translate"])
+def test_plane_fit_of_no_rows_is_empty(family):
+    from fracperc.patterns import _plane_fit_rows
+
+    desc = fp.ConfigDescriptor(family, 2, {"sites": [[0, 0], [1, 0], [0, 1]]})
+    ok, params = _plane_fit_rows(desc, np.zeros((0, 3, 2)), 0.1)
+    assert ok.shape == (0,) and ok.dtype == bool
+    assert params.shape == (0, 3 if family == "homothetic" else 2)
+
+
+def test_full_dimensional_plane_needs_no_prune():
+    # Two sites on the line: the homothetic plane fills R^2 and meets every
+    # product cube; three sites span a plane of R^3 that prunes.
+    from fracperc.patterns import _detection_keep
+
+    pair = desc_homothetic(sites=((0,), (1,)))
+    assert _detection_keep(pair, pair._detection_target, 0.01) is None
+    triple = desc_homothetic()
+    assert _detection_keep(triple, triple._detection_target, 0.01) is not None
+
+
+def test_percolation_dimension_hits_match_unrestricted_trees():
+    # Percolation restricted to the set's ancestors hits the set exactly
+    # when the unrestricted tree of the same seed holds one of its cubes.
+    n, d, replicates, base = 5, 2, 40, 3
+    k = np.arange(2**n)
+    segment = np.stack([k, (k * 7) % 2**n], axis=1)
+    target = {tuple(c) for c in segment.tolist()}
+    p_grid = [0.35, 0.5, 0.7]
+    res = fp.percolation_dimension_test(segment, n, d, p_grid, replicates, base_seed=base)
+    for pi, p in enumerate(p_grid):
+        law = fp.GaltonWatsonLaw.create(d, p)
+        want = 0
+        for r in range(replicates):
+            seed = int(fp.rng.derive(fp.rng.root_key(base), (pi + 1) * 1_000_003 + r))
+            cubes = fp.sample_tree(law, "extinction", seed, n).levels[n]
+            want += any(tuple(c) in target for c in cubes.tolist())
+        assert res.hits[pi] == want, p
+        assert res.curve[pi].frequency == want / replicates
+    assert 0 < res.hits[0] < res.hits[-1]
+
+
+@pytest.mark.parametrize("desc, p, variant", [
+    (desc_homothetic(), 0.8, "surviving"),
+    (fp.ConfigDescriptor("distance", 2, {"lam": 0.3}), 0.4, "extinction"),
+], ids=["homothetic", "distance"])
+def test_random_stress_matches_one_tree_detection(desc, p, variant):
+    # The batched presence check after random removals equals
+    # detect_configuration on each replicate's remaining cubes.
+    n, fraction, replicates, base = 5, 0.3, 12, 4
+    law = fp.GaltonWatsonLaw.create(desc.d, p)
+    row = fp.subset_stress_test(
+        fp.sample_tree(law, variant, 0, 0), desc, fraction, "random", n,
+        replicates, base_seed=base,
+    )
+    present = checked = unconverged = 0
+    for r in range(replicates):
+        seed = int(fp.rng.derive(fp.rng.root_key(base), r + 1))
+        cubes = fp.sample_tree(law, variant, seed, n).levels[n]
+        removals = math.ceil(fraction * cubes.shape[0])
+        keep = np.random.default_rng(seed).permutation(cubes.shape[0])[removals:]
+        res = fp.detect_configuration(cubes[np.sort(keep)], desc, n)
+        present += res.present
+        checked += res.tuples_checked
+        unconverged += res.newton_unconverged
+    assert 0 < present < replicates
+    assert row.frequency == present / replicates
+    assert row.counters["detected"] == present
+    assert row.counters["tuples_checked"] == checked
+    assert row.counters["newton_unconverged"] == unconverged

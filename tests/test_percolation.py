@@ -221,3 +221,60 @@ def test_budget_and_config_errors():
 def test_root_key_distinct():
     ks = {int(root_key(s)) for s in range(1000)}
     assert len(ks) == 1000
+
+
+def test_forest_groups_match_one_group(monkeypatch):
+    # With the group bound small, a forest grows in many groups; its levels
+    # and keys equal, bit for bit, those of the same forest grown as one
+    # group, and each tree's keys those of sample_tree.  So does a forest
+    # whose levels are filtered.
+    from fracperc import percolation
+
+    seeds = [3, 11, 42, 7, 19, 23, 5, 8]
+
+    def grown(law, variant, keep=None):
+        groups = list(percolation.forest_groups(law, variant, seeds, 4, keep=keep))
+        return len(groups), [
+            [np.concatenate(a) for a in zip(*lev)] for lev in zip(*groups)
+        ]
+
+    def upper_half(lev, idx):
+        return idx[:, 0] >= (1 << lev) // 2
+
+    for variant in ("extinction", "surviving", "coupled"):
+        for d in (1, 2, 3):
+            law = fp.GaltonWatsonLaw.create(d, 0.7)
+            for keep in (None, upper_half):
+                monkeypatch.setattr(percolation, "FOREST_CUBES", 1 << 40)
+                one, whole = grown(law, variant, keep)
+                monkeypatch.setattr(percolation, "FOREST_CUBES", 8)
+                many, parts = grown(law, variant, keep)
+                assert one == 1 and many > 1, (variant, d)
+                for a, b in zip(whole, parts):
+                    for x, y in zip(a, b):
+                        assert x.dtype == y.dtype and np.array_equal(x, y), (variant, d)
+                if keep is not None:
+                    continue
+                for i, seed in enumerate(seeds):
+                    tree = fp.sample_tree(law, variant, seed, 4)
+                    for n, (rep, idx, keys) in enumerate(parts):
+                        assert np.array_equal(tree.levels[n], idx[rep == i])
+                        assert np.array_equal(tree._keys[n], keys[rep == i])
+
+
+def test_forest_order_matches_lexsort():
+    # Rows sort by (tree, index) whether their keys fit in 63 bits, packed
+    # into one argsort, or not (indices of 2^40 in d = 2), by a lexsort.
+    from fracperc.percolation import _forest_order
+
+    rng = np.random.default_rng(5)
+    for high in (1 << 6, 1 << 40):
+        tree = np.sort(rng.integers(0, 50, size=3000))
+        idx = rng.integers(0, high, size=(3000, 2))
+        idx[1::2] = idx[::2]  # ties in the leading coordinate
+        idx[1::2, 1] += 1
+        rows = np.unique(np.column_stack([tree, idx]), axis=0)
+        rows = rows[rng.permutation(rows.shape[0])]
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        order = _forest_order(rows[:, 0], rows[:, 1:])
+        assert np.array_equal(order, np.lexsort(rows.T[::-1]))
