@@ -3,9 +3,9 @@
 Reports the throughput of expanding a surviving forest of `reps` trees
 (d=2, p=0.7, to level 9) plus the time to grow up to 200 extinction-variant
 trees one at a time.  The forest grows in groups of consecutive trees
-(forest_groups), so only a tree that alone exceeds the 20 M cube budget would
-stop it with BudgetError; the default of 500 trees holds about 5.3 M cubes at
-level 9.
+(forest_groups) and its level-9 cubes are counted group by group, so only
+one group is held at a time; the default of 500 trees holds about 5.3 M
+cubes at level 9.
 
 Next, grouped growth against one tree at a time, in seconds (the least of
 three rounds): 400 surviving d=2 trees (p=0.8) to level 8, the trees of
@@ -37,6 +37,12 @@ least of three rounds): `pattern_witnesses` of the 3-term progression
 pattern on the level-8 cubes of the first 50 replicates of
 `pattern-dim --preset paper --seed 1` (d=1, p=0.8, surviving trees).
 
+Last, it times greedy removal, in cubes removed per second (the least of
+three rounds): `_greedy_removal` of a fifth of the level-8 cubes of each of
+the first 40 replicates of `stress --preset paper --seed 1 p=0.9
+strategy=greedy` (3-term progressions on the line, surviving trees).  No
+perfbench workload runs greedy removal.
+
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
 
@@ -62,6 +68,7 @@ from fracperc.patterns import (
     _detection_keep,
     _fit_rows,
     _forest_ancestors,
+    _greedy_removal,
     configuration_plane,
     pattern_witnesses,
 )
@@ -182,15 +189,35 @@ def witness_enumeration(rounds=3):
     return rows, min(secs)
 
 
+def greedy_removal(rounds=3):
+    """(cubes removed, seconds) of the greedy removals of the stress inputs;
+    least of `rounds`."""
+    desc, law, n = PROGRESSION[0], GaltonWatsonLaw.create(1, 0.9), 8
+    sets = [sample_tree(law, "surviving", _rep_seed(1, r), n).levels[n] for r in range(40)]
+    secs = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        removed = sum(
+            cubes.shape[0] - _greedy_removal(
+                cubes, desc, n, math.ceil(0.2 * cubes.shape[0]), None,
+                DEFAULT_CUBE_BUDGET, 200_000,
+            ).shape[0]
+            for cubes in sets
+        )
+        secs.append(time.perf_counter() - t0)
+    return removed, min(secs)
+
+
 def main():
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     d, p, n = 2, 0.7, 9
     law = GaltonWatsonLaw.create(d, p)
 
     t0 = time.perf_counter()
-    forest = sample_forest(law, "surviving", list(range(reps)), n)
+    cubes = 0
+    for levels in forest_groups(law, "surviving", list(range(reps)), n):
+        cubes += levels[n][0].shape[0]
     forest_s = time.perf_counter() - t0
-    cubes = int(forest[n][1].shape[0])
 
     t0 = time.perf_counter()
     for seed in range(min(reps, 200)):
@@ -221,6 +248,11 @@ def main():
     print(f"{'enumerate':>10}{'rows':>12}{'s':>10}{'rows/s':>14}")
     rows, secs = witness_enumeration()
     print(f"{'witnesses':>10}{rows:>12}{secs:>10.3f}{rows / secs:>14.0f}")
+
+    print()
+    print(f"{'greedy':>10}{'removed':>12}{'s':>10}{'removed/s':>14}")
+    removed, secs = greedy_removal()
+    print(f"{'stress':>10}{removed:>12}{secs:>10.3f}{removed / secs:>14.0f}")
 
 
 if __name__ == "__main__":

@@ -602,9 +602,12 @@ def plane_to_text(plane):
 def plane_from_text(text):
     head, *rows = text.split(";")
     toks = head.split()
-    k = int(toks[0])
-    offset = np.array([float(t) for t in toks[1:]])
-    basis = np.array([[float(t) for t in row.split()] for row in rows if row.strip()])
+    try:
+        k = int(toks[0])
+        offset = np.array([float(t) for t in toks[1:]])
+        basis = np.array([[float(t) for t in row.split()] for row in rows if row.strip()])
+    except (IndexError, ValueError):
+        raise ConfigError(f"malformed plane text {text!r}")
     if len(basis) != k:
         raise ConfigError("basis row count does not match declared dimension")
     return AffinePlane(basis=basis, offset=offset)

@@ -20,6 +20,7 @@ from .percolation import (
 )
 from .intersect import (
     ProductMeasureSpec,
+    _product_cubes,
     holder_modulus,
     replicate_masses,
     second_moment_estimate,
@@ -29,7 +30,7 @@ from .patterns import (
     configuration_plane,
     configuration_polynomial,
     count_slope,
-    harris_check,
+    _harris_checks,
     parameter_dimensions,
     percolation_dimension_test,
     presence_profiles,
@@ -144,12 +145,18 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"{key} must be comma-separated numbers")
 
+    def sites(self):
+        """The sites as an (m, d) array."""
+        vals, d = self.floats("sites"), self.i("d")
+        if d < 1 or len(vals) % d:
+            raise ConfigError(f"sites must hold a multiple of d = {d} numbers")
+        return np.array(vals).reshape(-1, d)
+
     @property
     def tolerance(self):
-        c = self.raw["tolerance_c"]
-        if not c:
+        if not self.raw["tolerance_c"]:
             return None
-        return float(c) * math.sqrt(self.i("d")) * 2.0 ** -self.i("n")
+        return self.f("tolerance_c") * math.sqrt(self.i("d")) * 2.0 ** -self.i("n")
 
     def law(self, p=None):
         return GaltonWatsonLaw.create(self.i("d"), self.f("p") if p is None else p)
@@ -158,8 +165,7 @@ class ExperimentConfig:
         fam = self.s("family")
         d = self.i("d")
         if fam in ("homothetic", "translate", "isometric", "polygon"):
-            vals = self.floats("sites")
-            params = {"sites": np.array(vals).reshape(-1, d)}
+            params = {"sites": self.sites()}
         elif fam == "distance":
             params = {"lam": self.f("lam")}
         elif fam == "angle":
@@ -327,7 +333,11 @@ def _run_intersect(cfg, out_dir):
         [("mean Y", list(range(n + 1)), mean_y)],
         title="intersection mass vs level", xlabel="level", ylabel="Y",
     )
-    return {"mean_Y": mean_y, "final_mean_Y": mean_y[-1]}
+    return {
+        "mean_Y": mean_y,
+        "final_mean_Y": mean_y[-1],
+        "counters": {"product_cubes": _product_cubes(s for _, s in results)},
+    }
 
 
 def _run_holder(cfg, out_dir):
@@ -357,6 +367,7 @@ def _run_holder(cfg, out_dir):
     return {
         "sup_ratio": {repr(g): table["sup_ratio"][g] for g in gammas},
         "growth": {repr(g): table["growth"][g] for g in gammas},
+        "counters": {"product_cubes": _product_cubes(table["series"].values())},
     }
 
 
@@ -378,6 +389,7 @@ def _run_second_moment(cfg, out_dir):
         "ratio": rep.ratio,
         "pz_lower_bound": rep.pz_lower_bound,
         "positive_frequency": rep.positive_frequency,
+        "counters": {"product_cubes": rep.product_cubes},
     }
 
 
@@ -401,11 +413,10 @@ def _run_dimension(cfg, out_dir):
 
 def _run_pattern_dim(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
-    d = cfg.i("d")
     law = cfg.law()
-    sites = np.array(cfg.floats("sites")).reshape(-1, d)
+    sites = cfg.sites()
     j_lo = cfg.i("j_lo")
-    j_hi = int(cfg.raw["j_hi"]) if cfg.raw["j_hi"] else n - 1
+    j_hi = cfg.i("j_hi") if cfg.raw["j_hi"] else n - 1
 
     seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
     tree, cubes = sample_forest(law, cfg.s("variant"), seeds, n)[n]
@@ -489,12 +500,11 @@ def _harris_battery(d, n):
 def _run_harris(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
-    rows = []
-    for name, e1, e2 in _harris_battery(law.d, n):
-        res = harris_check(
-            e1, e2, law, n, reps, base_seed=cfg.i("seed"), variant="extinction"
-        )
-        rows.append((name, res))
+    battery = _harris_battery(law.d, n)
+    results = _harris_checks(
+        [(e1, e2) for _, e1, e2 in battery], law, n, reps, cfg.i("seed"), "extinction"
+    )
+    rows = [(name, res) for (name, _, _), res in zip(battery, results)]
     with fio.CsvWriter(
         os.path.join(out_dir, "results.csv"),
         ("pair", "p1", "p2", "p12", "bound", "margin", "sigma", "violated"),
@@ -503,8 +513,10 @@ def _run_harris(cfg, out_dir):
             csv.row(name, res.p1, res.p2, res.p12, res.bound, res.margin,
                     res.sigma, int(res.violated))
     return {
-        name: {"margin": res.margin, "violated": res.violated}
-        for name, res in rows
+        **{name: {"margin": res.margin, "violated": res.violated} for name, res in rows},
+        "counters": {
+            name: dict(zip(("event1", "event2", "both"), res.counts)) for name, res in rows
+        },
     }
 
 

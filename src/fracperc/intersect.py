@@ -3,7 +3,7 @@ dependency graphs, second-moment estimates and empirical Hölder moduli.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -640,6 +640,13 @@ class SecondMomentReport:
     ratio: float            # E[Y^2] / E[Y]^2
     pz_lower_bound: float   # E[Y]^2 / E[Y^2] <= P(Y > 0)
     positive_frequency: float
+    # product cubes retained at each level, summed over the replicates
+    product_cubes: list = field(default_factory=list)
+
+
+def _product_cubes(series):
+    """The product cubes retained at each level, summed over MassSeries."""
+    return np.sum([s.counts for s in series], axis=0, dtype=np.int64).tolist()
 
 
 def second_moment_estimate(
@@ -666,6 +673,7 @@ def second_moment_estimate(
         ratio=ratio,
         pz_lower_bound=pz,
         positive_frequency=float((ys > 0).mean()),
+        product_cubes=_product_cubes(series),
     )
 
 

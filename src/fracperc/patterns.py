@@ -1029,20 +1029,30 @@ def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
     """The level-n cubes (N, d) left after `removals` greedy steps, each
     removing the cube that appears in the most of the first max_witnesses
     witnesses of the cubes left (on a tie, the one seen first in witness
-    order); the steps stop early once no witness is left."""
-    remaining = cubes
+    order); the steps stop early once no witness is left.
+
+    The witnesses are enumerated once.  Removing a cube drops the rows of
+    the ancestor levels that hold it without reordering the rest, and the
+    slab prune, the distinct-cube test and the fit each judge one tuple
+    alone, so the witnesses of the cubes left are the rows of the first
+    enumeration that hold no removed cube, in the same check order: a
+    removal marks those rows dead."""
+    (_, wit, _), _ = _detect_forest(
+        0, cubes, 1, desc, n, tolerance, budget, enumerate_all=True
+    )
+    shape = (1 << n,) * desc.d
+    key = np.ravel_multi_index(wit.reshape(-1, desc.d).T, shape).reshape(wit.shape[:2])
+    live = np.ones(key.shape[0], dtype=bool)
+    removed = []
     for _ in range(removals):
-        (_, wit, _), _ = _detect_forest(
-            0, remaining, 1, desc, n, tolerance, budget, enumerate_all=True
-        )
-        if wit.shape[0] == 0:
+        seen = key[np.flatnonzero(live)[:max_witnesses]].ravel()
+        if seen.shape[0] == 0:
             break
-        seen = wit[:max_witnesses].reshape(-1, desc.d)
-        key = np.ravel_multi_index(seen.T, (1 << n,) * desc.d)
-        _, first, tally = np.unique(key, return_index=True, return_counts=True)
+        _, first, tally = np.unique(seen, return_index=True, return_counts=True)
         worst = seen[first[tally == tally.max()].min()]
-        remaining = remaining[np.any(remaining != worst, axis=1)]
-    return remaining
+        removed.append(worst)
+        live &= np.all(key != worst, axis=1)
+    return cubes[~np.isin(np.ravel_multi_index(cubes.T, shape), removed)]
 
 
 def subset_stress_test(
@@ -1096,6 +1106,7 @@ class HarrisResult:
     margin: float         # p12 - bound
     sigma: float
     violated: bool
+    counts: tuple = ()    # replicates with event 1, event 2 and both
 
 
 def _monotone_probe(event, d, n, rng, trials=100):
@@ -1122,35 +1133,46 @@ def harris_check(event1, event2, law, n, replicates, base_seed=0, variant="extin
     Events are callables (level_n_cubes, n) -> bool, verified monotone on
     random nested pairs first.  Flags a violation only beyond 4 joint sigma.
     """
-    rng = np.random.default_rng(base_seed ^ 0x5DEECE66D)
-    for ev, name in ((event1, "event1"), (event2, "event2")):
-        if not _monotone_probe(ev, law.d, n, rng):
-            raise ConfigError(f"{name} is not monotone on sampled nested pairs")
+    (res,) = _harris_checks([(event1, event2)], law, n, replicates, base_seed, variant)
+    return res
+
+
+def _harris_checks(pairs, law, n, replicates, base_seed, variant):
+    """harris_check of each (event1, event2) of `pairs` on the same
+    replicates, grown once.  Each pair's events are probed with a fresh rng,
+    as one harris_check call would probe them."""
+    for event1, event2 in pairs:
+        rng = np.random.default_rng(base_seed ^ 0x5DEECE66D)
+        for ev, name in ((event1, "event1"), (event2, "event2")):
+            if not _monotone_probe(ev, law.d, n, rng):
+                raise ConfigError(f"{name} is not monotone on sampled nested pairs")
     seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
-    c1 = c2 = c12 = 0
+    counts = np.zeros((len(pairs), 3), dtype=np.int64)
     for levels in forest_groups(law, variant, seeds, n):
         roots = levels[0][0]
         tree, cubes, _ = levels[n]
         for level_n in _split_by_tree(tree - roots[0], cubes, roots.shape[0]):
-            e1 = bool(event1(level_n, n))
-            e2 = bool(event2(level_n, n))
-            c1 += e1
-            c2 += e2
-            c12 += e1 and e2
-    p1, p2, p12 = c1 / replicates, c2 / replicates, c12 / replicates
+            for k, (event1, event2) in enumerate(pairs):
+                e1 = bool(event1(level_n, n))
+                e2 = bool(event2(level_n, n))
+                counts[k] += (e1, e2, e1 and e2)
     q = law.q if variant == "extinction" else 0.0
-    bound = (1 - q) * p1 * p2
-    var = (
-        p12 * (1 - p12)
-        + ((1 - q) * p2) ** 2 * p1 * (1 - p1)
-        + ((1 - q) * p1) ** 2 * p2 * (1 - p2)
-    ) / replicates
-    sigma = math.sqrt(var)
-    margin = p12 - bound
-    return HarrisResult(
-        p1=p1, p2=p2, p12=p12, bound=bound, margin=margin, sigma=sigma,
-        violated=bool(margin < -4 * sigma),
-    )
+    out = []
+    for c in counts.tolist():
+        p1, p2, p12 = (x / replicates for x in c)
+        bound = (1 - q) * p1 * p2
+        var = (
+            p12 * (1 - p12)
+            + ((1 - q) * p2) ** 2 * p1 * (1 - p1)
+            + ((1 - q) * p1) ** 2 * p2 * (1 - p2)
+        ) / replicates
+        sigma = math.sqrt(var)
+        margin = p12 - bound
+        out.append(HarrisResult(
+            p1=p1, p2=p2, p12=p12, bound=bound, margin=margin, sigma=sigma,
+            violated=bool(margin < -4 * sigma), counts=tuple(c),
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -149,16 +149,17 @@ def polynomial_from_text(text):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            toks = line.split()
-            ambient = int(toks[2])
-            q = int(toks[4])
-            comps = {i: {} for i in range(q)}
-            continue
         toks = line.split()
-        ci = int(toks[0])
-        coeff = float(toks[-1])
-        alpha = tuple(int(t) for t in toks[1:-1])
+        try:
+            if line.startswith("#"):
+                ambient = int(toks[2])
+                comps = {i: {} for i in range(int(toks[4]))}
+                continue
+            ci = int(toks[0])
+            coeff = float(toks[-1])
+            alpha = tuple(int(t) for t in toks[1:-1])
+        except (IndexError, ValueError):
+            raise ConfigError(f"malformed polynomial line {line!r}")
         if ambient is None:
             ambient = len(alpha)
         comps.setdefault(ci, {})[alpha] = coeff

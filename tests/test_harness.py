@@ -121,6 +121,19 @@ def test_cli_exit_codes(tmp_path):
         ]
     )
     assert budget == 3
+    # malformed values are config errors, not tracebacks
+    malformed = [
+        ["pattern-dim", "j_hi=abc"],
+        ["sweep", "tolerance_c=abc"],
+        ["sweep", "d=2", "sites=0,1,2"],
+        ["stress", "d=2", "sites=0,1,2"],
+        ["pattern-dim", "d=2", "sites=0,1,2"],
+        ["intersect", "target_kind=plane", "target_spec=1_x;1"],
+        ["intersect", "target_kind=poly", "target_spec=0 1 1 x"],
+    ]
+    for k, (command, *overrides) in enumerate(malformed):
+        argv = [command, "--preset", "smoke", "--out", str(tmp_path / f"m{k}")]
+        assert main(argv + overrides) == 2, (command, overrides)
 
 
 def test_cli_threads_flag_reproducible(tmp_path):
@@ -148,11 +161,15 @@ def test_cli_threads_flag_reproducible(tmp_path):
 
 def test_sweep_counters_repeat_across_reruns_and_threads(tmp_path):
     # summary.json carries the counters of sweep and perc-dim-test (per p),
-    # sample and dimension (per level) and pattern-dim and stress (summed
-    # over replicates) apart from the results and the timing; they repeat
-    # exactly across reruns and --threads.
+    # sample, dimension, intersect, second-moment and holder (per level),
+    # pattern-dim and stress (summed over replicates) and harris (per pair)
+    # apart from the results and the timing; they repeat exactly across
+    # reruns and --threads.
     counters = {}
-    commands = ("sweep", "pattern-dim", "sample", "dimension", "perc-dim-test", "stress")
+    commands = (
+        "sweep", "pattern-dim", "sample", "dimension", "perc-dim-test", "stress",
+        "intersect", "second-moment", "holder", "harris",
+    )
     for command in commands:
         summaries = []
         for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
@@ -195,6 +212,22 @@ def test_sweep_counters_repeat_across_reruns_and_threads(tmp_path):
     stress = counters["stress"]
     assert sorted(stress) == sorted(SWEEP_COUNTERS)
     assert stress["tuples_checked"] <= stress["candidate_tuples"]
+    # product cubes retained per level, summed over replicates (or targets)
+    for command in ("intersect", "second-moment", "holder"):
+        cubes = counters[command]["product_cubes"]
+        assert sorted(counters[command]) == ["product_cubes"]
+        assert len(cubes) == 6 and all(isinstance(v, int) and v >= 0 for v in cubes)
+        assert cubes[0] > 0
+    # the replicates with each event, and with both, are the CSV's
+    # probabilities' numerators
+    _, rows = read_csv(str(tmp_path / "harris" / "a" / "results.csv"))
+    assert sorted(counters["harris"]) == sorted(row["pair"] for row in rows)
+    for row in rows:
+        pair = counters["harris"][row["pair"]]
+        assert sorted(pair) == ["both", "event1", "event2"]
+        for key, column in (("event1", "p1"), ("event2", "p2"), ("both", "p12")):
+            assert isinstance(pair[key], int)
+            assert pair[key] / 20 == float(row[column])
 
 
 def test_aggregate_identity_and_pooling(tmp_path):

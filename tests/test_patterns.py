@@ -557,6 +557,36 @@ def test_greedy_removal_matches_dict_tally():
         assert np.array_equal(_greedy_removal(cubes, desc, n, removals, *args), remaining)
     assert tied > 0
 
+
+def test_greedy_removal_matches_dict_tally_in_the_plane():
+    # Removals that mask the rows of one witness enumeration remove the same
+    # cubes, in the same order, as re-detecting after every removal, for
+    # polynomial families and a plane family in d = 2.
+    from fracperc.patterns import DEFAULT_CUBE_BUDGET, _greedy_removal
+
+    cases = (
+        (fp.ConfigDescriptor(family="distance", d=2, params={"lam": 0.5}), 0.7, 4, (1, 2, 3, 4)),
+        (fp.ConfigDescriptor(family="angle", d=2, params={"lam": 0.5}), 0.7, 3, (1, 2)),
+        (desc_homothetic(2, ((0, 0), (1, 0), (0, 1))), 0.8, 3, (1, 2, 3, 4)),
+    )
+    args = (None, DEFAULT_CUBE_BUDGET, 200_000)
+    tied = 0
+    for desc, p, n, seeds in cases:
+        law = fp.GaltonWatsonLaw.create(2, p)
+        for seed in seeds:
+            cubes = fp.sample_tree(law, "surviving", seed, n).levels[n]
+            removals = math.ceil(0.3 * cubes.shape[0])
+            removed, ties = _dict_tally_removals(cubes, desc, n, removals, 200_000)
+            tied += sum(ties)
+            assert removed, (desc.family, seed)
+            # the first step, half of the steps, and all of them in one call
+            # (stopping early if no witness is left)
+            for k in sorted({1, len(removed) // 2, removals}):
+                want = cubes[[tuple(c) not in removed[:k] for c in cubes.tolist()]]
+                got = _greedy_removal(cubes, desc, n, k, *args)
+                assert np.array_equal(got, want), (desc.family, seed, k)
+    assert tied > 0
+
 def _serial_plane_fit(desc, flat, tolerance, min_diameter):
     # Reference: one (m, d) least-squares fit per candidate.
     sites = desc.params["sites"]
