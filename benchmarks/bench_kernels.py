@@ -37,11 +37,18 @@ least of three rounds): `pattern_witnesses` of the 3-term progression
 pattern on the level-8 cubes of the first 50 replicates of
 `pattern-dim --preset paper --seed 1` (d=1, p=0.8, surviving trees).
 
-Last, it times greedy removal, in cubes removed per second (the least of
+Then it times greedy removal, in cubes removed per second (the least of
 three rounds): `_greedy_removal` of a fifth of the level-8 cubes of each of
 the first 40 replicates of `stress --preset paper --seed 1 p=0.9
 strategy=greedy` (3-term progressions on the line, surviving trees).  No
 perfbench workload runs greedy removal.
+
+Last, it times the coarea kernel, in product cubes measured per second (the
+least of three rounds): `variety_level_measure` of the variety |x - y| = 0.5
+on the level-3 product cubes of `intersect --seed 1000` in the mass-variety
+benchmark's configuration (d=2, m=2, p=0.7, extinction trees, 16
+replicates, 4096 QMC points a cube), one call per traversal group, as the
+command makes them.  Each call measures its distinct cubes once.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
@@ -58,6 +65,7 @@ from fracperc.intersect import (
     ProductMeasureSpec,
     _Batch,
     _grown_batch,
+    _product_idx,
     _target_keep,
     _traverse,
 )
@@ -70,6 +78,7 @@ from fracperc.patterns import (
     _forest_ancestors,
     _greedy_removal,
     configuration_plane,
+    configuration_polynomial,
     pattern_witnesses,
 )
 from fracperc.percolation import (
@@ -79,6 +88,7 @@ from fracperc.percolation import (
     sample_forest,
     sample_tree,
 )
+from fracperc.polynomials import variety_level_measure
 from fracperc.rng import derive, root_key
 
 
@@ -208,6 +218,32 @@ def greedy_removal(rounds=3):
     return removed, min(secs)
 
 
+def coarea_measure(rounds=3):
+    """(product cubes, distinct cubes, seconds) of measuring the level-3
+    product cubes of the mass-variety inputs; least of `rounds`."""
+    desc, n = ConfigDescriptor("distance", 2, {"lam": 0.5}), 3
+    target = configuration_polynomial(desc)
+    keys = root_key(np.array([_rep_seed(1000, r) for r in range(16)], dtype=np.uint64))
+    seeds = np.stack([derive(keys, j + 1) for j in range(desc.m)], axis=1)
+    root = sample_tree(GaltonWatsonLaw.create(2, 0.7), "extinction", 0, 0)
+    spec = ProductMeasureSpec(mode="independent", trees=[root] * desc.m, m=desc.m)
+    batch = _grown_batch(spec, keys, seeds, n)
+    calls = [
+        _product_idx(state, [batch.factor[n][1]] * desc.m)
+        for lev, state, _ in _traverse(batch, _target_keep(target), n, DEFAULT_CUBE_BUDGET)
+        if lev == n and state.shape[0]
+    ]
+    secs = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for idx in calls:
+            variety_level_measure(target, idx, n, 4096)
+        secs.append(time.perf_counter() - t0)
+    rows = sum(idx.shape[0] for idx in calls)
+    distinct = sum(np.unique(idx, axis=0).shape[0] for idx in calls)
+    return rows, distinct, min(secs)
+
+
 def main():
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     d, p, n = 2, 0.7, 9
@@ -253,6 +289,11 @@ def main():
     print(f"{'greedy':>10}{'removed':>12}{'s':>10}{'removed/s':>14}")
     removed, secs = greedy_removal()
     print(f"{'stress':>10}{removed:>12}{secs:>10.3f}{removed / secs:>14.0f}")
+
+    print()
+    print(f"{'measure':>10}{'cubes':>12}{'distinct':>10}{'s':>10}{'cubes/s':>14}")
+    rows, distinct, secs = coarea_measure()
+    print(f"{'coarea':>10}{rows:>12}{distinct:>10}{secs:>10.3f}{rows / secs:>14.0f}")
 
 
 if __name__ == "__main__":

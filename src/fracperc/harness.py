@@ -217,7 +217,7 @@ def _product_spec(cfg, seed, n, m=None):
         return ProductMeasureSpec(
             mode="weighted", trees=trees, m=m, aux_tree=aux
         )
-    return ProductMeasureSpec(mode="independent", trees=trees, m=m)
+    return ProductMeasureSpec(mode=mode, trees=trees, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +559,8 @@ _RUNNERS = {
 
 def run(cfg, out_dir):
     """Execute one configured experiment; returns the JSON summary dict."""
+    if cfg.i("n") < 0 or cfg.i("replicates") < 1:
+        raise ConfigError("n must be >= 0 and replicates >= 1")
     fio.ensure_dir(out_dir)
     t0 = time.monotonic()
     summary = {

@@ -910,12 +910,21 @@ class DimensionEstimate:
     candidate_tuples: int = 0
 
 
+def _fit_levels(j_lo, j_hi):
+    """The levels j_lo..j_hi of a slope fit: at least 3, from level 0 on."""
+    if j_lo < 0 or j_hi - j_lo < 2:
+        raise ConfigError(
+            f"a slope fit needs at least 3 levels from 0 on, got {j_lo}..{j_hi}"
+        )
+    return list(range(j_lo, j_hi + 1))
+
+
 def box_count_slope(points, j_lo, j_hi):
     """Least-squares slope of log2(number of occupied 2^-j boxes) vs j."""
+    js = _fit_levels(j_lo, j_hi)
     pts = np.asarray(points, dtype=float)
     pts = pts.reshape(pts.shape[0], -1)
     counts = []
-    js = list(range(j_lo, j_hi + 1))
     for j in js:
         cells = _unique_rows(np.floor(pts * (1 << j)).astype(np.int64))
         counts.append(cells.shape[0])
@@ -943,6 +952,7 @@ def parameter_dimensions(
         sites = sites[:, None]
     if j_hi is None:
         j_hi = n - 1
+    _fit_levels(j_lo, j_hi)
     desc = ConfigDescriptor(family="homothetic", d=law.d, params={"sites": sites})
     (owner, _, wit), counts = _detect_forest(
         tree, cubes, replicates, desc, n, tolerance, budget, enumerate_all=True
@@ -1185,9 +1195,7 @@ def box_dimension_estimate(tree, n_lo, n_hi):
 
 def count_slope(counts, n_lo, n_hi):
     """box_dimension_estimate of a tree whose level j holds counts[j] cubes."""
-    if n_hi - n_lo < 2:
-        raise ConfigError("need at least 3 levels")
-    js = list(range(n_lo, n_hi + 1))
+    js = _fit_levels(n_lo, n_hi)
     counts = [counts[j] for j in js]
     if any(c == 0 for c in counts):
         raise ConfigError("empty level in the requested range")

@@ -64,16 +64,18 @@ class PolynomialMap:
         """Evaluate at points x of shape (..., M); returns (..., q)."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (self.codomain,))
+        term = np.empty(x.shape[:-1])
         for ci, c, factors in self._terms:
-            out[..., ci] += _monomial(x, c, factors)
+            out[..., ci] += _monomial(x, c, factors, term)
         return out
 
     def jacobian(self, x):
         """Analytic Jacobian at points x of shape (..., M); returns (..., q, M)."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (self.codomain, self.ambient))
+        term = np.empty(x.shape[:-1])
         for ci, i, c, factors in self._dterms:
-            out[..., ci, i] += _monomial(x, c, factors)
+            out[..., ci, i] += _monomial(x, c, factors, term)
         return out
 
     def interval(self, lo, hi):
@@ -113,12 +115,27 @@ class PolynomialMap:
         return np.all((enc_lo <= 0.0) & (enc_hi >= 0.0), axis=-1)
 
 
-def _monomial(x, c, factors):
-    """c * prod x_i^a over factors, multiplied in factor order; points x have
-    shape (..., M).  A constant term is the scalar c."""
-    term = c
-    for i, a in factors:
-        term = term * (x[..., i] if a == 1 else x[..., i] ** a)
+def _monomial(x, c, factors, term):
+    """c * prod x_i^a over factors at points x of shape (..., M), written into
+    the reused array `term` (shape x.shape[:-1]) and returned: the products of
+    `t = c; t = t * x_i ** a` in factor order (c * v == v * c, and a
+    coefficient of 1 is skipped).  A constant term is the scalar c."""
+    if not factors:
+        return c
+    (i, a), rest = factors[0], factors[1:]
+    if a == 1 and c != 1.0:
+        np.multiply(x[..., i], c, out=term)
+    else:
+        if a == 1:
+            np.copyto(term, x[..., i])
+        elif a == 2:
+            np.square(x[..., i], out=term)  # what x ** 2 computes
+        else:
+            np.power(x[..., i], a, out=term)
+        if c != 1.0:
+            term *= c
+    for i, a in rest:
+        term *= x[..., i] if a == 1 else x[..., i] ** a
     return term
 
 
@@ -192,7 +209,8 @@ class VarietyMeasureResult:
 
 def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
     """Smoothed-coarea estimates, standard errors and smallest sampled J_q
-    (inf where no sample is near the variety) for the level cubes idx."""
+    (inf where no sample is near the variety) for the level cubes idx.  Each
+    distinct cube is measured once and its values are copied to its rows."""
     m = poly.ambient
     q = poly.codomain
     if q >= m:
@@ -203,38 +221,45 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
     side = 2.0 ** -level
     if epsilon is None:
         epsilon = side / DEFAULT_EPSILON_DIVISOR
-    lo = _level_lower(idx, level)
-    pts = _sobol_points(m, n_samples)
-    mean = np.zeros(idx.shape[0])
-    sd = np.zeros(idx.shape[0])
-    min_jac = np.full(idx.shape[0], np.inf)
-    scaled = np.ascontiguousarray((side * pts).T)[:, None, :]
-    for rows in _row_chunks(idx.shape[0], n_samples * m):
-        # (C, N, M) view of coordinate-major storage, so that each coordinate
-        # the polynomial reads is contiguous in memory
-        x = np.moveaxis(lo[rows].T[:, :, None] + scaled, 0, -1)
-        near = np.all(np.abs(poly(x)) < epsilon, axis=-1)
-        contrib = np.zeros(near.shape)
-        if near.any():
-            jfac = _coarea_jacobian_factor(poly.jacobian(x[near]))
-            # x[near] lists each cube's near points together, in row order
-            counts = near.sum(axis=1)
-            met = counts > 0
-            cube_min = np.full(near.shape[0], np.inf)
-            cube_min[met] = np.minimum.reduceat(jfac, (np.cumsum(counts) - counts)[met])
-            min_jac[rows] = cube_min
-            low = cube_min[cube_min < singular_tol]
-            if low.size:
-                raise SingularityError(
-                    f"differential nearly rank-deficient near the variety "
-                    f"(J_q = {low[0]:.3e} < {singular_tol:g})"
-                )
-            contrib[near] = jfac / (2.0 * epsilon) ** q
-        mean[rows] = contrib.mean(axis=1)
+    cubes, inv = np.unique(idx, axis=0, return_inverse=True)
+    lo = _level_lower(cubes, level)
+    scaled = side * _sobol_points(m, n_samples)
+    scaled_t = np.ascontiguousarray(scaled.T)[:, None, :]
+    k = cubes.shape[0]
+    mean = np.zeros(k)
+    sd = np.zeros(k)
+    min_jac = np.full(k, np.inf)
+    chunks = _row_chunks(k, n_samples * m)
+    # coordinate-major (M, C, N) storage, so that each coordinate the
+    # polynomial reads is contiguous in memory
+    buf = np.empty((m, chunks[0].stop if chunks else 0, n_samples))
+    for rows in chunks:
+        xt = np.add(lo[rows].T[:, :, None], scaled_t, out=buf[:, : rows.stop - rows.start])
+        near = np.all(np.abs(poly(np.moveaxis(xt, 0, -1))) < epsilon, axis=-1)
+        # the near points in row order, rebuilt by index as the same sums
+        r, col = np.divmod(np.flatnonzero(near), n_samples)
+        if r.size == 0:
+            continue
+        jfac = _coarea_jacobian_factor(poly.jacobian(lo[rows][r] + scaled[col]))
+        counts = np.bincount(r, minlength=near.shape[0])
+        met = np.flatnonzero(counts)
+        at = rows.start + met
+        min_jac[at] = np.minimum.reduceat(jfac, (np.cumsum(counts) - counts)[met])
+        # rows without a near point have mean and sd exactly 0
+        contrib = np.zeros((met.size, n_samples))
+        contrib[np.repeat(np.arange(met.size), counts[met]), col] = jfac / (2.0 * epsilon) ** q
+        mean[at] = contrib.mean(axis=1)
         if n_samples > 1:
-            sd[rows] = contrib.std(axis=1, ddof=1)
+            sd[at] = contrib.std(axis=1, ddof=1)
+    min_jac = min_jac[inv]
+    low = min_jac[min_jac < singular_tol]
+    if low.size:
+        raise SingularityError(
+            f"differential nearly rank-deficient near the variety "
+            f"(J_q = {low[0]:.3e} < {singular_tol:g})"
+        )
     vol = side ** m
-    return vol * mean, vol * (sd / math.sqrt(n_samples)), min_jac
+    return vol * mean[inv], vol * (sd[inv] / math.sqrt(n_samples)), min_jac
 
 
 def variety_level_measure(

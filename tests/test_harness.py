@@ -130,10 +130,19 @@ def test_cli_exit_codes(tmp_path):
         ["pattern-dim", "d=2", "sites=0,1,2"],
         ["intersect", "target_kind=plane", "target_spec=1_x;1"],
         ["intersect", "target_kind=poly", "target_spec=0 1 1 x"],
+        ["intersect", "mode=bogus"],
+        ["pattern-dim", "j_lo=9"],
     ]
     for k, (command, *overrides) in enumerate(malformed):
         argv = [command, "--preset", "smoke", "--out", str(tmp_path / f"m{k}")]
         assert main(argv + overrides) == 2, (command, overrides)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_replicates_or_negative_depth_is_a_config_error(command, tmp_path):
+    for k, bad in enumerate(["replicates=0", "n=-1"]):
+        argv = [command, "--preset", "smoke", "--out", str(tmp_path / str(k)), bad]
+        assert main(argv) == 2, bad
 
 
 def test_cli_threads_flag_reproducible(tmp_path):

@@ -133,11 +133,14 @@ _KERNEL_CASES = {
 def test_level_kernels_match_one_row_calls(kernel, monkeypatch):
     # A chunk holds 3 QMC cubes (the 16 cubes span six chunks) or 384
     # hyperplane cubes (the 512 span two): every cube's value must equal its
-    # one-row call, whichever chunk it fell in.
+    # one-row call, whichever chunk it fell in.  The coarea kernel measures
+    # each distinct cube once, so its rows also come repeated and reversed.
     n_samples = 256
     monkeypatch.setattr(geometry, "CHUNK_FLOATS", 3 * n_samples * 4)
     target, m, level = _KERNEL_CASES[kernel]
     idx = _all_cubes(level, m)
+    if kernel == "coarea":
+        idx = np.concatenate([idx[::-1], idx[5:9], idx, idx[:1]])
     if isinstance(target, fp.AffinePlane):
         vals, ses = plane_level_measure(target, idx, level, n_samples)
     else:

@@ -887,6 +887,17 @@ def test_box_count_slope_matches_row_unique():
         assert slope == float(np.polyfit(range(2, 8), np.log2(want), 1)[0])
 
 
+def test_slope_fits_need_three_levels_from_zero():
+    from fracperc.patterns import box_count_slope, count_slope
+
+    pts = np.random.default_rng(5).uniform(0, 1, size=(100, 2))
+    for lo, hi in ((9, 4), (3, 4), (-1, 4)):
+        with pytest.raises(ConfigError):
+            box_count_slope(pts, lo, hi)
+        with pytest.raises(ConfigError):
+            count_slope([1, 2, 4, 8, 16], lo, hi)
+
+
 @pytest.mark.parametrize("family", ["homothetic", "translate"])
 def test_plane_fit_of_no_rows_is_empty(family):
     from fracperc.patterns import _plane_fit_rows

@@ -282,6 +282,28 @@ def test_compiled_map_matches_dict_loops_bit_for_bit():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), case
 
 
+def test_reused_term_buffer_matches_allocating_loop_bytes():
+    # Every path of the in-place monomial: a leading power with and without a
+    # coefficient, a leading linear factor times -2, 0.5 or 1, later factors
+    # of exponent 1 to 3, and constant terms; compared byte for byte (signed
+    # zeros included) with `term = term * x[..., i] ** a` per term.
+    poly = fp.PolynomialMap(
+        ambient=3,
+        components=(
+            {(3, 0, 1): 0.5, (1, 2, 0): -2.0, (0, 1, 3): 1.0, (2, 0, 0): 1.0,
+             (0, 0, 0): 0.5},
+            {(1, 1, 1): -2.0, (0, 3, 0): 0.5, (0, 0, 1): 0.5, (0, 0, 0): -2.0},
+        ),
+    )
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1.5, 1.5, size=(6, 5, 3))
+    x[0, 0] = 0.0
+    x[0, 1] = -0.0
+    for pts in (x, x[:, ::2], x[2], x[3, 1]):
+        assert poly(pts).tobytes() == _dict_loop_call(poly, pts).tobytes()
+        assert poly.jacobian(pts).tobytes() == _dict_loop_jacobian(poly, pts).tobytes()
+
+
 def test_newton_rows_count_the_unconverged_row():
     # On the plane z = 0 the map is x^2 + y^2 + 1, which has no real root,
     # and d/dz vanishes there, so Newton cannot leave it; the other rows
