@@ -446,6 +446,8 @@ def plane_level_measure(plane, idx, level, n_samples=DEFAULT_MC_SAMPLES):
         return _hyperplane_level_section(
             normal, float(normal @ plane.offset), lo, side
         ), zeros
+    if n_samples < 1:
+        raise ConfigError("QMC plane measures need at least one sample per cube")
     return _plane_level_qmc(plane, lo, side, n_samples)
 
 

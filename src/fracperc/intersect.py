@@ -10,7 +10,9 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DegenerateInputError
 from .geometry import AffinePlane, _row_chunks, plane_level_keep, plane_level_measure
 from .polynomials import variety_level_measure
-from .percolation import DEFAULT_MAX_CUBES, _replicate_cut, resample_level, sample_forest
+from .percolation import (
+    DEFAULT_MAX_CUBES, _replicate_cut, _row_keys, resample_level, sample_forest,
+)
 from .rng import derive, root_key
 
 DEFAULT_CUBE_BUDGET = 5_000_000
@@ -111,36 +113,24 @@ class MassSeries:
 # ---------------------------------------------------------------------------
 # Product-cube rows: lookup, expansion and pruning
 
-def _lex_rows(sorted_idx, queries):
-    """Row positions of query index tuples inside a lexsorted int64 array."""
-    d = sorted_idx.shape[1]
-    void = np.dtype((np.void, 8 * d))
-    a = np.ascontiguousarray(sorted_idx.astype(">i8")).view(void).ravel()
-    q = np.ascontiguousarray(queries.astype(">i8")).view(void).ravel()
-    return np.searchsorted(a, q)
-
-
-def _lex_member(sorted_idx, queries):
-    """Boolean: is each query tuple present in the lexsorted array."""
-    if sorted_idx.shape[0] == 0:
+def _lex_member(sorted_rows, queries):
+    """Boolean: is each query row present among the lexsorted rows."""
+    if sorted_rows.shape[0] == 0:
         return np.zeros(queries.shape[0], dtype=bool)
-    pos = np.clip(_lex_rows(sorted_idx, queries), 0, sorted_idx.shape[0] - 1)
-    return np.all(sorted_idx[pos] == queries, axis=1)
+    keys, query = _row_keys(sorted_rows, queries)
+    pos = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
+    return keys[pos] == query
 
 
-def _child_table(parent_idx, child_idx, parent_tree=None, child_tree=None):
-    """CSR map: parent row -> rows of its children in the child level array.
-
-    With tree ids (forest levels, sorted by (tree, index)), a child's parent
-    is looked up within its own tree."""
-    query = child_idx >> 1
-    if parent_tree is not None:
-        parent_idx = np.column_stack([parent_tree, parent_idx])
-        query = np.column_stack([child_tree, query])
-    prow = _lex_rows(parent_idx, query)
+def _child_table(parent, child):
+    """CSR map: parent row -> rows of its children in the child level, of
+    forest levels (tree, idx) sorted by (tree, idx)."""
+    tree, idx = child
+    keys, query = _row_keys(np.column_stack(parent), np.column_stack([tree, idx >> 1]))
+    prow = np.searchsorted(keys, query)
     order = np.argsort(prow, kind="stable").astype(np.int64)
-    counts = np.bincount(prow, minlength=parent_idx.shape[0]).astype(np.int64)
-    starts = np.zeros(parent_idx.shape[0] + 1, dtype=np.int64)
+    counts = np.bincount(prow, minlength=keys.shape[0]).astype(np.int64)
+    starts = np.zeros(keys.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     return order, starts, counts
 
@@ -351,11 +341,7 @@ def _traverse(batch, keep, n, budget, distinct=None):
         """Expand a group's tuples to level lev + 1, halving the group first
         while it would hold too many."""
         if lev not in tables:
-            tree, idx = batch.factor[lev]
-            ctree, cidx = batch.factor[lev + 1]
-            # a lone tree needs no tree key
-            trees = (tree, ctree) if batch.reps * t > 1 else ()
-            tables[lev] = _child_table(idx, cidx, *trees)
+            tables[lev] = _child_table(batch.factor[lev], batch.factor[lev + 1])
         table = tables[lev]
         if rep[0] != rep[-1] and _expansion_peak(state, table[2]) > limit:
             cut = _replicate_cut(rep)

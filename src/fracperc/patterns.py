@@ -14,13 +14,11 @@ from . import geometry
 from .geometry import AffinePlane
 from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
-    GaltonWatsonLaw,
-    coupled_law,
-    forest_groups,
-    sample_forest,
+    GaltonWatsonLaw, _row_keys, coupled_law, forest_groups, sample_forest,
 )
 from .intersect import (
-    _Batch, _lex_member, _pairwise_distinct, _poly_keep, _stack, _traverse,
+    DEFAULT_CUBE_BUDGET, _Batch, _lex_member, _pairwise_distinct, _poly_keep, _stack,
+    _traverse,
 )
 from .rng import derive, root_key
 
@@ -36,8 +34,6 @@ FAMILIES = (
 )
 SCALE_INVARIANT = frozenset({"homothetic", "angle", "triangle", "polygon"})
 PLANE_FAMILIES = frozenset({"homothetic", "translate"})
-
-DEFAULT_CUBE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -337,16 +333,6 @@ class DetectionResult:
     newton_unconverged: int = 0
 
 
-def _unique_rows(rows):
-    """np.unique(rows, axis=0): the distinct rows, lexicographically sorted."""
-    if rows.shape[0] == 0:
-        return rows
-    rows = rows[np.lexsort(rows.T[::-1])]
-    new = np.ones(rows.shape[0], dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    return rows[new]
-
-
 def _forest_ancestors(tree, cubes, n, m=1):
     """The trees among `tree` (N,) that hold at least m of the level-n cubes
     (N, d), in order, and the forest levels 0..n, (tree, idx) sorted by
@@ -354,12 +340,13 @@ def _forest_ancestors(tree, cubes, n, m=1):
     0, 1, ...; each level is built from its children."""
     big = np.bincount(tree) >= m
     kept, rows = np.flatnonzero(big), big[tree]
-    rows = _unique_rows(np.column_stack([np.searchsorted(kept, tree[rows]), cubes[rows]]))
-    levels = [rows]
-    for _ in range(n):
-        up = levels[-1].copy()
-        up[:, 1:] >>= 1
-        levels.append(_unique_rows(up))
+    rows = np.column_stack([np.searchsorted(kept, tree[rows]), cubes[rows]])
+    levels = []
+    for _ in range(n + 1):
+        (key,) = _row_keys(rows)
+        levels.append(rows[np.unique(key, return_index=True)[1]])
+        rows = levels[-1].copy()
+        rows[:, 1:] >>= 1
     return kept, [
         (np.ascontiguousarray(lev[:, 0]), np.ascontiguousarray(lev[:, 1:]))
         for lev in levels[::-1]
@@ -828,6 +815,8 @@ def presence_profiles(
         min_diameter = sweep_min_diameter(desc, n)
     tolerance = _detection_tolerance(desc, n, tolerance)
     p_grid = sorted(float(p) for p in p_grid)
+    if not p_grid:
+        raise ConfigError("p_grid must hold at least one p")
     seeds = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
     present = np.zeros((seeds.shape[0], len(p_grid)), dtype=bool)
     counters = {name: [] for name in SWEEP_COUNTERS}
@@ -926,8 +915,8 @@ def box_count_slope(points, j_lo, j_hi):
     pts = pts.reshape(pts.shape[0], -1)
     counts = []
     for j in js:
-        cells = _unique_rows(np.floor(pts * (1 << j)).astype(np.int64))
-        counts.append(cells.shape[0])
+        (key,) = _row_keys(np.floor(pts * (1 << j)).astype(np.int64))
+        counts.append(np.unique(key).shape[0])
     logs = np.log2(np.maximum(counts, 1))
     slope = float(np.polyfit(js, logs, 1)[0])
     return slope, counts
@@ -1004,9 +993,11 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
         cubes = cubes[:, None]
     if cubes.shape[0] == 0:
         raise ConfigError("empty target set")
+    p_grid = sorted(float(p) for p in p_grid)
+    if len(p_grid) < 2:
+        raise ConfigError("a steepest transition needs a p_grid of at least two p")
     ancestors = _ancestor_levels(cubes, n)
     rows, hits = [], []
-    p_grid = sorted(float(p) for p in p_grid)
     for pi, p in enumerate(p_grid):
         seeds = [
             int(derive(root_key(base_seed), (pi + 1) * 1_000_003 + r))
@@ -1050,8 +1041,8 @@ def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
     (_, wit, _), _ = _detect_forest(
         0, cubes, 1, desc, n, tolerance, budget, enumerate_all=True
     )
-    shape = (1 << n,) * desc.d
-    key = np.ravel_multi_index(wit.reshape(-1, desc.d).T, shape).reshape(wit.shape[:2])
+    key, cube_key = _row_keys(wit.reshape(-1, desc.d), cubes)
+    key = key.reshape(wit.shape[:2])
     live = np.ones(key.shape[0], dtype=bool)
     removed = []
     for _ in range(removals):
@@ -1062,7 +1053,7 @@ def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
         worst = seen[first[tally == tally.max()].min()]
         removed.append(worst)
         live &= np.all(key != worst, axis=1)
-    return cubes[~np.isin(np.ravel_multi_index(cubes.T, shape), removed)]
+    return cubes[~np.isin(cube_key, np.array(removed, dtype=cube_key.dtype))]
 
 
 def subset_stress_test(
@@ -1166,7 +1157,7 @@ def _harris_checks(pairs, law, n, replicates, base_seed, variant):
                 e1 = bool(event1(level_n, n))
                 e2 = bool(event2(level_n, n))
                 counts[k] += (e1, e2, e1 and e2)
-    q = law.q if variant == "extinction" else 0.0
+    q = 0.0 if variant == "surviving" else law.q  # coupled grows extinction
     out = []
     for c in counts.tolist():
         p1, p2, p12 = (x / replicates for x in c)

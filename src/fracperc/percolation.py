@@ -16,6 +16,7 @@ exactly from (seed, variant, law) and distinct replicates never share state.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb, log2
 
 import numpy as np
@@ -233,19 +234,25 @@ def _replicate_cut(rep):
     return int(starts[starts.shape[0] // 2])
 
 
-def _forest_order(tree, idx):
-    """The order sorting rows by (tree, idx), tree nondecreasing: an argsort
-    of keys packing tree and indices where they fit in 63 bits."""
-    if tree.shape[0] == 0:
-        return tree
-    width = int(idx.max()).bit_length()
-    key = tree - tree[0]
-    if width * idx.shape[1] + int(key[-1]).bit_length() > 63:
-        return np.lexsort(tuple(idx.T[::-1]) + (tree,))
-    for col in idx.T:
-        key = (key << width) | col
-    # the stable sort merges the sorted runs that children come in
-    return np.argsort(key, kind="stable")
+def _row_keys(*blocks):
+    """One 1-D key array per block of integer rows (N, k): keys sort, within
+    and across blocks, in the lexicographic order of their rows, and are
+    equal exactly when the rows are.  Each column is offset by its least
+    value over every block and takes the bits of its largest offset value (a
+    constant column takes none); the keys are packed int64 when those widths
+    sum to at most 63, and big-endian void views of the offset rows otherwise."""
+    cols = np.concatenate(blocks).T.copy()  # (k, rows of every block), row-major
+    if cols.shape[1]:
+        cols -= cols.min(axis=1, keepdims=True)
+    widths = [int(w).bit_length() for w in cols.max(axis=1, initial=0).tolist()]
+    if sum(widths) > 63:
+        void = np.dtype((np.void, 8 * cols.shape[0]))
+        keys = np.ascontiguousarray(cols.T, dtype=">i8").view(void).ravel()
+    else:
+        # each column is shifted past the bits of the columns after it
+        keys = np.array([1 << sum(widths[j + 1:]) if w else 0 for j, w in enumerate(widths)]) @ cols
+    ends = list(accumulate(b.shape[0] for b in blocks))
+    return [keys[end - b.shape[0]: end] for b, end in zip(blocks, ends)]
 
 
 def _step(law, variant, level, max_cubes):
@@ -255,8 +262,11 @@ def _step(law, variant, level, max_cubes):
     cidx, ckeys, par = _expand_raw(law, variant, idx, keys)
     if cidx.shape[0] > max_cubes:
         raise BudgetError(f"level would hold {cidx.shape[0]} cubes (budget {max_cubes})")
-    order = _forest_order(tree[par], cidx)
-    return tree[par[order]], cidx[order], ckeys[order]
+    ctree = tree[par]
+    (key,) = _row_keys(np.column_stack([ctree, cidx]))
+    # the stable sort merges the sorted runs that children come in
+    order = np.argsort(key, kind="stable")
+    return ctree[order], cidx[order], ckeys[order]
 
 
 def forest_groups(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES, keep=None):

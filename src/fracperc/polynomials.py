@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, SingularityError
 from .geometry import AffinePlane, RANK_TOL, _level_lower, _row_chunks, _sobol_points
+from .percolation import _row_keys
 
 DEFAULT_MC_SAMPLES = 1 << 18
 DEFAULT_SUBDIV_LEVELS = 4
@@ -218,10 +219,13 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
     idx = np.asarray(idx)
     if idx.ndim != 2 or idx.shape[1] != m:
         raise ConfigError("polynomial/cube ambient mismatch")
+    if n_samples < 1:
+        raise ConfigError("coarea measures need at least one sample per cube")
     side = 2.0 ** -level
     if epsilon is None:
         epsilon = side / DEFAULT_EPSILON_DIVISOR
-    cubes, inv = np.unique(idx, axis=0, return_inverse=True)
+    _, first, inv = np.unique(_row_keys(idx)[0], return_index=True, return_inverse=True)
+    cubes = idx[first]
     lo = _level_lower(cubes, level)
     scaled = side * _sobol_points(m, n_samples)
     scaled_t = np.ascontiguousarray(scaled.T)[:, None, :]

@@ -132,6 +132,10 @@ def test_cli_exit_codes(tmp_path):
         ["intersect", "target_kind=poly", "target_spec=0 1 1 x"],
         ["intersect", "mode=bogus"],
         ["pattern-dim", "j_lo=9"],
+        ["sweep", "p_grid="],
+        ["perc-dim-test", "p_grid="],
+        ["perc-dim-test", "p_grid=0.5"],
+        ["intersect", "family=distance", "d=2", "m=2", "mc_samples=0"],
     ]
     for k, (command, *overrides) in enumerate(malformed):
         argv = [command, "--preset", "smoke", "--out", str(tmp_path / f"m{k}")]

@@ -157,6 +157,24 @@ def test_level_kernels_match_one_row_calls(kernel, monkeypatch):
         assert (v, s) == one, (row, v, s, one)
 
 
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_CASES))
+def test_sampling_kernels_refuse_no_samples(kernel):
+    # The QMC plane and coarea kernels average over their samples, so none
+    # is a config error; the exact kernels read no samples.
+    target, m, level = _KERNEL_CASES[kernel]
+    idx = _all_cubes(level, m)
+    if kernel in ("plane-qmc", "coarea"):
+        for n_samples in (0, -1):
+            with pytest.raises(ConfigError):
+                if kernel == "coarea":
+                    variety_level_measure(target, idx, level, n_samples)
+                else:
+                    plane_level_measure(target, idx, level, n_samples)
+    else:
+        vals, _ = plane_level_measure(target, idx, level, 0)
+        assert np.array_equal(vals, plane_level_measure(target, idx, level, 256)[0])
+
+
 def test_product_of_two_factors():
     # Two independent d=1 factors against the anti-diagonal x + y = 1:
     # level-0 mass is the full diagonal length sqrt(2).

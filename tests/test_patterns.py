@@ -469,15 +469,29 @@ def test_harris_check_rejects_non_monotone_event():
         fp.harris_check(odd_count, survive, law, 3, 100)
 
 
+def _left_half(cubes, n):
+    return cubes.shape[0] > 0 and bool((cubes[:, 0] < 2 ** (n - 1)).any())
+
+
+def _right_half(cubes, n):
+    return cubes.shape[0] > 0 and bool((cubes[:, 0] >= 2 ** (n - 1)).any())
+
+
 def test_harris_check_positive_association():
     law = fp.GaltonWatsonLaw.create(1, 0.7)
-    def left(cubes, n):
-        return cubes.shape[0] > 0 and bool((cubes[:, 0] < 2 ** (n - 1)).any())
-    def right(cubes, n):
-        return cubes.shape[0] > 0 and bool((cubes[:, 0] >= 2 ** (n - 1)).any())
-    res = fp.harris_check(left, right, law, 4, 2000, base_seed=5)
+    res = fp.harris_check(_left_half, _right_half, law, 4, 2000, base_seed=5)
     assert not res.violated
     assert res.p12 >= res.bound - 4 * res.sigma
+
+
+def test_harris_check_coupled_is_the_extinction_check():
+    # The coupled variant grows the extinction process from the same keys:
+    # the same trees, and so the same (1 - q) bound.
+    law = fp.GaltonWatsonLaw.create(1, 0.7)
+    args = (_left_half, _right_half, law, 4, 400)
+    coupled = fp.harris_check(*args, base_seed=3, variant="coupled")
+    assert coupled == fp.harris_check(*args, base_seed=3, variant="extinction")
+    assert coupled.bound == (1 - law.q) * coupled.p1 * coupled.p2 < coupled.p1 * coupled.p2
 
 
 def test_presence_profile_monotone_when_coupled():

@@ -263,18 +263,84 @@ def test_forest_groups_match_one_group(monkeypatch):
 
 
 def test_forest_order_matches_lexsort():
-    # Rows sort by (tree, index) whether their keys fit in 63 bits, packed
-    # into one argsort, or not (indices of 2^40 in d = 2), by a lexsort.
-    from fracperc.percolation import _forest_order
+    # Row keys sort, look up and deduplicate rows in lexicographic order
+    # whether they pack into int64 (indices of 2^6 in d = 2) or fall back to
+    # void views (indices of 2^40), and with negative columns.
+    from fracperc.percolation import _row_keys
 
     rng = np.random.default_rng(5)
-    for high in (1 << 6, 1 << 40):
+    for high, low, kind in ((1 << 6, 0, "i"), (1 << 40, 0, "V"), (1 << 6, -(1 << 6), "i")):
         tree = np.sort(rng.integers(0, 50, size=3000))
-        idx = rng.integers(0, high, size=(3000, 2))
+        idx = rng.integers(low, high, size=(3000, 2))
         idx[1::2] = idx[::2]  # ties in the leading coordinate
         idx[1::2, 1] += 1
-        rows = np.unique(np.column_stack([tree, idx]), axis=0)
+        rows = np.column_stack([tree, idx])
+        rows[2::7] = rows[::7][: rows[2::7].shape[0]]  # duplicate rows
         rows = rows[rng.permutation(rows.shape[0])]
-        rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        order = _forest_order(rows[:, 0], rows[:, 1:])
+        queries = np.concatenate([rows[:500], rows[:500] + [0, 0, high]])
+        keys, qkeys = _row_keys(rows, queries)
+        assert keys.dtype.kind == qkeys.dtype.kind == kind, high
+        order = np.argsort(keys, kind="stable")
         assert np.array_equal(order, np.lexsort(rows.T[::-1]))
+        # unique rows, and the row of each query among them
+        want, want_inv = np.unique(rows, axis=0, return_inverse=True)
+        ukeys, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        assert np.array_equal(rows[first], want) and np.array_equal(inv, want_inv)
+        at = {tuple(r): i for i, r in enumerate(want.tolist())}
+        pos = np.searchsorted(ukeys, qkeys)
+        found = ukeys[np.minimum(pos, ukeys.shape[0] - 1)] == qkeys
+        assert found.tolist() == [tuple(q) in at for q in queries.tolist()]
+        assert pos[found].tolist() == [at[tuple(q)] for q in queries[found].tolist()]
+    # widths of 3 + 30 + 30 bits pack; one more bit, in either operand of a
+    # lookup, makes every key a void view; a constant column takes no bits
+    rows = np.array([[0, 0, 0], [7, (1 << 30) - 1, (1 << 30) - 1]])
+    assert [k.dtype.kind for k in _row_keys(rows)] == ["i"]
+    assert [k.dtype.kind for k in _row_keys(rows, np.array([[5, 0, 1 << 30]]))] == ["V", "V"]
+    flat = np.array([[9, 0, 0], [9, (1 << 31) - 1, (1 << 32) - 1]]) - (1 << 40)
+    assert _row_keys(flat)[0].tolist() == [0, (1 << 63) - 1]
+
+
+def test_deep_forest_keys_fall_back_and_match_dict_reference():
+    # Surviving d = 2 trees at p just above 1/4 stay small while their level
+    # indices outgrow 63 bits of (tree, index) key past level 32.  Their
+    # levels, child tables and ancestor levels equal dict-based references.
+    from fracperc.intersect import _child_table
+    from fracperc.patterns import _forest_ancestors
+    from fracperc.percolation import _row_keys
+
+    law = fp.GaltonWatsonLaw.create(2, 0.26)
+    n = 34
+    levels = fp.sample_forest(law, "surviving", [11, 12, 13], n)
+    assert _row_keys(np.column_stack(levels[n]))[0].dtype.kind == "V"
+    for i, seed in enumerate([11, 12, 13]):
+        tree = fp.sample_tree(law, "surviving", seed, n)
+        for lev in (0, 20, n):
+            assert np.array_equal(levels[lev][1][levels[lev][0] == i], tree.levels[lev])
+    for lev in range(n + 1):
+        rows = np.column_stack(levels[lev]).tolist()
+        assert rows == sorted(rows)
+    for lev in (0, 31, 32, n - 1):
+        parent = {
+            (t, *row): i
+            for i, (t, row) in enumerate(zip(*[a.tolist() for a in levels[lev]]))
+        }
+        ctree, cidx = levels[lev + 1]
+        prow = [
+            parent[(t, *(c >> 1 for c in row))]
+            for t, row in zip(ctree.tolist(), cidx.tolist())
+        ]
+        order, starts, counts = _child_table(levels[lev], levels[lev + 1])
+        assert counts.tolist() == [prow.count(i) for i in range(len(parent))]
+        for i in range(len(parent)):
+            got = order[starts[i]: starts[i] + counts[i]].tolist()
+            assert got == [j for j, r in enumerate(prow) if r == i]
+    tree, cubes = levels[n]
+    kept, ancestors = _forest_ancestors(tree, cubes, n, m=2)
+    assert kept.tolist() == [t for t in range(3) if (tree == t).sum() >= 2]
+    number = {t: k for k, t in enumerate(kept.tolist())}
+    for j, (atree, aidx) in enumerate(ancestors):
+        want = sorted({
+            (number[t], *(c >> (n - j) for c in row))
+            for t, row in zip(tree.tolist(), cubes.tolist()) if t in number
+        })
+        assert np.column_stack([atree, aidx]).tolist() == [list(r) for r in want]
