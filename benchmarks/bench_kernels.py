@@ -33,15 +33,18 @@ of the verifier's cap (CHUNK_FLOATS floats):
              0-99 (the sweep-distance benchmark's inputs).
 
 Then it times witness enumeration, in witness parameter rows per second (the
-least of three rounds): `pattern_witnesses` of the 3-term progression
+least of three rounds): `parameter_dimensions` of the 3-term progression
 pattern on the level-8 cubes of the first 50 replicates of
-`pattern-dim --preset paper --seed 1` (d=1, p=0.8, surviving trees).
+`pattern-dim --preset paper --seed 1` (d=1, p=0.8, surviving trees), as one
+forest, the call the command makes: every replicate's witnesses are
+enumerated in one batch and box-counted group by group.
 
 Then it times greedy removal, in cubes removed per second (the least of
-three rounds): `_greedy_removal` of a fifth of the level-8 cubes of each of
+three rounds): `_greedy_removals` of a fifth of the level-8 cubes of each of
 the first 40 replicates of `stress --preset paper --seed 1 p=0.9
-strategy=greedy` (3-term progressions on the line, surviving trees).  No
-perfbench workload runs greedy removal.
+strategy=greedy` (3-term progressions on the line, surviving trees), the
+one batched enumeration of all 40 that the command makes.  No perfbench
+workload runs greedy removal.
 
 Last, it times the coarea kernel, in product cubes measured per second (the
 least of three rounds): `variety_level_measure` of the variety |x - y| = 0.5
@@ -76,10 +79,11 @@ from fracperc.patterns import (
     _detection_keep,
     _fit_rows,
     _forest_ancestors,
-    _greedy_removal,
+    _greedy_removals,
+    _split_by_tree,
     configuration_plane,
     configuration_polynomial,
-    pattern_witnesses,
+    parameter_dimensions,
 )
 from fracperc.percolation import (
     GaltonWatsonLaw,
@@ -186,36 +190,33 @@ def grouped_growth(rounds=3):
 
 
 def witness_enumeration(rounds=3):
-    """(witness rows, seconds) of pattern_witnesses on the pattern-dim paper
-    inputs; least of `rounds`."""
-    law, n = GaltonWatsonLaw.create(1, 0.8), 8
+    """(witness rows, seconds) of parameter_dimensions on the pattern-dim
+    paper inputs; least of `rounds`."""
+    law, n, reps = GaltonWatsonLaw.create(1, 0.8), 8, 50
     sites = np.array([[0.0], [1.0], [2.0]])
-    sets = [sample_tree(law, "surviving", _rep_seed(1, r), n).levels[n] for r in range(50)]
+    seeds = [_rep_seed(1, r) for r in range(reps)]
+    tree, cubes = sample_forest(law, "surviving", seeds, n)[n]
     secs = []
     for _ in range(rounds):
         t0 = time.perf_counter()
-        rows = sum(pattern_witnesses(cubes, sites, n, 1).shape[0] for cubes in sets)
+        estimates = parameter_dimensions(tree, cubes, reps, law, sites, n)
         secs.append(time.perf_counter() - t0)
-    return rows, min(secs)
+    return sum(est.witnesses for est in estimates), min(secs)
 
 
 def greedy_removal(rounds=3):
     """(cubes removed, seconds) of the greedy removals of the stress inputs;
     least of `rounds`."""
-    desc, law, n = PROGRESSION[0], GaltonWatsonLaw.create(1, 0.9), 8
-    sets = [sample_tree(law, "surviving", _rep_seed(1, r), n).levels[n] for r in range(40)]
+    desc, law, n, reps = PROGRESSION[0], GaltonWatsonLaw.create(1, 0.9), 8, 40
+    seeds = [_rep_seed(1, r) for r in range(reps)]
+    sets = _split_by_tree(*sample_forest(law, "surviving", seeds, n)[n], reps)
+    removals = [math.ceil(0.2 * cubes.shape[0]) for cubes in sets]
     secs = []
     for _ in range(rounds):
         t0 = time.perf_counter()
-        removed = sum(
-            cubes.shape[0] - _greedy_removal(
-                cubes, desc, n, math.ceil(0.2 * cubes.shape[0]), None,
-                DEFAULT_CUBE_BUDGET, 200_000,
-            ).shape[0]
-            for cubes in sets
-        )
+        left = _greedy_removals(sets, desc, n, removals, None, DEFAULT_CUBE_BUDGET, 200_000)
         secs.append(time.perf_counter() - t0)
-    return removed, min(secs)
+    return sum(a.shape[0] - b.shape[0] for a, b in zip(sets, left)), min(secs)
 
 
 def coarea_measure(rounds=3):

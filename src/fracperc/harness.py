@@ -12,6 +12,7 @@ from .errors import BudgetError, ConfigError
 from .geometry import AffinePlane, plane_from_text
 from .polynomials import polynomial_from_text
 from .percolation import (
+    DEFAULT_MAX_CUBES,
     GaltonWatsonLaw,
     forest_groups,
     natural_mass,
@@ -252,9 +253,12 @@ def _run_sample(cfg, out_dir):
     mean_counts = [float(np.mean(c)) for c in counts.T]
     mean_mass = [float(np.mean(m)) for m in masses.T]
     js = list(range(1, n + 1))
-    slope = float(
-        np.polyfit(js, np.log2([max(c, 1e-300) for c in mean_counts[1:]]), 1)[0]
-    )
+    # a slope needs two levels j >= 1; below that it is NaN (null in summary.json)
+    slope = math.nan
+    if n >= 2:
+        slope = float(
+            np.polyfit(js, np.log2([max(c, 1e-300) for c in mean_counts[1:]]), 1)[0]
+        )
     fio.svg_line_plot(
         os.path.join(out_dir, "growth.svg"),
         [("log2 mean count", js, [math.log2(max(c, 1e-300)) for c in mean_counts[1:]])],
@@ -437,20 +441,24 @@ def _run_pattern_dim(cfg, out_dir):
 
 
 def _shape_cubes(shape, d, n):
-    if shape == "line":
-        if d < 2:
-            raise ConfigError("line shape needs d >= 2")
-        ax = np.arange(1 << n, dtype=np.int64)
-        out = np.zeros(((1 << n), d), dtype=np.int64)
-        out[:, 0] = ax
-        return out
+    """The level-n cubes (N, d) of a target shape, in lexicographic order;
+    a shape of more than DEFAULT_MAX_CUBES cubes is refused before it is
+    built."""
+    bits = {"line": n, "full": n * d, "point": 0}  # log2 of the cube count
+    if shape not in bits:
+        raise ConfigError(f"unknown shape {shape!r}")
+    if shape == "line" and d < 2:
+        raise ConfigError("line shape needs d >= 2")
+    if bits[shape] > math.log2(DEFAULT_MAX_CUBES):
+        raise BudgetError(
+            f"shape {shape} holds 2^{bits[shape]} cubes at level {n}, "
+            f"over {DEFAULT_MAX_CUBES}"
+        )
     if shape == "full":
-        import itertools as it
-
-        return np.array(list(it.product(range(1 << n), repeat=d)), dtype=np.int64)
-    if shape == "point":
-        return np.zeros((1, d), dtype=np.int64)
-    raise ConfigError(f"unknown shape {shape!r}")
+        return np.indices((1 << n,) * d, dtype=np.int64).reshape(d, -1).T.copy()
+    out = np.zeros((1 << bits[shape], d), dtype=np.int64)
+    out[:, 0] = np.arange(1 << bits[shape])
+    return out
 
 
 def _run_perc_dim_test(cfg, out_dir):

@@ -557,20 +557,18 @@ SWEEP_COUNTERS = (
 )
 
 
-def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
+def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
                    budget=DEFAULT_CUBE_BUDGET, min_diameter=0.0,
                    enumerate_all=False):
-    """Detection in each of the trees 0..trees-1 of a forest's level n: the
-    cubes (N, d), or (N,) for d = 1, held by trees `tree` (N,), or all by
-    tree `tree` if it is an int, with _detection_tolerance.  Trees with
-    fewer than m cubes hold no candidate; the others are traversed together,
-    and each group's candidates are verified as they arrive.
-
-    Returns (hits, counts).  hits are the arrays (tree (H,), cubes (H, m, d),
-    params (H, P)) of each tree's first witness (every witness under
-    enumerate_all), in check order.  counts maps SWEEP_COUNTERS to (trees,)
-    arrays: the trees with a hit, their candidate tuples, those checked and
-    the Newton runs on them that did not converge, as DetectionResult has."""
+    """Detection in each tree of a forest's level n: the cubes (N, d), or
+    (N,) for d = 1, held by trees `tree` (N,), or all by tree `tree` if it
+    is an int, with _detection_tolerance.  Trees with fewer than m cubes
+    hold no candidate; the others are traversed together.  Yields each
+    traversal group's hits as soon as they are verified, the arrays (tree
+    (H,), cubes (H, m, d), params (H, P)) of its trees' first witnesses
+    (every witness under enumerate_all) in check order, after filling their
+    entries of counts: SWEEP_COUNTERS mapped to (trees,) arrays, as
+    DetectionResult has them."""
     tolerance = _detection_tolerance(desc, n, tolerance)
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
@@ -581,8 +579,6 @@ def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
     cubes = levels[n][1]
     side = 2.0 ** -n
     cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
-    counts = {name: np.zeros(trees, dtype=np.int64) for name in SWEEP_COUNTERS}
-    hits = [_no_hits(desc)]
     for state, owner in _candidate_groups(levels, desc, n, tolerance, target, budget):
         if state.shape[0] == 0:
             continue
@@ -597,20 +593,25 @@ def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
         counts["candidate_tuples"][kept] += np.bincount(owner, minlength=kept.shape[0])
         counts["tuples_checked"][kept[done]] = checked
         counts["newton_unconverged"][kept[done]] = unconverged
-        hits.append((kept[owner[rows]], cubes[state[rows]], params))
-        # the traversal of the next group need not find this one still held
+        hits = kept[owner[rows]], cubes[state[rows]], params
+        counts["detected"][hits[0]] = 1
+        # neither the consumer nor the next group's traversal need this held
         del state, owner
-    hits = tuple(np.concatenate(h) for h in zip(*hits))
-    counts["detected"][hits[0]] = 1
-    return hits, counts
+        yield hits
 
 
-def _no_hits(desc):
-    """Empty (tree (0,), cubes (0, m, d), params (0, P)) detection hits."""
+def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
+                   budget=DEFAULT_CUBE_BUDGET, min_diameter=0.0,
+                   enumerate_all=False):
+    """(hits, counts) of _detect_groups in trees 0..trees-1, all groups' hits concatenated."""
+    counts = {name: np.zeros(trees, dtype=np.int64) for name in SWEEP_COUNTERS}
     width = desc.ambient
     if desc.family in PLANE_FAMILIES:
         width = desc.d + (desc.family == "homothetic")
-    return np.zeros(0, np.int64), np.zeros((0, desc.m, desc.d), np.int64), np.zeros((0, width))
+    none = np.zeros(0, np.int64), np.zeros((0, desc.m, desc.d), np.int64), np.zeros((0, width))
+    args = tolerance, budget, min_diameter, enumerate_all
+    hits = zip(none, *_detect_groups(counts, tree, cubes, desc, n, *args))
+    return tuple(np.concatenate(h) for h in hits), counts
 
 
 def detect_configuration(
@@ -839,19 +840,6 @@ def presence_profiles(
     return present, counters
 
 
-def presence_profile(
-    desc, p_grid, n, seed, coupled=True, tolerance=None,
-    variant="surviving", budget=DEFAULT_CUBE_BUDGET, min_diameter=None,
-):
-    """Presence indicator per p for a single replicate: the one-replicate
-    call of presence_profiles."""
-    present, _ = presence_profiles(
-        desc, p_grid, n, [seed], coupled=coupled, tolerance=tolerance,
-        variant=variant, budget=budget, min_diameter=min_diameter,
-    )
-    return [bool(v) for v in present[0]]
-
-
 def threshold_sweep(
     desc, p_grid, n, replicates, coupled=True, base_seed=0,
     tolerance=None, variant="surviving", budget=DEFAULT_CUBE_BUDGET,
@@ -928,6 +916,14 @@ def _split_by_tree(tree, rows, trees):
     return np.split(rows[order], np.searchsorted(tree[order], np.arange(1, trees)))
 
 
+def _tree_runs(tree, rows):
+    """(t, the rows held by tree t in their order) for each tree t among
+    `tree` (H,), in tree order: one stable split."""
+    order = np.argsort(tree, kind="stable")
+    ids, starts = np.unique(tree[order], return_index=True)
+    return zip(ids.tolist(), np.split(rows[order], starts[1:]))
+
+
 def parameter_dimensions(
     tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=None, tolerance=None,
     budget=DEFAULT_CUBE_BUDGET,
@@ -935,7 +931,7 @@ def parameter_dimensions(
     """pattern_parameter_dimension of each of the replicates 0..R-1, whose
     level-n cubes (N, d) are held by trees `tree` (N,), or by the one tree
     `tree` when it is an int: the witnesses of every replicate are
-    enumerated in one batch and split by replicate."""
+    enumerated in one batch, and each group's are box-counted and dropped."""
     sites = np.asarray(sites, dtype=float)
     if sites.ndim == 1:
         sites = sites[:, None]
@@ -943,20 +939,17 @@ def parameter_dimensions(
         j_hi = n - 1
     _fit_levels(j_lo, j_hi)
     desc = ConfigDescriptor(family="homothetic", d=law.d, params={"sites": sites})
-    (owner, _, wit), counts = _detect_forest(
-        tree, cubes, replicates, desc, n, tolerance, budget, enumerate_all=True
-    )
+    counts = {name: np.zeros(replicates, dtype=np.int64) for name in SWEEP_COUNTERS}
+    boxes = {}
+    groups = _detect_groups(counts, tree, cubes, desc, n, tolerance, budget, enumerate_all=True)
+    for owner, _, wit in groups:
+        for r, rows in _tree_runs(owner, wit):
+            boxes[r] = *box_count_slope(rows, j_lo, j_hi), rows.shape[0]
     predicted = desc.m * (law.s - law.d) + law.d + 1
     out = []
-    for rows, total in zip(
-        _split_by_tree(owner, wit, replicates), counts["candidate_tuples"].tolist()
-    ):
-        slope, box = 0.0, [0] * (j_hi - j_lo + 1)
-        if rows.shape[0]:
-            slope, box = box_count_slope(rows, j_lo, j_hi)
-        out.append(DimensionEstimate(
-            slope, predicted, box, (j_lo, j_hi), rows.shape[0], total
-        ))
+    for r, total in enumerate(counts["candidate_tuples"].tolist()):
+        slope, box, found = boxes.get(r, (0.0, [0] * (j_hi - j_lo + 1), 0))
+        out.append(DimensionEstimate(slope, predicted, box, (j_lo, j_hi), found, total))
     return out
 
 
@@ -1026,34 +1019,41 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
 # ---------------------------------------------------------------------------
 # Subset stress test
 
-def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
-    """The level-n cubes (N, d) left after `removals` greedy steps, each
-    removing the cube that appears in the most of the first max_witnesses
-    witnesses of the cubes left (on a tie, the one seen first in witness
-    order); the steps stop early once no witness is left.
+def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
+    """The level-n cubes (N_t, d) of each tree t's set left after removals[t]
+    greedy steps, each removing the cube in the most of the first
+    max_witnesses witnesses of the cubes left (a tie goes to the one seen
+    first); the steps stop once no witness is left.  Every tree's witnesses
+    are enumerated once, in one batch: removing a cube drops the ancestor
+    rows that hold it without reordering the rest, and the slab prune, the
+    distinct-cube test and the fit judge each tuple alone, so the witnesses
+    of the cubes left are the first enumeration's rows without a removed
+    cube, in check order, and a removal drops those rows."""
+    tree = np.repeat(np.arange(len(sets)), [cubes.shape[0] for cubes in sets])
+    counts = {name: np.zeros(len(sets), dtype=np.int64) for name in SWEEP_COUNTERS}
+    sets = list(sets)
+    for owner, wit, _ in _detect_groups(
+        counts, tree, np.concatenate(sets), desc, n, tolerance, budget, enumerate_all=True
+    ):
+        for t, rows in _tree_runs(owner, wit):
+            key, cube_key = _row_keys(rows.reshape(-1, desc.d), sets[t])
+            key = key.reshape(rows.shape[:2])
+            removed = []
+            for _ in range(removals[t]):
+                seen = key[:max_witnesses].ravel()
+                if seen.shape[0] == 0:
+                    break
+                _, first, tally = np.unique(seen, return_index=True, return_counts=True)
+                worst = seen[first[tally == tally.max()].min()]
+                removed.append(worst)
+                key = key[np.all(key != worst, axis=1)]
+            sets[t] = sets[t][~np.isin(cube_key, np.array(removed, dtype=cube_key.dtype))]
+    return sets
 
-    The witnesses are enumerated once.  Removing a cube drops the rows of
-    the ancestor levels that hold it without reordering the rest, and the
-    slab prune, the distinct-cube test and the fit each judge one tuple
-    alone, so the witnesses of the cubes left are the rows of the first
-    enumeration that hold no removed cube, in the same check order: a
-    removal marks those rows dead."""
-    (_, wit, _), _ = _detect_forest(
-        0, cubes, 1, desc, n, tolerance, budget, enumerate_all=True
-    )
-    key, cube_key = _row_keys(wit.reshape(-1, desc.d), cubes)
-    key = key.reshape(wit.shape[:2])
-    live = np.ones(key.shape[0], dtype=bool)
-    removed = []
-    for _ in range(removals):
-        seen = key[np.flatnonzero(live)[:max_witnesses]].ravel()
-        if seen.shape[0] == 0:
-            break
-        _, first, tally = np.unique(seen, return_index=True, return_counts=True)
-        worst = seen[first[tally == tally.max()].min()]
-        removed.append(worst)
-        live &= np.all(key != worst, axis=1)
-    return cubes[~np.isin(cube_key, np.array(removed, dtype=cube_key.dtype))]
+
+def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
+    """The one-tree call of _greedy_removals."""
+    return _greedy_removals([cubes], desc, n, [removals], tolerance, budget, max_witnesses)[0]
 
 
 def subset_stress_test(
@@ -1065,8 +1065,9 @@ def subset_stress_test(
     strategy "random" removes uniformly; "greedy" repeatedly removes the cube
     participating in the most currently-detected witnesses (an adversarial
     heuristic, not an optimal hitting set).  Trees are re-drawn per replicate
-    from the law and variant of the given tree, grown as one forest; after
-    the removals, the remaining cubes of every replicate are detected as one
+    from the law and variant of the given tree, grown as one forest; greedy
+    enumerates the witnesses of every replicate in one batch, and after the
+    removals, the remaining cubes of every replicate are detected as one
     batch.  The row's counters are the totals of SWEEP_COUNTERS over it.
     """
     if not 0.0 <= fraction < 1.0:
@@ -1075,16 +1076,15 @@ def subset_stress_test(
         raise ConfigError("strategy must be random or greedy")
     seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
     owner, cubes = sample_forest(tree.law, tree.variant, seeds, n)[n]
-    remaining = []
-    for seed, rows in zip(seeds, _split_by_tree(owner, cubes, replicates)):
-        removals = math.ceil(fraction * rows.shape[0])
-        if strategy == "random":
-            keep = np.random.default_rng(seed).permutation(rows.shape[0])[removals:]
-            remaining.append(rows[np.sort(keep)])
-        else:
-            remaining.append(_greedy_removal(
-                rows, desc, n, removals, tolerance, budget, max_witnesses
-            ))
+    remaining = _split_by_tree(owner, cubes, replicates)
+    removals = [math.ceil(fraction * rows.shape[0]) for rows in remaining]
+    if strategy == "random":
+        remaining = [
+            rows[np.sort(np.random.default_rng(seed).permutation(rows.shape[0])[k:])]
+            for seed, rows, k in zip(seeds, remaining, removals)
+        ]
+    else:
+        remaining = _greedy_removals(remaining, desc, n, removals, tolerance, budget, max_witnesses)
     owner = np.repeat(np.arange(replicates), [rows.shape[0] for rows in remaining])
     _, counts = _detect_forest(
         owner, np.concatenate(remaining), replicates, desc, n, tolerance, budget

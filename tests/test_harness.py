@@ -1,6 +1,7 @@
 """Unit tests for the experiment harness: config parsing, runners, output
 files, aggregation, and CLI exit codes."""
 
+import itertools
 import json
 import os
 import warnings
@@ -13,6 +14,7 @@ from fracperc.errors import ConfigError
 from fracperc.harness import (
     COMMANDS,
     ExperimentConfig,
+    _shape_cubes,
     aggregate,
     parse_config_file,
     run,
@@ -336,6 +338,35 @@ def test_summary_is_strict_json(tmp_path, argv):
         assert "nan" not in (out / "mass.svg").read_text()
     else:
         assert results["ratio"] is None and results["mean"] == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_sample_below_two_levels_has_no_slope(tmp_path, n):
+    # A growth slope needs two levels j >= 1: with fewer, log2_slope is null
+    # and nothing warns, and the CSV and the plot are still written.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sample", "--preset", "smoke", "--out", str(out), f"n={n}"]) == 0
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary["results"]["log2_slope"] is None
+    _, rows = read_csv(str(out / "results.csv"))
+    assert len(rows) == 2 * (n + 1) * int(summary["config"]["replicates"])
+    assert (out / "growth.svg").stat().st_size > 0
+
+
+def test_shape_cubes_full_grid_and_budget(tmp_path):
+    # The full grid is every cube in lexicographic order, as itertools
+    # enumerates it; shapes over DEFAULT_MAX_CUBES are refused (exit 3)
+    # before they are built.
+    for d in (1, 2, 3):
+        for n in range(4):
+            want = np.array(list(itertools.product(range(1 << n), repeat=d)), dtype=np.int64)
+            got = _shape_cubes("full", d, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (d, n)
+    for k, over in enumerate((["shape=full", "n=13"], ["shape=line", "n=34"])):
+        argv = ["perc-dim-test", "--preset", "smoke", "--out", str(tmp_path / str(k)), "d=2"]
+        assert main(argv + over) == 3, over
 
 
 def test_write_json_maps_non_finite_floats_to_null(tmp_path):

@@ -12,8 +12,8 @@ from fracperc.errors import BudgetError, ConfigError
 from fracperc.patterns import (
     _ancestor_levels,
     intervals_cover,
+    parameter_dimensions,
     pattern_witnesses,
-    presence_profile,
     sweep_min_diameter,
     wilson_interval,
 )
@@ -497,7 +497,7 @@ def test_harris_check_coupled_is_the_extinction_check():
 def test_presence_profile_monotone_when_coupled():
     desc = desc_homothetic()
     for seed in range(20):
-        prof = presence_profile(desc, [0.5, 0.65, 0.8], 6, seed)
+        prof = fp.presence_profiles(desc, [0.5, 0.65, 0.8], 6, [seed])[0][0].tolist()
         for a, b in zip(prof, prof[1:]):
             assert b >= a
 
@@ -847,7 +847,10 @@ def test_batched_profiles_match_one_replicate_detections(case, coupled, monkeypa
         assert 0 < sum(sums["newton_unconverged"]) < sum(sums["tuples_checked"])
     monkeypatch.setattr(patterns, "_fit_rows", fit_rows)
     if coupled:
-        profiles = [presence_profile(desc, grid, n, s, min_diameter=floor) for s in seeds]
+        profiles = [
+            fp.presence_profiles(desc, grid, n, [s], min_diameter=floor)[0][0].tolist()
+            for s in seeds
+        ]
         assert profiles == want.tolist()
 
 
@@ -954,31 +957,94 @@ def test_percolation_dimension_hits_match_unrestricted_trees():
     assert 0 < res.hits[0] < res.hits[-1]
 
 
-@pytest.mark.parametrize("desc, p, variant", [
-    (desc_homothetic(), 0.8, "surviving"),
-    (fp.ConfigDescriptor("distance", 2, {"lam": 0.3}), 0.4, "extinction"),
-], ids=["homothetic", "distance"])
-def test_random_stress_matches_one_tree_detection(desc, p, variant):
-    # The batched presence check after random removals equals
-    # detect_configuration on each replicate's remaining cubes.
+@pytest.mark.parametrize("desc, p, variant, strategy", [
+    (desc_homothetic(), 0.8, "surviving", "random"),
+    (fp.ConfigDescriptor("distance", 2, {"lam": 0.3}), 0.4, "extinction", "random"),
+    (desc_homothetic(), 0.8, "surviving", "greedy"),
+    (fp.ConfigDescriptor("distance", 2, {"lam": 0.3}), 0.4, "extinction", "greedy"),
+], ids=["homothetic", "distance", "greedy-homothetic", "greedy-distance"])
+def test_random_stress_matches_one_tree_detection(desc, p, variant, strategy, monkeypatch):
+    # The batched presence check after random or greedy removals equals
+    # detect_configuration on each replicate's remaining cubes; greedy
+    # removals, which enumerate every replicate's witnesses in one batch,
+    # equal the one-tree _greedy_removal of each replicate.  Small groups and
+    # chunks put group boundaries inside the replicate set.
+    from fracperc import geometry, intersect
+    from fracperc.patterns import DEFAULT_CUBE_BUDGET, _greedy_removal
+
     n, fraction, replicates, base = 5, 0.3, 12, 4
     law = fp.GaltonWatsonLaw.create(desc.d, p)
-    row = fp.subset_stress_test(
-        fp.sample_tree(law, variant, 0, 0), desc, fraction, "random", n,
-        replicates, base_seed=base,
-    )
     present = checked = unconverged = 0
     for r in range(replicates):
         seed = int(fp.rng.derive(fp.rng.root_key(base), r + 1))
         cubes = fp.sample_tree(law, variant, seed, n).levels[n]
         removals = math.ceil(fraction * cubes.shape[0])
-        keep = np.random.default_rng(seed).permutation(cubes.shape[0])[removals:]
-        res = fp.detect_configuration(cubes[np.sort(keep)], desc, n)
+        if strategy == "random":
+            keep = np.random.default_rng(seed).permutation(cubes.shape[0])[removals:]
+            left = cubes[np.sort(keep)]
+        else:
+            left = _greedy_removal(cubes, desc, n, removals, None, DEFAULT_CUBE_BUDGET, 200_000)
+        res = fp.detect_configuration(left, desc, n)
         present += res.present
         checked += res.tuples_checked
         unconverged += res.newton_unconverged
     assert 0 < present < replicates
-    assert row.frequency == present / replicates
-    assert row.counters["detected"] == present
-    assert row.counters["tuples_checked"] == checked
-    assert row.counters["newton_unconverged"] == unconverged
+    for limit, chunk in ((intersect.BATCH_TUPLES, geometry.CHUNK_FLOATS), (40, 96)):
+        monkeypatch.setattr(intersect, "BATCH_TUPLES", limit)
+        monkeypatch.setattr(geometry, "CHUNK_FLOATS", chunk)
+        row = fp.subset_stress_test(
+            fp.sample_tree(law, variant, 0, 0), desc, fraction, strategy, n,
+            replicates, base_seed=base,
+        )
+        assert row.frequency == present / replicates, (limit, chunk)
+        assert row.counters["detected"] == present
+        assert row.counters["tuples_checked"] == checked
+        assert row.counters["newton_unconverged"] == unconverged
+
+
+def _pattern_dim_forest(replicates, n):
+    """The level-n cubes of the pattern-dim paper trees (d = 1, p = 0.8,
+    surviving) of seed 1's first replicates, as (tree, cubes), and the law."""
+    from fracperc.harness import _rep_seed
+
+    law = fp.GaltonWatsonLaw.create(1, 0.8)
+    seeds = [_rep_seed(1, r) for r in range(replicates)]
+    return fp.sample_forest(law, "surviving", seeds, n)[n], law, seeds
+
+
+def test_parameter_dimensions_match_one_tree_estimates(monkeypatch):
+    # Box counts taken group by group equal those of each replicate's own
+    # enumeration, whether a group holds several replicates or small groups
+    # and chunks put group boundaries between every two of them.
+    from fracperc import geometry, intersect
+
+    n, replicates, sites = 6, 12, [[0.0], [1.0], [2.0]]
+    (tree, cubes), law, seeds = _pattern_dim_forest(replicates, n)
+    want = [
+        fp.pattern_parameter_dimension(fp.sample_tree(law, "surviving", s, n), sites, n, 3)
+        for s in seeds
+    ]
+    assert 0 < sum(est.witnesses > 0 for est in want) < replicates
+    for limit, chunk in ((intersect.BATCH_TUPLES, geometry.CHUNK_FLOATS), (40, 96)):
+        monkeypatch.setattr(intersect, "BATCH_TUPLES", limit)
+        monkeypatch.setattr(geometry, "CHUNK_FLOATS", chunk)
+        got = parameter_dimensions(tree, cubes, replicates, law, sites, n, 3)
+        for a, b in zip(got, want):
+            assert (a.slope, a.counts, a.witnesses, a.candidate_tuples) == (
+                b.slope, b.counts, b.witnesses, b.candidate_tuples
+            ), (limit, chunk)
+
+
+def test_parameter_dimensions_hold_one_group_of_witnesses():
+    # Witnesses are box-counted and dropped group by group, so doubling the
+    # replicates barely raises the traced peak of parameter_dimensions.
+    import tracemalloc
+
+    peaks = []
+    for replicates in (100, 200):
+        (tree, cubes), law, _ = _pattern_dim_forest(replicates, 8)
+        tracemalloc.start()
+        parameter_dimensions(tree, cubes, replicates, law, [[0.0], [1.0], [2.0]], 8)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
