@@ -47,11 +47,12 @@ one batched enumeration of all 40 that the command makes.  No perfbench
 workload runs greedy removal.
 
 Last, it times the coarea kernel, in product cubes measured per second (the
-least of three rounds): `variety_level_measure` of the variety |x - y| = 0.5
-on the level-3 product cubes of `intersect --seed 1000` in the mass-variety
-benchmark's configuration (d=2, m=2, p=0.7, extinction trees, 16
-replicates, 4096 QMC points a cube), one call per traversal group, as the
-command makes them.  Each call measures its distinct cubes once.
+least of three rounds): the variety |x - y| = 0.5 on the level-3 product
+cubes of `intersect --seed 1000` in the mass-variety benchmark's
+configuration (d=2, m=2, p=0.7, extinction trees, 16 replicates, 4096 QMC
+points a cube), group by group through the run's store of measured cubes,
+as the command measures them: `variety_level_measure` sees each distinct
+cube of the run once.  The distinct column counts those cubes.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
@@ -68,6 +69,7 @@ from fracperc.intersect import (
     ProductMeasureSpec,
     _Batch,
     _grown_batch,
+    _measure_once,
     _product_idx,
     _target_keep,
     _traverse,
@@ -221,7 +223,8 @@ def greedy_removal(rounds=3):
 
 def coarea_measure(rounds=3):
     """(product cubes, distinct cubes, seconds) of measuring the level-3
-    product cubes of the mass-variety inputs; least of `rounds`."""
+    product cubes of the mass-variety inputs once per run; least of
+    `rounds`."""
     desc, n = ConfigDescriptor("distance", 2, {"lam": 0.5}), 3
     target = configuration_polynomial(desc)
     keys = root_key(np.array([_rep_seed(1000, r) for r in range(16)], dtype=np.uint64))
@@ -237,12 +240,14 @@ def coarea_measure(rounds=3):
     secs = []
     for _ in range(rounds):
         t0 = time.perf_counter()
+        held = None
         for idx in calls:
-            variety_level_measure(target, idx, n, 4096)
+            _, _, held = _measure_once(
+                held, idx, lambda cubes: variety_level_measure(target, cubes, n, 4096)
+            )
         secs.append(time.perf_counter() - t0)
     rows = sum(idx.shape[0] for idx in calls)
-    distinct = sum(np.unique(idx, axis=0).shape[0] for idx in calls)
-    return rows, distinct, min(secs)
+    return rows, held[0].shape[0], min(secs)
 
 
 def main():

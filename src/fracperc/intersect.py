@@ -52,6 +52,12 @@ class ProductMeasureSpec:
                 raise ConfigError(
                     "power mode requires a diagonal-free decomposition level >= 1"
                 )
+            cubes = 2 ** (trees[0].law.d * self.diag_level)
+            if self.m >= 2 and cubes < self.m:
+                raise ConfigError(
+                    f"power mode at diag_level {self.diag_level} has {cubes} cubes "
+                    f"for {self.m} factors: no tuple of distinct cubes exists"
+                )
         else:
             if len(trees) != self.m:
                 raise ConfigError("need one tree per factor")
@@ -389,15 +395,40 @@ def _segment_sums(x, rep, start):
     return out
 
 
+def _measure_once(held, idx, measure):
+    """(values, ses, held) of the level cubes idx (K, M), measuring by
+    measure(cubes (C, M)) -> (values, ses) only the cubes `held` lacks.
+    held is None or the lexsorted (cubes, values, ses) measured so far; the
+    returned one adds the cubes measured here."""
+    cubes, values, ses = held or (idx[:0], np.zeros(0), np.zeros(0))
+    # keys of separate calls are not comparable, so the held cubes are keyed
+    # again with each call's
+    held_key, key = _row_keys(cubes, idx)
+    new = ~np.isin(key, held_key)
+    new_key, first = np.unique(key[new], return_index=True)
+    if new_key.shape[0]:
+        fresh = idx[new][first]
+        v, s = measure(fresh)
+        at = np.searchsorted(held_key, new_key)
+        held_key = np.insert(held_key, at, new_key)
+        cubes = np.insert(cubes, at, fresh, axis=0)
+        values, ses = np.insert(values, at, v), np.insert(ses, at, s)
+    pos = np.searchsorted(held_key, key)
+    return values[pos], ses[pos], (cubes, values, ses)
+
+
 def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
     """(values, ses, counts), (R, n+1) arrays, of the batch's replicates in
-    spec's mode: one kernel call per level and group, summed per replicate."""
+    spec's mode: one kernel call per level and group, summed per replicate.
+    A variety's kernel measures each product cube once per run: a level's
+    cubes met in an earlier group are looked up, not measured again."""
     shape = (batch.reps, n + 1)
     totals, variances = np.zeros(shape), np.zeros(shape)
     counts = np.zeros(shape, dtype=np.int64)
     # power mode's decomposition level, from which factors are distinct
     diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
     keep = _target_keep(target) if pruned else None
+    held = {}  # level -> the variety cubes measured so far (_measure_once)
     for lev, state, rep in _traverse(batch, keep, n, budget, diag):
         if rep.shape[0] == 0:
             continue
@@ -411,7 +442,10 @@ def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
         if isinstance(target, AffinePlane):
             vals, se = plane_level_measure(target, idx_md, lev, mc_samples)
         else:
-            vals, se = variety_level_measure(target, idx_md, lev, mc_samples)
+            vals, se, held[lev] = _measure_once(
+                held.get(lev), idx_md,
+                lambda cubes: variety_level_measure(target, cubes, lev, mc_samples),
+            )
         start = np.where(cnt > 0, -0.0, 0.0)
         totals[r0:r1, lev] = _segment_sums(vals, rep, start)
         variances[r0:r1, lev] = _segment_sums(se * se, rep, start)

@@ -911,17 +911,10 @@ def box_count_slope(points, j_lo, j_hi):
 
 
 def _split_by_tree(tree, rows, trees):
-    """The rows held by each of the trees 0..trees-1, in their order."""
+    """The rows held by each of the trees 0..trees-1, in their order: one
+    stable split."""
     order = np.argsort(tree, kind="stable")
     return np.split(rows[order], np.searchsorted(tree[order], np.arange(1, trees)))
-
-
-def _tree_runs(tree, rows):
-    """(t, the rows held by tree t in their order) for each tree t among
-    `tree` (H,), in tree order: one stable split."""
-    order = np.argsort(tree, kind="stable")
-    ids, starts = np.unique(tree[order], return_index=True)
-    return zip(ids.tolist(), np.split(rows[order], starts[1:]))
 
 
 def parameter_dimensions(
@@ -943,8 +936,9 @@ def parameter_dimensions(
     boxes = {}
     groups = _detect_groups(counts, tree, cubes, desc, n, tolerance, budget, enumerate_all=True)
     for owner, _, wit in groups:
-        for r, rows in _tree_runs(owner, wit):
-            boxes[r] = *box_count_slope(rows, j_lo, j_hi), rows.shape[0]
+        for r, rows in enumerate(_split_by_tree(owner, wit, replicates)):
+            if rows.shape[0]:
+                boxes[r] = *box_count_slope(rows, j_lo, j_hi), rows.shape[0]
     predicted = desc.m * (law.s - law.d) + law.d + 1
     out = []
     for r, total in enumerate(counts["candidate_tuples"].tolist()):
@@ -1035,7 +1029,9 @@ def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
     for owner, wit, _ in _detect_groups(
         counts, tree, np.concatenate(sets), desc, n, tolerance, budget, enumerate_all=True
     ):
-        for t, rows in _tree_runs(owner, wit):
+        for t, rows in enumerate(_split_by_tree(owner, wit, len(sets))):
+            if rows.shape[0] == 0:
+                continue
             key, cube_key = _row_keys(rows.reshape(-1, desc.d), sets[t])
             key = key.reshape(rows.shape[:2])
             removed = []

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, SingularityError
 from .geometry import AffinePlane, RANK_TOL, _level_lower, _row_chunks, _sobol_points
-from .percolation import _row_keys
 
 DEFAULT_MC_SAMPLES = 1 << 18
 DEFAULT_SUBDIV_LEVELS = 4
@@ -56,6 +55,22 @@ class PolynomialMap:
                     dterms.append((ci, i, c * a, dfactors))
         object.__setattr__(self, "_terms", tuple(terms))
         object.__setattr__(self, "_dterms", tuple(dterms))
+        # The Taylor expansion about a point lo: with x = lo + s, the term
+        # c x^alpha is the sum over beta <= alpha of
+        # c prod_i C(a_i, b_i) lo^(alpha - beta) s^beta.  _steps lists the
+        # distinct beta as factors, in order of first use; _shifts, per
+        # (term, beta), its component, beta's position, weight and the
+        # factors of lo^(alpha - beta).
+        steps, shifts = {}, []
+        for ci, comp in enumerate(comps):
+            for alpha, c in comp.items():
+                for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                    w = c * math.prod(map(math.comb, alpha, beta))
+                    rest = tuple((i, a - b) for i, (a, b) in enumerate(zip(alpha, beta)) if a > b)
+                    shifts.append((ci, steps.setdefault(beta, len(steps)), w, rest))
+        steps = tuple(tuple((i, b) for i, b in enumerate(beta) if b) for beta in steps)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_shifts", tuple(shifts))
 
     @property
     def codomain(self):
@@ -77,6 +92,28 @@ class PolynomialMap:
         term = np.empty(x.shape[:-1])
         for ci, i, c, factors in self._dterms:
             out[..., ci, i] += _monomial(x, c, factors, term)
+        return out
+
+    def taylor(self, lo):
+        """Coefficients (..., q, T) of P expanded about the points lo (..., M):
+        P(lo + s) = taylor(lo) @ monomials(s) in exact arithmetic.  Each
+        entry sums its terms in one fixed order, so a point's coefficients
+        do not depend on the points computed with it."""
+        lo = np.asarray(lo, dtype=float)
+        out = np.zeros(lo.shape[:-1] + (self.codomain, len(self._steps)))
+        term = np.empty(lo.shape[:-1])
+        for ci, t, w, factors in self._shifts:
+            out[..., ci, t] += _monomial(lo, w, factors, term)
+        return out
+
+    def monomials(self, s):
+        """The T monomials s^beta of the Taylor expansion at the points s
+        (N, M), as (T, N)."""
+        s = np.asarray(s, dtype=float)
+        out = np.empty((len(self._steps), s.shape[0]))
+        term = np.empty(s.shape[0])
+        for t, factors in enumerate(self._steps):
+            out[t] = _monomial(s, 1.0, factors, term)
         return out
 
     def interval(self, lo, hi):
@@ -208,10 +245,23 @@ class VarietyMeasureResult:
     min_jacobian: float
 
 
+def _taylor_values(coef, steps):
+    """P at every sample of every point, (K, q, N), from the Taylor
+    coefficients coef (K, q, T) and the sample monomials steps (T, N): one
+    matrix product of K*q rows.  gemm sums each row's products in one order
+    whatever rows come with it (as OpenBLAS does), but numpy hands a lone
+    row to gemv, which sums in another, so a lone row is doubled: a point's
+    values do not depend on the points computed with it."""
+    k, q, t = coef.shape
+    flat = coef.reshape(k * q, t)
+    if k * q == 1:
+        flat = np.repeat(flat, 2, axis=0)
+    return (flat @ steps)[: k * q].reshape(k, q, -1)
+
+
 def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
     """Smoothed-coarea estimates, standard errors and smallest sampled J_q
-    (inf where no sample is near the variety) for the level cubes idx.  Each
-    distinct cube is measured once and its values are copied to its rows."""
+    (inf where no sample is near the variety) for the level cubes idx."""
     m = poly.ambient
     q = poly.codomain
     if q >= m:
@@ -224,22 +274,19 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
     side = 2.0 ** -level
     if epsilon is None:
         epsilon = side / DEFAULT_EPSILON_DIVISOR
-    _, first, inv = np.unique(_row_keys(idx)[0], return_index=True, return_inverse=True)
-    cubes = idx[first]
-    lo = _level_lower(cubes, level)
+    lo = _level_lower(idx, level)
     scaled = side * _sobol_points(m, n_samples)
-    scaled_t = np.ascontiguousarray(scaled.T)[:, None, :]
-    k = cubes.shape[0]
+    steps = poly.monomials(scaled)
+    k = idx.shape[0]
     mean = np.zeros(k)
     sd = np.zeros(k)
     min_jac = np.full(k, np.inf)
-    chunks = _row_chunks(k, n_samples * m)
-    # coordinate-major (M, C, N) storage, so that each coordinate the
-    # polynomial reads is contiguous in memory
-    buf = np.empty((m, chunks[0].stop if chunks else 0, n_samples))
-    for rows in chunks:
-        xt = np.add(lo[rows].T[:, :, None], scaled_t, out=buf[:, : rows.stop - rows.start])
-        near = np.all(np.abs(poly(np.moveaxis(xt, 0, -1))) < epsilon, axis=-1)
+    # chunks are sized by the samples' M coordinates, though P takes q values
+    # a sample: larger chunks measure no faster, and their near points'
+    # temporaries raise the peak memory
+    for rows in _row_chunks(k, m * n_samples):
+        vals = _taylor_values(poly.taylor(lo[rows]), steps)
+        near = np.all(np.abs(vals, out=vals) < epsilon, axis=1)
         # the near points in row order, rebuilt by index as the same sums
         r, col = np.divmod(np.flatnonzero(near), n_samples)
         if r.size == 0:
@@ -255,7 +302,6 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
         mean[at] = contrib.mean(axis=1)
         if n_samples > 1:
             sd[at] = contrib.std(axis=1, ddof=1)
-    min_jac = min_jac[inv]
     low = min_jac[min_jac < singular_tol]
     if low.size:
         raise SingularityError(
@@ -263,7 +309,7 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
             f"(J_q = {low[0]:.3e} < {singular_tol:g})"
         )
     vol = side ** m
-    return vol * mean[inv], vol * (sd[inv] / math.sqrt(n_samples)), min_jac
+    return vol * mean, vol * (sd / math.sqrt(n_samples)), min_jac
 
 
 def variety_level_measure(

@@ -144,6 +144,17 @@ def test_cli_exit_codes(tmp_path):
         assert main(argv + overrides) == 2, (command, overrides)
 
 
+def test_power_mode_without_distinct_cubes_exits_2(tmp_path, capsys):
+    # d = 1, m = 3 at diag_level 1: two cubes for three factors, so no tuple
+    # of distinct cubes exists and every Y_j would read 0.
+    argv = ["intersect", "--preset", "paper", "--seed", "1", "mode=power"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    assert "no tuple of distinct cubes" in capsys.readouterr().err
+    # Four cubes at diag_level 2 hold such tuples.
+    small = ["diag_level=2", "n=3", "replicates=2"]
+    assert main(argv + small + ["--out", str(tmp_path / "b")]) == 0
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_no_replicates_or_negative_depth_is_a_config_error(command, tmp_path):
     for k, bad in enumerate(["replicates=0", "n=-1"]):
@@ -319,7 +330,7 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("argv", [
-    ["intersect", "--preset", "smoke", "--seed", "3", "mode=power"],
+    ["intersect", "--preset", "smoke", "--seed", "3", "mode=power", "diag_level=2"],
     ["second-moment", "--preset", "smoke", "--seed", "3", "p=0.3", "variant=extinction"],
 ])
 def test_summary_is_strict_json(tmp_path, argv):
@@ -333,8 +344,8 @@ def test_summary_is_strict_json(tmp_path, argv):
     summary = _strict_json((out / "summary.json").read_text())
     results = summary["results"]
     if argv[0] == "intersect":
-        assert results["mean_Y"][0] is None
-        assert all(y is not None for y in results["mean_Y"][1:])
+        assert results["mean_Y"][:2] == [None, None]
+        assert all(y is not None for y in results["mean_Y"][2:])
         assert "nan" not in (out / "mass.svg").read_text()
     else:
         assert results["ratio"] is None and results["mean"] == 0.0

@@ -133,8 +133,8 @@ _KERNEL_CASES = {
 def test_level_kernels_match_one_row_calls(kernel, monkeypatch):
     # A chunk holds 3 QMC cubes (the 16 cubes span six chunks) or 384
     # hyperplane cubes (the 512 span two): every cube's value must equal its
-    # one-row call, whichever chunk it fell in.  The coarea kernel measures
-    # each distinct cube once, so its rows also come repeated and reversed.
+    # one-row call, whichever chunk it fell in.  The coarea rows also come
+    # repeated and reversed.
     n_samples = 256
     monkeypatch.setattr(geometry, "CHUNK_FLOATS", 3 * n_samples * 4)
     target, m, level = _KERNEL_CASES[kernel]
@@ -229,6 +229,14 @@ def test_spec_validation():
         fp.ProductMeasureSpec(mode="independent", trees=[t], m=2, diag_level=0)
     with pytest.raises(ConfigError):
         fp.ProductMeasureSpec(mode="power", trees=[t], m=2, diag_level=0)
+    # Power mode needs m distinct cubes at diag_level: 2^(d diag_level) >= m.
+    with pytest.raises(ConfigError, match="no tuple of distinct cubes"):
+        fp.ProductMeasureSpec(mode="power", trees=[t], m=3, diag_level=1)
+    fp.ProductMeasureSpec(mode="power", trees=[t], m=2, diag_level=1)
+    fp.ProductMeasureSpec(mode="power", trees=[t], m=4, diag_level=2)
+    fp.ProductMeasureSpec(mode="power", trees=[tree_d(2, 0.8, 0, 1)], m=4, diag_level=1)
+    with pytest.raises(ConfigError, match="no tuple of distinct cubes"):
+        fp.ProductMeasureSpec(mode="power", trees=[tree_d(2, 0.8, 0, 1)], m=5, diag_level=1)
 
 
 def test_martingale_resample_small():
@@ -581,6 +589,42 @@ def test_replicate_batch_matches_one_at_a_time(case, monkeypatch):
         assert [s.seed for s in batch] == [s.seed for s in alone]
         assert {s.kernel for s in batch} == {alone[0].kernel}
     assert sum(sum(s.counts) for s in batch) > len(keys)
+
+
+def test_variety_cubes_are_measured_once_per_run(monkeypatch):
+    # A cap of 40 tuples splits the traversal into several groups, which
+    # share product cubes at a level: each (level, cube) must reach the
+    # kernel once per run, and every replicate's series must still equal its
+    # own one-replicate call bit for bit.
+    mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-coarea"]
+    keys = root_key(np.arange(100, 112, dtype=np.uint64))
+    (spec,) = _replicate_specs(mode, d, m, p, variant, keys[:1], n, 0)
+    alone = [replicate_masses(spec, keys[r : r + 1], target, n, mc_samples=64)[0]
+             for r in range(keys.shape[0])]
+    calls = []
+
+    def recording(poly, idx, level, n_samples):
+        calls.append((level, idx.copy()))
+        return variety_level_measure(poly, idx, level, n_samples)
+
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 40)
+    monkeypatch.setattr(intersect, "variety_level_measure", recording)
+    batch = replicate_masses(spec, keys, target, n, mc_samples=64)
+    for field in ("values", "ses", "counts"):
+        assert _bits(batch, field) == _bits(alone, field), field
+    assert len(calls) > n + 1
+    for lev in range(n + 1):
+        handed = np.concatenate([idx for level, idx in calls if level == lev])
+        assert np.unique(handed, axis=0).shape[0] == handed.shape[0], lev
+    # groups share cubes: measured once per group, they would be more
+    seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
+    whole = _grown_batch(spec, keys, seeds, n)
+    per_group = sum(
+        np.unique(_product_idx(state, [whole.factor[lev][1]] * m), axis=0).shape[0]
+        for lev, state, _ in _traverse(whole, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET)
+        if state.shape[0]
+    )
+    assert per_group > sum(idx.shape[0] for _, idx in calls)
 
 
 def _smallest_budget(spec, target, n):

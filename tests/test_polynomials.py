@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 import fracperc as fp
+import fracperc.geometry as geometry
 from fracperc.errors import SingularityError
+from fracperc.geometry import _sobol_points
 from fracperc.polynomials import (
+    _coarea_jacobian_factor,
+    _taylor_values,
     polynomial_from_text,
     polynomial_to_text,
     variety_box_count,
     variety_cube_measure,
+    variety_level_measure,
     variety_tangent,
 )
 
@@ -327,3 +332,68 @@ def test_newton_rows_count_the_unconverged_row():
     # Rows do not depend on the rows they are refined with.
     x_rev, conv_rev = fp.newton_refine_rows(poly, x0[::-1])
     assert np.array_equal(x_rev[::-1], x) and np.array_equal(conv_rev[::-1], conv)
+
+
+def _cylinder_slice(r=0.35):
+    # The circle of test_codimension_two_circle_in_space: codimension two.
+    cyl = {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (1, 0, 0): -1.0, (0, 1, 0): -1.0,
+           (0, 0, 0): 0.5 - r * r}
+    return fp.PolynomialMap(ambient=3, components=(cyl, {(0, 0, 1): 1.0, (0, 0, 0): -0.5}))
+
+
+_COAREA_MAPS = {
+    "distance-d1": fp.configuration_polynomial(fp.ConfigDescriptor("distance", 1, {"lam": 0.5})),
+    "distance-d2": fp.configuration_polynomial(fp.ConfigDescriptor("distance", 2, {"lam": 0.5})),
+    "volume-d2": fp.configuration_polynomial(fp.ConfigDescriptor("volume", 2, {"vol": 0.1})),
+    "cubic": fp.PolynomialMap(ambient=3, components=(
+        {(3, 0, 0): 1.0, (0, 1, 0): -0.5, (0, 0, 2): 0.7, (1, 1, 1): -1.3, (0, 0, 0): -0.1},
+    )),
+    "circle-in-space": _cylinder_slice(),
+}
+
+
+def _reference_level_measure(poly, idx, level, n_samples):
+    """The coarea estimator cube by cube, its near test |P| < eps taken on
+    poly(lo + side * sobol) point by point."""
+    side = 2.0 ** -level
+    eps = side / 32.0
+    scaled = side * _sobol_points(poly.ambient, n_samples)
+    vol = side ** poly.ambient
+    out = []
+    for row in idx:
+        x = row.astype(float) * side + scaled
+        near = np.all(np.abs(poly(x)) < eps, axis=-1)
+        contrib = np.zeros(n_samples)
+        contrib[near] = _coarea_jacobian_factor(poly.jacobian(x[near])) / (2 * eps) ** poly.codomain
+        out.append((vol * contrib.mean(), vol * (contrib.std(ddof=1) / math.sqrt(n_samples))))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("name", sorted(_COAREA_MAPS))
+def test_coarea_taylor_product_matches_pointwise_evaluation(name, monkeypatch):
+    # The kernel evaluates P over a cube's samples as the product of its
+    # Taylor coefficients at the corner with the samples' monomials.  Its
+    # values and s.e. must equal those of the pointwise near test exactly,
+    # with chunks of one cube (a lone row) and of three, and with repeated
+    # rows; the product itself must match poly(lo + s) to rounding.
+    poly = _COAREA_MAPS[name]
+    m, n_samples = poly.ambient, 512
+    rng = np.random.default_rng(7)
+    for level in range(4):
+        idx = rng.integers(0, 1 << level, size=(400, m))
+        side = 2.0 ** -level
+        idx = idx[poly.may_vanish(idx * side, (idx + 1) * side)][:24]
+        idx = np.concatenate([idx, idx[::3], idx[:1]])
+        want = _reference_level_measure(poly, idx, level, n_samples)
+        assert np.any(want[0] > 0), level
+        for per_chunk in (1, 3, None):
+            if per_chunk is not None:
+                monkeypatch.setattr(geometry, "CHUNK_FLOATS", per_chunk * m * n_samples)
+            vals, ses = variety_level_measure(poly, idx, level, n_samples)
+            assert np.array_equal(vals, want[0]) and np.array_equal(ses, want[1]), (level, per_chunk)
+            monkeypatch.undo()
+        lo = idx.astype(float) * side
+        scaled = side * _sobol_points(m, n_samples)
+        got = _taylor_values(poly.taylor(lo), poly.monomials(scaled))
+        direct = np.moveaxis(poly(lo[:, None, :] + scaled), -1, 1)
+        assert np.max(np.abs(got - direct)) < 1e-12, level
