@@ -15,11 +15,9 @@ from .errors import (
 from .percolation import (
     DyadicCube,
     GaltonWatsonLaw,
-    NaturalMeasure,
     PercolationTree,
     coupled_slice,
     extinction_probability,
-    natural_measure,
     offspring_distribution,
     resample_level,
     sample_forest,
@@ -27,14 +25,11 @@ from .percolation import (
 )
 from .geometry import (
     AffinePlane,
-    coordinate_plane,
     plane_cube_measure,
     plane_from_text,
     plane_level_keep,
     plane_level_measure,
     plane_to_text,
-    principal_angle,
-    transversality_check,
 )
 from .polynomials import (
     PolynomialMap,
@@ -42,15 +37,12 @@ from .polynomials import (
     newton_refine_rows,
     polynomial_from_text,
     polynomial_to_text,
-    variety_box_count,
     variety_cube_measure,
     variety_level_measure,
-    variety_tangent,
 )
 from .intersect import (
     MassSeries,
     ProductMeasureSpec,
-    dependency_graph,
     holder_modulus,
     intersection_mass,
     martingale_resample_check,
@@ -68,7 +60,6 @@ from .patterns import (
     pattern_parameter_dimension,
     percolation_dimension_test,
     presence_profiles,
-    realized_value_set,
     subset_stress_test,
     threshold_sweep,
     threshold_table,

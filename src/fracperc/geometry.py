@@ -1,4 +1,4 @@
-"""Affine planes, principal angles, plane-cube measures, transversality.
+"""Affine planes and plane-cube measures.
 
 Measures use half-open cube semantics throughout so that level-n cubes tile
 [0,1)^M exactly and per-cube measures are additive.
@@ -15,9 +15,6 @@ from .errors import ConfigError, DegenerateInputError
 
 ORTHO_TOL = 1e-10
 RANK_TOL = 1e-8
-# singular value threshold above which two basis directions are considered
-# a shared (zero-angle) direction
-_COS_ONE = 1.0 - 1e-9
 
 DEFAULT_MC_SAMPLES = 1 << 16
 
@@ -115,36 +112,6 @@ class AffinePlane:
             self.project(np.zeros(self.ambient)) - other.project(np.zeros(self.ambient))
         )
         return dir_part + off_part
-
-
-def principal_angle_spectrum(v, w):
-    """All principal angles between the direction spans of v and w."""
-    if v.dim == 0 or w.dim == 0:
-        return np.array([])
-    sv = np.linalg.svd(v.basis @ w.basis.T, compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
-
-
-def principal_angle(v, w):
-    """Transversality angle between (the directions of) two affine planes.
-
-    0 when dim(V cap W) exceeds the generic value max(0, dimV+dimW-M);
-    otherwise the j-th smallest principal angle with j = dim(V cap W) + 1.
-    By convention the angle with a 0-dimensional plane is 1, and pi/2 is
-    returned when the j-th angle does not exist (e.g. W is the full space).
-    """
-    if v.ambient != w.ambient:
-        raise ConfigError("ambient dimension mismatch")
-    if v.dim == 0 or w.dim == 0:
-        return 1.0
-    angles = np.sort(principal_angle_spectrum(v, w))
-    shared = int((np.cos(angles) > _COS_ONE).sum())  # dim of direction overlap
-    generic = max(0, v.dim + w.dim - v.ambient)
-    if shared > generic:
-        return 0.0
-    if shared >= angles.size:
-        return np.pi / 2
-    return float(angles[shared])
 
 
 # ---------------------------------------------------------------------------
@@ -510,84 +477,6 @@ def orthonormalize_complement(basis):
     k, m = b.shape
     u, sv, vt = np.linalg.svd(b, full_matrices=True)
     return vt[k:]
-
-
-# ---------------------------------------------------------------------------
-# Coordinate planes H^I, H^{I,j,i} and transversality reports
-
-def coordinate_plane(m, d, zero_factors, zero_coord=None):
-    """H^I (and H^{I,j,i} when zero_coord=(j,i)) as an AffinePlane in R^(md).
-
-    H^I = {x : x_j = 0 for j in I}; H^{I,j,i} additionally has x_j^i = 0.
-    Factors and coordinates are 0-based here.
-    """
-    killed = set()
-    for j in zero_factors:
-        for i in range(d):
-            killed.add(j * d + i)
-    if zero_coord is not None:
-        j, i = zero_coord
-        killed.add(j * d + i)
-    keep = [a for a in range(m * d) if a not in killed]
-    basis = np.eye(m * d)[keep]
-    return AffinePlane(basis=basis, offset=np.zeros(m * d))
-
-
-@dataclass
-class TransversalityEntry:
-    zero_factors: tuple
-    zero_coord: tuple | None  # (j, i) or None
-    angle: float
-    passed: bool
-
-
-@dataclass
-class TransversalityReport:
-    threshold: float
-    entries: list
-    min_angle: float
-    passed: bool
-
-
-def transversality_check(planes, m, d, threshold):
-    """Angles of each plane against every H^I and H^{I,j,i}.
-
-    planes: a single AffinePlane or an iterable (e.g. sampled tangents).
-    Pass iff every measured angle is >= threshold.  I ranges over proper
-    subsets of the m factors; I = empty set contributes only the coordinate
-    hyperplanes H^{0,j,i}.
-    """
-    if isinstance(planes, AffinePlane):
-        planes = [planes]
-    entries = []
-    factor_ids = range(m)
-    for plane in planes:
-        if plane.ambient != m * d:
-            raise ConfigError("plane ambient must be m*d")
-        for r in range(m):
-            for subset in itertools.combinations(factor_ids, r):
-                if subset:
-                    h = coordinate_plane(m, d, subset)
-                    ang = principal_angle(plane, h)
-                    entries.append(
-                        TransversalityEntry(subset, None, ang, ang >= threshold)
-                    )
-                for j in factor_ids:
-                    if j in subset:
-                        continue
-                    for i in range(d):
-                        h = coordinate_plane(m, d, subset, zero_coord=(j, i))
-                        ang = principal_angle(plane, h)
-                        entries.append(
-                            TransversalityEntry(subset, (j, i), ang, ang >= threshold)
-                        )
-    min_angle = min(e.angle for e in entries) if entries else np.pi / 2
-    return TransversalityReport(
-        threshold=threshold,
-        entries=entries,
-        min_angle=float(min_angle),
-        passed=all(e.passed for e in entries),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from .intersect import (
     second_moment_estimate,
 )
 from .patterns import (
+    PLANE_FAMILIES,
+    SCALE_INVARIANT,
     ConfigDescriptor,
     configuration_plane,
     configuration_polynomial,
@@ -187,8 +189,17 @@ class ExperimentConfig:
             return polynomial_from_text(self.s("target_spec"))
         if kind == "family":
             desc = self.descriptor()
-            if desc.family in ("homothetic", "translate"):
+            if desc.family in PLANE_FAMILIES:
                 return configuration_plane(desc)
+            if desc.family in SCALE_INVARIANT:
+                # a polynomial in the sites' differences with no constant
+                # term: it and its differential vanish on the diagonal
+                raise ConfigError(
+                    f"family {desc.family} has no intersection mass: its "
+                    "polynomial and its differential vanish wherever the "
+                    "sites coincide, and every level keeps cubes holding "
+                    "such points; sweep and stress detect this family"
+                )
             return configuration_polynomial(desc)
         raise ConfigError(f"unknown target_kind {kind!r}")
 

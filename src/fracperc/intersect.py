@@ -1,5 +1,5 @@
 """Intersection masses of product percolation measures with planes/varieties,
-dependency graphs, second-moment estimates and empirical Hölder moduli.
+second-moment estimates and empirical Hölder moduli.
 """
 
 import math
@@ -368,20 +368,6 @@ def _traverse(batch, keep, n, budget, distinct=None):
     yield from level(np.repeat(roots, m // t, axis=1), 0)
 
 
-def product_support_traversal(
-    spec, target, n, budget=DEFAULT_CUBE_BUDGET, pruned=True,
-):
-    """Yield (level, idx array (K, m*d)) of surviving product cubes meeting
-    the target, for levels 0..n.  Power mode restricts to pairwise-distinct
-    factor tuples from spec.diag_level on.
-    """
-    batch = _spec_batch(spec, n)
-    keep = _target_keep(target) if pruned else None
-    diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
-    for lev, state, _ in _traverse(batch, keep, n, budget, diag):
-        yield lev, _product_idx(state, [batch.factor[lev][1]] * spec.m)
-
-
 # ---------------------------------------------------------------------------
 # Level masses
 
@@ -600,55 +586,6 @@ def martingale_resample_check(
 
 
 # ---------------------------------------------------------------------------
-# Dependency graph
-
-@dataclass
-class DependencyReport:
-    n: int
-    num_vertices: int
-    max_degree: int
-    degree_histogram: dict
-    bucket_sizes: dict  # factor-cube index tuple -> number of incidences
-
-
-def dependency_graph(spec, target, n, budget=DEFAULT_CUBE_BUDGET):
-    """Vertices: surviving level-n product cubes meeting the target.  Edge
-    between two cubes when any of their coordinate projections coincide
-    (same factor cube in any pair of slots) — the pairs whose masses are not
-    conditionally independent.
-    """
-    m, d = spec.m, spec.d
-    last = None
-    for lev, idx_md in product_support_traversal(spec, target, n, budget=budget):
-        last = idx_md
-    verts = last
-    k = verts.shape[0]
-    buckets = {}
-    for v in range(k):
-        fi = verts[v].reshape(m, d)
-        for j in range(m):
-            buckets.setdefault(tuple(fi[j].tolist()), []).append(v)
-    degrees = np.zeros(k, dtype=np.int64)
-    for v in range(k):
-        fi = verts[v].reshape(m, d)
-        nbrs = set()
-        for j in range(m):
-            nbrs.update(buckets[tuple(fi[j].tolist())])
-        nbrs.discard(v)
-        degrees[v] = len(nbrs)
-    hist = {}
-    for deg in degrees.tolist():
-        hist[deg] = hist.get(deg, 0) + 1
-    return DependencyReport(
-        n=n,
-        num_vertices=k,
-        max_degree=int(degrees.max()) if k else 0,
-        degree_histogram=hist,
-        bucket_sizes={key: len(v) for key, v in buckets.items()},
-    )
-
-
-# ---------------------------------------------------------------------------
 # Second moment / Paley-Zygmund
 
 @dataclass
@@ -677,6 +614,8 @@ def second_moment_estimate(
 
     Replicate r's trees are drawn like spec's, from the key
     derive(root_key(base_seed), 2r + 1); all replicates form one batch."""
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     root = root_key(int(base_seed))
     keys = [derive(root, 2 * r + 1) for r in range(replicates)]
     series = replicate_masses(spec, keys, target, n, mc_samples=mc_samples)

@@ -1,5 +1,5 @@
 """Geometric configuration catalog, finite-resolution detectors, threshold
-sweeps, realized-value sets, parameter-set dimension and stress tests.
+sweeps, parameter-set dimension and stress tests.
 """
 
 import functools
@@ -17,8 +17,7 @@ from .percolation import (
     GaltonWatsonLaw, _row_keys, coupled_law, forest_groups, sample_forest,
 )
 from .intersect import (
-    DEFAULT_CUBE_BUDGET, _Batch, _lex_member, _pairwise_distinct, _poly_keep, _stack,
-    _traverse,
+    DEFAULT_CUBE_BUDGET, _Batch, _lex_member, _poly_keep, _traverse,
 )
 from .rng import derive, root_key
 
@@ -478,16 +477,6 @@ def _candidate_groups(levels, desc, n, tolerance, target, budget):
             yield state, tree
 
 
-def _candidate_tuples(cubes, desc, n, tolerance, target, budget):
-    """The level arrays 0..n of the cubes' ancestors and their level-n
-    candidate tuples (B, m), in traversal order: one tree's candidates."""
-    levels = _ancestor_levels(cubes, n)
-    forest = [_stack([lev]) for lev in levels]
-    for state, _ in _candidate_groups(forest, desc, n, tolerance, target, budget):
-        pass
-    return levels, state
-
-
 def _fit_rows(desc, target, centers, tolerance, min_diameter):
     """(ok (B,), params (B, P), unconverged (B,)) of candidate rows of centers
     (B, m, d): the plane fit, or the polished root of the polynomials."""
@@ -659,101 +648,6 @@ def detect_configuration(
 
 
 # ---------------------------------------------------------------------------
-# Realized value sets
-
-def _merge_intervals(intervals):
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    out = [list(intervals[0])]
-    for lo, hi in intervals[1:]:
-        if lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(a, b) for a, b in out]
-
-
-def realized_value_set(cubes, functional, n, d, max_tuples=2_000_000, seed=0):
-    """Union of closed intervals of functional values realized by surviving
-    cube tuples, each value dilated by a local Lipschitz slack covering the
-    cube around each center.
-
-    functional: "distance" (pairs), "angle" (cosine at the middle point,
-    triples) or "volume" (simplex volume, d+1 points).  Triple-and-up
-    enumerations beyond max_tuples are uniformly subsampled.
-    """
-    cubes = np.asarray(cubes, dtype=np.int64)
-    if cubes.ndim == 1:
-        cubes = cubes[:, None]
-    side = 2.0 ** -n
-    centers = (cubes.astype(float) + 0.5) * side
-    ptol = 0.5 * math.sqrt(d) * side  # max center-to-point distance in a cube
-    nn = centers.shape[0]
-    if nn == 0:
-        return []
-    if functional == "distance":
-        intervals = []
-        bin_w = side / 4.0
-        hist = set()
-        chunk = max(1, int(2e7) // max(nn, 1))
-        for start in range(0, nn, chunk):
-            block = centers[start : start + chunk]
-            dist = np.sqrt(
-                ((block[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-            ).ravel()
-            dist = dist[dist > 0]
-            hist.update(np.unique(np.round(dist / bin_w).astype(np.int64)).tolist())
-        slack = 2.0 * ptol + bin_w  # Lipschitz constant 1 per endpoint
-        for b in sorted(hist):
-            v = b * bin_w
-            intervals.append((max(v - slack, 0.0), v + slack))
-        return _merge_intervals(intervals)
-
-    arity = 3 if functional == "angle" else d + 1
-    rng = np.random.default_rng(seed)
-    total = nn ** arity
-    if total > max_tuples:
-        tuples = rng.integers(0, nn, size=(max_tuples, arity))
-    else:
-        tuples = np.array(
-            list(itertools.product(range(nn), repeat=arity)), dtype=np.int64
-        )
-    tuples = tuples[_pairwise_distinct(tuples)]
-    pts = centers[tuples]  # (K, arity, d)
-    if functional == "angle":
-        u = pts[:, 0] - pts[:, 1]
-        v = pts[:, 2] - pts[:, 1]
-        nu = np.linalg.norm(u, axis=1)
-        nv = np.linalg.norm(v, axis=1)
-        good = (nu > 4 * ptol) & (nv > 4 * ptol)
-        vals = (u * v).sum(1)[good] / (nu * nv)[good]
-        # d(cos)/d(point) <= 2 / min-leg-length
-        slacks = 2.0 * ptol * 2.0 / np.minimum(nu, nv)[good] * 3.0
-    elif functional == "volume":
-        mat = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)
-        vals = np.abs(np.linalg.det(np.swapaxes(mat, 1, 2))) / math.factorial(d)
-        diam = pts.max(axis=(1, 2)) - pts.min(axis=(1, 2)) + 1e-9
-        slacks = arity * ptol * (diam ** (d - 1)) / math.factorial(d - 1)
-    else:
-        raise ConfigError(f"unknown functional {functional!r}")
-    intervals = [
-        (float(v - s), float(v + s)) for v, s in zip(vals, np.broadcast_to(slacks, vals.shape))
-    ]
-    return _merge_intervals(intervals)
-
-
-def intervals_cover(intervals, lo, hi):
-    """True when [lo, hi] is fully covered by the interval union."""
-    for a, b in intervals:
-        if a <= lo <= b:
-            if b >= hi:
-                return True
-            lo = b
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Sweeps and statistics
 
 def wilson_interval(successes, trials, z=1.959963984540054):
@@ -851,6 +745,8 @@ def threshold_sweep(
     field per replicate, sliced at every p).  Replicate r has the seed
     derive(root_key(base_seed), r + 1); all replicates form one batch.
     """
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     p_grid = sorted(float(p) for p in p_grid)
     seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
     present, _ = presence_profiles(
@@ -983,6 +879,8 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
     p_grid = sorted(float(p) for p in p_grid)
     if len(p_grid) < 2:
         raise ConfigError("a steepest transition needs a p_grid of at least two p")
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     ancestors = _ancestor_levels(cubes, n)
     rows, hits = [], []
     for pi, p in enumerate(p_grid):
@@ -1070,6 +968,8 @@ def subset_stress_test(
         raise ConfigError("fraction must be in [0, 1)")
     if strategy not in ("random", "greedy"):
         raise ConfigError("strategy must be random or greedy")
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
     owner, cubes = sample_forest(tree.law, tree.variant, seeds, n)[n]
     remaining = _split_by_tree(owner, cubes, replicates)
@@ -1138,6 +1038,8 @@ def _harris_checks(pairs, law, n, replicates, base_seed, variant):
     """harris_check of each (event1, event2) of `pairs` on the same
     replicates, grown once.  Each pair's events are probed with a fresh rng,
     as one harris_check call would probe them."""
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     for event1, event2 in pairs:
         rng = np.random.default_rng(base_seed ^ 0x5DEECE66D)
         for ev, name in ((event1, "event1"), (event2, "event2")):

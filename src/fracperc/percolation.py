@@ -367,25 +367,8 @@ def resample_level(tree, n, resample_index):
     return _step(tree.law, tree.variant, level, DEFAULT_MAX_CUBES)[1]
 
 
-@dataclass(frozen=True)
-class NaturalMeasure:
-    """nu_n = p^-n Leb|_{A_n}: density p^-n on the surviving level-n cubes."""
-
-    tree: PercolationTree
-    n: int
-
-    @property
-    def total_mass(self):
-        return natural_mass(self.tree.law, self.tree.count(self.n), self.n)
-
-
 def natural_mass(law, count, n):
     """||nu_n|| = N_n p^-n 2^-dn = N_n 2^-sn of `count` level-n cubes (an
     int or an array of counts)."""
     return count * (law.p * 2.0 ** law.d) ** -n
 
-
-def natural_measure(tree, n):
-    if n > tree.depth:
-        raise ConfigError("level not materialized")
-    return NaturalMeasure(tree=tree, n=n)

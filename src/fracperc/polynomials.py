@@ -1,18 +1,17 @@
 """Polynomial maps R^M -> R^q: evaluation, Jacobians, interval enclosures,
-variety-cube measures via the coarea formula, and tangent planes.
+and variety-cube measures via the coarea formula.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, SingularityError
-from .geometry import AffinePlane, RANK_TOL, _level_lower, _row_chunks, _sobol_points
+from .errors import ConfigError, SingularityError
+from .geometry import _level_lower, _row_chunks, _sobol_points
 
 DEFAULT_MC_SAMPLES = 1 << 18
-DEFAULT_SUBDIV_LEVELS = 4
 DEFAULT_EPSILON_DIVISOR = 32.0
 
 
@@ -356,53 +355,6 @@ def variety_cube_measure(
             ),
         )
     return float(est[0])
-
-
-def variety_box_count(poly, cube, levels=DEFAULT_SUBDIV_LEVELS):
-    """Diagnostic: counts of subcubes whose interval enclosure contains 0.
-
-    Subdivides the cube `levels` times; returns the list of counts N_j for
-    j = 0..levels.  For a well-behaved codimension-q variety the counts grow
-    like 2^(j(M-q)); the ratio log2(N_last/N_prev) estimates the box dimension.
-    """
-    m = poly.ambient
-    lo0 = cube.lower[None, :]
-    side = cube.side
-    counts = []
-    active = lo0
-    offsets = np.array(
-        list(itertools.product((0, 1), repeat=m)), dtype=float
-    )
-    for j in range(levels + 1):
-        h = side / (1 << j)
-        keep = poly.may_vanish(active, active + h)
-        active = active[keep]
-        counts.append(int(active.shape[0]))
-        if j < levels:
-            if active.shape[0] * (1 << m) > 20_000_000:
-                raise ConfigError("subdivision diagnostic exceeds cube budget")
-            active = (active[:, None, :] + offsets[None, :, :] * (h / 2.0)).reshape(
-                -1, m
-            )
-    return counts
-
-
-def variety_tangent(poly, point, rank_tol=RANK_TOL):
-    """Tangent plane of {P = 0} at a (near-)root: nullspace of the Jacobian.
-
-    Raises SingularityError when the differential is rank-deficient there.
-    """
-    x = np.asarray(point, dtype=float)
-    jac = poly.jacobian(x[None, :])[0]  # (q, M)
-    u, sv, vt = np.linalg.svd(jac)
-    scale = max(1.0, sv[0] if sv.size else 1.0)
-    rank = int((sv > rank_tol * scale).sum())
-    if rank < poly.codomain:
-        raise SingularityError(
-            f"Jacobian rank {rank} < {poly.codomain} at tangent point"
-        )
-    basis = vt[rank:]
-    return AffinePlane(basis=basis, offset=x)
 
 
 def newton_refine_rows(poly, x0, max_iter=30, tol=1e-12):

@@ -1,5 +1,5 @@
-"""Unit tests for affine-plane geometry: principal angles, plane-cube
-section measures, transversality reports, and text serialization."""
+"""Unit tests for affine-plane geometry: plane-cube section measures and
+text serialization."""
 
 import itertools
 import math
@@ -13,12 +13,9 @@ import fracperc as fp
 from fracperc.errors import ConfigError
 from fracperc.geometry import (
     _sobol_points,
-    coordinate_plane,
     orthonormalize,
     plane_from_text,
     plane_to_text,
-    principal_angle,
-    transversality_check,
 )
 
 
@@ -31,36 +28,6 @@ def _plane(basis, offset):
 def _span(*rows):
     basis = orthonormalize(np.asarray(rows, dtype=float))
     return fp.AffinePlane(basis=basis, offset=np.zeros(basis.shape[1]))
-
-
-def test_principal_angle_same_subspace_is_zero():
-    v = _span([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    assert principal_angle(v, v) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_principal_angle_orthogonal_lines():
-    assert principal_angle(_span([1, 0]), _span([0, 1])) == pytest.approx(math.pi / 2)
-
-
-def test_principal_angle_diagonal_line():
-    assert principal_angle(_span([1, 0]), _span([1, 1])) == pytest.approx(math.pi / 4)
-
-
-def test_principal_angle_skips_shared_directions():
-    # A plane and a line inside it share one direction more than the generic
-    # dimension count allows in R^3, so the reported angle is the next one.
-    plane = _span([1, 0, 0], [0, 1, 0])
-    line = _span([1, 0, 0])
-    # dim V + dim W - M = 0, shared dim 1 > 0: skip to the 2nd angle = pi/2? no
-    # line lies inside the plane; the first non-shared angle does not exist,
-    # so the convention reports the angle past the forced intersection.
-    ang = principal_angle(plane, line)
-    assert 0.0 <= ang <= math.pi / 2
-
-
-def test_principal_angle_with_trivial_subspace():
-    empty = fp.AffinePlane(basis=np.zeros((0, 3)), offset=np.zeros(3))
-    assert principal_angle(_span([1, 0, 0]), empty) == pytest.approx(1.0)
 
 
 def test_plane_point_distance_and_project():
@@ -162,26 +129,6 @@ def test_intermediate_codimension_uses_sampling_and_reports_se():
     assert est > 0.5 and se >= 0.0
     # Deterministic: same call gives the same value.
     assert fp.plane_cube_measure(pl, cube) == est
-
-
-def test_coordinate_plane_contains_expected_points():
-    # With m = 2 factors in d = 2, zeroing factor 0 fixes its coordinates.
-    pl = coordinate_plane(2, 2, (0,))
-    x = np.array([0.0, 0.0, 0.3, 0.9])
-    assert pl.point_distance(x) == pytest.approx(0.0, abs=1e-12)
-    y = np.array([0.2, 0.0, 0.3, 0.9])
-    assert pl.point_distance(y) > 0.1
-
-
-def test_transversality_check_on_pattern_plane():
-    desc = fp.ConfigDescriptor(family="homothetic", d=1, params={"sites": [[0], [1], [2]]})
-    vt = fp.configuration_plane(desc)
-    report = transversality_check([vt], m=3, d=1, threshold=0.2)
-    assert report.passed
-    assert report.min_angle > 0.2
-    assert all(e.angle >= report.min_angle - 1e-12 for e in report.entries)
-    strict = transversality_check([vt], m=3, d=1, threshold=report.min_angle + 0.01)
-    assert not strict.passed
 
 
 def test_plane_text_round_trip():

@@ -1,6 +1,7 @@
 """Unit tests for the experiment harness: config parsing, runners, output
 files, aggregation, and CLI exit codes."""
 
+import ast
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fracperc as fp
 from fracperc.cli import main
 from fracperc.errors import ConfigError
 from fracperc.harness import (
@@ -94,7 +96,7 @@ def test_svg_plot_written(tmp_path):
     assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     ok = main(
         ["sample", "--preset", "smoke", "--seed", "1", "--out", str(tmp_path / "a")]
     )
@@ -138,10 +140,15 @@ def test_cli_exit_codes(tmp_path):
         ["perc-dim-test", "p_grid="],
         ["perc-dim-test", "p_grid=0.5"],
         ["intersect", "family=distance", "d=2", "m=2", "mc_samples=0"],
+        ["intersect", "family=angle", "lam=0.5", "d=2", "m=3", "n=2", "replicates=3"],
     ]
     for k, (command, *overrides) in enumerate(malformed):
         argv = [command, "--preset", "smoke", "--out", str(tmp_path / f"m{k}")]
+        capsys.readouterr()
         assert main(argv + overrides) == 2, (command, overrides)
+    # the last case: the angle polynomial is singular wherever sites
+    # coincide, and the mass commands refuse it before growing a tree
+    assert "family angle has no intersection mass" in capsys.readouterr().err
 
 
 def test_power_mode_without_distinct_cubes_exits_2(tmp_path, capsys):
@@ -160,6 +167,73 @@ def test_no_replicates_or_negative_depth_is_a_config_error(command, tmp_path):
     for k, bad in enumerate(["replicates=0", "n=-1"]):
         argv = [command, "--preset", "smoke", "--out", str(tmp_path / str(k)), bad]
         assert main(argv) == 2, bad
+
+
+def _no_replicate_calls():
+    law = fp.GaltonWatsonLaw.create(1, 0.8)
+    tree = fp.sample_tree(law, "surviving", 1, 3)
+    desc = fp.ConfigDescriptor(family="homothetic", d=1, params={"sites": [[0], [1], [2]]})
+    spec = fp.ProductMeasureSpec(mode="independent", trees=(tree,), m=1)
+    line = fp.AffinePlane(basis=np.eye(1), offset=np.zeros(1))
+    alive = lambda cubes, n: cubes.shape[0] > 0
+    return {
+        "threshold_sweep": lambda r: fp.threshold_sweep(desc, [0.8], 3, r),
+        "percolation_dimension_test": lambda r: fp.percolation_dimension_test(
+            tree.levels[3], 3, 1, [0.5, 0.9], r
+        ),
+        "subset_stress_test": lambda r: fp.subset_stress_test(
+            tree, desc, 0.2, "random", 3, r
+        ),
+        "harris_check": lambda r: fp.harris_check(alive, alive, law, 3, r),
+        "second_moment_estimate": lambda r: fp.second_moment_estimate(spec, line, 3, r),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_no_replicate_calls()))
+def test_library_calls_refuse_no_replicates(call):
+    # the library entry points refuse replicates < 1 themselves, as
+    # harness.run does, instead of failing inside the batch
+    fn = _no_replicate_calls()[call]
+    fn(1)
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="replicates must be >= 1"):
+            fn(bad)
+
+
+_ONE_CALL_EXPORTS = (
+    # one-call references and types that tests and benchmarks use as
+    # oracles or inputs; no library module needs to call them
+    "DyadicCube", "coupled_slice", "plane_cube_measure", "plane_to_text",
+    "newton_refine", "polynomial_to_text", "variety_cube_measure",
+    "martingale_resample_check", "box_dimension_estimate", "detect_configuration",
+    "harris_check", "pattern_parameter_dimension", "threshold_sweep",
+    "threshold_table",
+)
+
+
+def test_every_export_is_reached_or_declared():
+    # A name exported from fracperc is either used by another library module
+    # or declared above as a one-call reference; anything else is surface
+    # that no command reaches.
+    src = os.path.dirname(fp.__file__)
+    exported, used = set(), set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if name == "__init__.py":
+                if isinstance(node, ast.ImportFrom):
+                    exported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    assert set(_ONE_CALL_EXPORTS) <= exported
+    assert sorted(exported - used - set(_ONE_CALL_EXPORTS)) == []
 
 
 def test_cli_threads_flag_reproducible(tmp_path):

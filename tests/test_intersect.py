@@ -20,10 +20,10 @@ from fracperc.intersect import (
     _poly_keep,
     _product_idx,
     _prune_state,
+    _spec_batch,
     _target_keep,
     _traverse,
     intersection_mass,
-    product_support_traversal,
     replicate_masses,
 )
 from fracperc.polynomials import variety_level_measure
@@ -353,16 +353,6 @@ def test_second_moment_survival_bound_consistent():
     assert rep.pz_lower_bound <= rep.positive_frequency + 0.1
 
 
-def test_dependency_graph_shape():
-    t = tree_d(2, 0.8, 6, 3)
-    rep = fp.dependency_graph(spec_indep([t]), line([1, 0], [0.0, 0.3]), 3)
-    assert rep.n == 3
-    assert rep.num_vertices > 0
-    assert sum(rep.degree_histogram.values()) == rep.num_vertices
-    assert rep.max_degree == max(rep.degree_histogram)
-    assert sum(rep.bucket_sizes.values()) == rep.num_vertices
-
-
 def test_holder_modulus_tables():
     t = tree_d(2, 0.8, 7, 3)
     spec = spec_indep([t])
@@ -449,7 +439,7 @@ def test_traversal_budget_checked_before_expansion():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            for _ in product_support_traversal(spec, target, 2, budget=5000, pruned=False):
+            for _ in _traverse(_spec_batch(spec, 2), None, 2, 5000):
                 pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -550,7 +540,12 @@ def _row_order_values(spec, target, n, mc_samples):
     """Y_0..Y_n of one replicate, each level's cube measures added one by one
     in traversal order."""
     out = []
-    for lev, idx in product_support_traversal(spec, target, n):
+    batch = _spec_batch(spec, n)
+    diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
+    for lev, state, _ in _traverse(
+        batch, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET, diag
+    ):
+        idx = _product_idx(state, [batch.factor[lev][1]] * spec.m)
         if spec.mode == "power" and lev < spec.diag_level:
             out.append(float("nan"))
             continue

@@ -9,9 +9,10 @@ import pytest
 
 import fracperc as fp
 from fracperc.errors import BudgetError, ConfigError
+from fracperc.intersect import _stack
 from fracperc.patterns import (
     _ancestor_levels,
-    intervals_cover,
+    _candidate_groups,
     parameter_dimensions,
     pattern_witnesses,
     sweep_min_diameter,
@@ -386,20 +387,6 @@ def test_wilson_interval():
     assert hi == pytest.approx(centre + half, abs=1e-12)
 
 
-def test_intervals_cover():
-    assert intervals_cover([(0.0, 0.4), (0.35, 1.0)], 0.1, 0.9)
-    assert not intervals_cover([(0.0, 0.4), (0.5, 1.0)], 0.1, 0.9)
-
-
-def test_realized_distance_values_of_full_grid():
-    # With every level-4 cell of the square alive, realized pair distances
-    # cover the whole accessible range.
-    n, d = 4, 2
-    grid = np.array(list(itertools.product(range(2**n), repeat=d)))
-    intervals = fp.realized_value_set(grid, "distance", n, d)
-    assert intervals_cover(intervals, 0.1, 1.0)
-
-
 def test_pattern_witnesses_are_realizable_parameters():
     law = fp.GaltonWatsonLaw.create(1, 0.9)
     tree = fp.sample_tree(law, "surviving", 3, 6)
@@ -640,15 +627,24 @@ def _serial_polynomial_fit(polys, flat, tolerance):
     return None, False, failed
 
 
+def _one_tree_candidates(cubes, desc, n, tolerance, target):
+    """The level arrays 0..n of the cubes' ancestors and their level-n
+    candidate tuples (B, m), in traversal order: one tree's candidates."""
+    levels = _ancestor_levels(cubes, n)
+    forest = [_stack([lev]) for lev in levels]
+    ((state, _),) = _candidate_groups(forest, desc, n, tolerance, target, 5_000_000)
+    return levels, state
+
+
 def _serial_detection(cubes, desc, n, enumerate_all, min_diameter):
     """(present, witness cubes and params, tuples_checked, newton_unconverged)
     from checking the candidate tuples one at a time, in order."""
-    from fracperc.patterns import _candidate_tuples, _detection_polys
+    from fracperc.patterns import _detection_polys
 
     tol = math.sqrt(desc.d) * 2.0 ** -n
     plane = desc.family in ("homothetic", "translate")
     target = fp.configuration_plane(desc) if plane else _detection_polys(desc)
-    levels, state = _candidate_tuples(cubes, desc, n, tol, target, 5_000_000)
+    levels, state = _one_tree_candidates(cubes, desc, n, tol, target)
     found, unconverged = [], 0
     for checked, row in enumerate(state, start=1):
         flat = ((levels[n][row].astype(float) + 0.5) * 2.0 ** -n).ravel()
@@ -809,9 +805,7 @@ def test_batched_profiles_match_one_replicate_detections(case, coupled, monkeypa
         if cubes.shape[0] < desc.m:
             return False, 0, 0, 0
         found, _, checked, unconverged = _serial_detection(cubes, desc, n, False, floor)
-        _, state = patterns._candidate_tuples(
-            cubes, desc, n, tol, desc._detection_target, 5_000_000
-        )
+        _, state = _one_tree_candidates(cubes, desc, n, tol, desc._detection_target)
         return found, state.shape[0], checked, unconverged
 
     def one_tree(cubes):

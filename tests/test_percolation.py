@@ -13,6 +13,7 @@ from scipy.special import comb
 
 import fracperc as fp
 from fracperc.errors import BudgetError, ConfigError
+from fracperc.percolation import natural_mass
 from fracperc.rng import root_key
 
 
@@ -201,9 +202,8 @@ def test_resample_level_deterministic_and_nested():
 def test_natural_measure_total_mass():
     law = fp.GaltonWatsonLaw.create(2, 0.6)
     tree = fp.sample_tree(law, "extinction", 9, 3)
-    nm = fp.natural_measure(tree, 3)
     expected = tree.levels[3].shape[0] * 0.6**-3 * 2.0 ** (-2 * 3)
-    assert nm.total_mass == pytest.approx(expected)
+    assert natural_mass(law, tree.count(3), 3) == pytest.approx(expected)
 
 
 def test_budget_and_config_errors():

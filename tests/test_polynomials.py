@@ -1,5 +1,5 @@
 """Unit tests for polynomial maps: evaluation, interval enclosures, variety
-surface-measure estimates, box counts, tangents, and Newton refinement."""
+surface-measure estimates and Newton refinement."""
 
 import math
 
@@ -15,10 +15,8 @@ from fracperc.polynomials import (
     _taylor_values,
     polynomial_from_text,
     polynomial_to_text,
-    variety_box_count,
     variety_cube_measure,
     variety_level_measure,
-    variety_tangent,
 )
 
 
@@ -151,31 +149,6 @@ def test_singular_point_raises():
     cube = fp.DyadicCube(level=0, index=np.zeros(2, dtype=np.int64))
     with pytest.raises(SingularityError):
         variety_cube_measure(poly, cube)
-
-
-def test_box_count_scaling():
-    counts = np.asarray(
-        variety_box_count(
-            circle_poly(),
-            fp.DyadicCube(level=0, index=np.zeros(2, dtype=np.int64)),
-            levels=7,
-        ),
-        dtype=float,
-    )
-    assert np.all(np.diff(counts) > 0)
-    # A smooth curve in the plane: counts double per level once the interval
-    # enclosures tighten (coarse levels over-count conservatively).
-    assert 1.7 < counts[-1] / counts[-2] < 2.3
-
-
-def test_tangent_orthogonal_to_gradient():
-    poly = circle_poly()
-    pt = np.array([0.5 + 0.4 * math.cos(0.7), 0.5 + 0.4 * math.sin(0.7)])
-    tan = variety_tangent(poly, pt)
-    assert tan.basis.shape == (1, 2)
-    grad = poly.jacobian(pt)[0]
-    assert abs(tan.basis[0] @ grad) < 1e-8
-    assert tan.point_distance(pt) < 1e-8
 
 
 def test_newton_refine_lands_on_variety():
