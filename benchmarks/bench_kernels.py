@@ -74,8 +74,8 @@ from fracperc.intersect import (
     _target_keep,
     _traverse,
 )
-from fracperc.harness import _rep_seed
 from fracperc.patterns import (
+    MAX_WITNESSES,
     ConfigDescriptor,
     _candidate_groups,
     _detection_keep,
@@ -95,7 +95,7 @@ from fracperc.percolation import (
     sample_tree,
 )
 from fracperc.polynomials import variety_level_measure
-from fracperc.rng import derive, root_key
+from fracperc.rng import derive, replicate_seeds, root_key
 
 
 def traversal(batches, keep, n, distinct=None, rounds=5):
@@ -175,7 +175,7 @@ def grouped_growth(rounds=3):
     """(cubes, groups, grouped s, one-by-one s) of growing the 400 trees of
     `sample --preset paper --seed 1 d=2`; least of `rounds`."""
     law, n = GaltonWatsonLaw.create(2, 0.8), 8
-    seeds = [_rep_seed(1, r) for r in range(400)]
+    seeds = replicate_seeds(1, 400)
     grouped, alone = [], []
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -196,7 +196,7 @@ def witness_enumeration(rounds=3):
     paper inputs; least of `rounds`."""
     law, n, reps = GaltonWatsonLaw.create(1, 0.8), 8, 50
     sites = np.array([[0.0], [1.0], [2.0]])
-    seeds = [_rep_seed(1, r) for r in range(reps)]
+    seeds = replicate_seeds(1, reps)
     tree, cubes = sample_forest(law, "surviving", seeds, n)[n]
     secs = []
     for _ in range(rounds):
@@ -210,13 +210,13 @@ def greedy_removal(rounds=3):
     """(cubes removed, seconds) of the greedy removals of the stress inputs;
     least of `rounds`."""
     desc, law, n, reps = PROGRESSION[0], GaltonWatsonLaw.create(1, 0.9), 8, 40
-    seeds = [_rep_seed(1, r) for r in range(reps)]
+    seeds = replicate_seeds(1, reps)
     sets = _split_by_tree(*sample_forest(law, "surviving", seeds, n)[n], reps)
     removals = [math.ceil(0.2 * cubes.shape[0]) for cubes in sets]
     secs = []
     for _ in range(rounds):
         t0 = time.perf_counter()
-        left = _greedy_removals(sets, desc, n, removals, None, DEFAULT_CUBE_BUDGET, 200_000)
+        left = _greedy_removals(sets, desc, n, removals, None, DEFAULT_CUBE_BUDGET, MAX_WITNESSES)
         secs.append(time.perf_counter() - t0)
     return sum(a.shape[0] - b.shape[0] for a, b in zip(sets, left)), min(secs)
 
@@ -227,7 +227,7 @@ def coarea_measure(rounds=3):
     `rounds`."""
     desc, n = ConfigDescriptor("distance", 2, {"lam": 0.5}), 3
     target = configuration_polynomial(desc)
-    keys = root_key(np.array([_rep_seed(1000, r) for r in range(16)], dtype=np.uint64))
+    keys = root_key(np.array(replicate_seeds(1000, 16), dtype=np.uint64))
     seeds = np.stack([derive(keys, j + 1) for j in range(desc.m)], axis=1)
     root = sample_tree(GaltonWatsonLaw.create(2, 0.7), "extinction", 0, 0)
     spec = ProductMeasureSpec(mode="independent", trees=[root] * desc.m, m=desc.m)

@@ -40,7 +40,7 @@ from .patterns import (
     subset_stress_test,
     wilson_interval,
 )
-from .rng import derive, root_key
+from .rng import derive, replicate_seeds, root_key
 from . import io as fio
 
 COMMANDS = (
@@ -57,7 +57,7 @@ FREQ_COLUMNS = (
 _BASE_DEFAULTS = {
     "d": "1", "p": "0.8", "variant": "surviving", "n": "6",
     "replicates": "50", "seed": "0", "threads": "1",
-    "coupled": "1", "tolerance_c": "", "mode": "independent", "m": "2",
+    "coupled": "1", "tolerance_c": "", "mode": "independent", "m": "",
     "family": "homothetic", "sites": "0,1,2", "lam": "0.5", "vol": "0.25",
     "ratios": "1.0,1.0", "p_grid": "0.4,0.55,0.7,0.85",
     "target_kind": "family", "target_spec": "",
@@ -68,9 +68,6 @@ _BASE_DEFAULTS = {
 
 _COMMAND_DEFAULTS = {
     "perc-dim-test": {"d": "2", "p_grid": "0.3,0.4,0.45,0.5,0.55,0.6,0.7"},
-    "intersect": {"d": "1", "m": "3"},
-    "holder": {"d": "1", "m": "3"},
-    "second-moment": {"d": "1", "m": "3"},
 }
 
 _PRESETS = {
@@ -161,8 +158,8 @@ class ExperimentConfig:
             return None
         return self.f("tolerance_c") * math.sqrt(self.i("d")) * 2.0 ** -self.i("n")
 
-    def law(self, p=None):
-        return GaltonWatsonLaw.create(self.i("d"), self.f("p") if p is None else p)
+    def law(self):
+        return GaltonWatsonLaw.create(self.i("d"), self.f("p"))
 
     def descriptor(self):
         fam = self.s("family")
@@ -204,14 +201,17 @@ class ExperimentConfig:
         raise ConfigError(f"unknown target_kind {kind!r}")
 
 
-def _rep_seed(base_seed, r):
-    return int(derive(root_key(int(base_seed)), r + 1))
-
-
-def _product_spec(cfg, seed, n, m=None):
+def _product_spec(cfg, seed, n, target):
+    """The product of m factor trees grown to level n from the key of seed,
+    with m = target.ambient // d; a given m that disagrees is refused."""
     mode = cfg.s("mode")
     d = cfg.i("d")
-    m = cfg.i("m") if m is None else m
+    m = target.ambient // d
+    if cfg.raw["m"] and cfg.i("m") != m:
+        raise ConfigError(
+            f"m = {cfg.i('m')} disagrees with the target: its ambient dimension "
+            f"{target.ambient} over d = {d} gives m = {m}"
+        )
     law = cfg.law()
     variant = cfg.s("variant")
     key = root_key(seed)
@@ -253,7 +253,7 @@ def _run_sample(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
 
-    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    seeds = replicate_seeds(cfg.i("seed"), reps)
     counts = _tree_counts(cfg, seeds)
     masses = np.stack([natural_mass(law, counts[:, j], j) for j in range(n + 1)], axis=1)
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
@@ -290,7 +290,7 @@ def _run_sweep(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     coupled = cfg.flag("coupled")
 
-    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    seeds = replicate_seeds(cfg.i("seed"), reps)
     present, counters = presence_profiles(
         desc, p_grid, n, seeds, coupled=coupled, tolerance=cfg.tolerance,
         variant=cfg.s("variant"),
@@ -324,12 +324,10 @@ def _run_sweep(cfg, out_dir):
 def _run_intersect(cfg, out_dir):
     target = cfg.target()
     n, reps = cfg.i("n"), cfg.i("replicates")
-    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    seeds = replicate_seeds(cfg.i("seed"), reps)
     # the replicates' trees are grown in replicate_masses; this depth-0 spec
     # only carries their mode and laws
-    spec = _product_spec(
-        cfg, _rep_seed(cfg.i("seed"), 0), 0, m=target.ambient // cfg.i("d")
-    )
+    spec = _product_spec(cfg, seeds[0], 0, target)
     results = list(zip(seeds, replicate_masses(
         spec, root_key(np.array(seeds, dtype=np.uint64)), target, n,
         mc_samples=cfg.i("mc_samples"), param_id=cfg.s("target_kind"),
@@ -369,12 +367,9 @@ def _run_holder(cfg, out_dir):
         off = base.offset.copy().astype(float)
         off[-1] += k * delta
         targets[f"shift{k}"] = AffinePlane(basis=base.basis, offset=off)
-    seed = _rep_seed(cfg.i("seed"), 0)
-    spec = _product_spec(cfg, seed, n, m=base.ambient // cfg.i("d"))
-    table = holder_modulus(
-        spec, targets, lambda a, b: a.metric_distance(b), n, gammas,
-        mc_samples=cfg.i("mc_samples"),
-    )
+    seed = replicate_seeds(cfg.i("seed"), 1)[0]
+    spec = _product_spec(cfg, seed, n, base)
+    table = holder_modulus(spec, targets, n, gammas, mc_samples=cfg.i("mc_samples"))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for tid, series in sorted(table["series"].items()):
             for j in series.levels:
@@ -391,7 +386,7 @@ def _run_second_moment(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     seed = cfg.i("seed")
     # depth 0: second_moment_estimate grows its own replicates
-    spec = _product_spec(cfg, _rep_seed(seed, 0), 0, m=target.ambient // cfg.i("d"))
+    spec = _product_spec(cfg, replicate_seeds(seed, 1)[0], 0, target)
     rep = second_moment_estimate(
         spec, target, n, reps, base_seed=seed, mc_samples=cfg.i("mc_samples")
     )
@@ -412,7 +407,7 @@ def _run_dimension(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
 
-    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    seeds = replicate_seeds(cfg.i("seed"), reps)
     counts = _tree_counts(cfg, seeds)
     slopes = [count_slope(c, max(1, n - 6), n) for c in counts.tolist()]
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
@@ -433,7 +428,7 @@ def _run_pattern_dim(cfg, out_dir):
     j_lo = cfg.i("j_lo")
     j_hi = cfg.i("j_hi") if cfg.raw["j_hi"] else n - 1
 
-    seeds = [_rep_seed(cfg.i("seed"), r) for r in range(reps)]
+    seeds = replicate_seeds(cfg.i("seed"), reps)
     tree, cubes = sample_forest(law, cfg.s("variant"), seeds, n)[n]
     estimates = parameter_dimensions(tree, cubes, reps, law, sites, n, j_lo, j_hi)
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
@@ -496,7 +491,7 @@ def _run_perc_dim_test(cfg, out_dir):
     }
 
 
-def _harris_battery(d, n):
+def _harris_battery():
     def survives(c, nn):
         return c.shape[0] > 0
 
@@ -519,7 +514,7 @@ def _harris_battery(d, n):
 def _run_harris(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
-    battery = _harris_battery(law.d, n)
+    battery = _harris_battery()
     results = _harris_checks(
         [(e1, e2) for _, e1, e2 in battery], law, n, reps, cfg.i("seed"), "extinction"
     )
@@ -545,7 +540,7 @@ def _run_stress(cfg, out_dir):
     law = cfg.law()
     # the replicates' trees are grown in subset_stress_test; this depth-0
     # tree only carries their law and variant
-    tree = sample_tree(law, cfg.s("variant"), _rep_seed(cfg.i("seed"), 0), 0)
+    tree = sample_tree(law, cfg.s("variant"), replicate_seeds(cfg.i("seed"), 1)[0], 0)
     row = subset_stress_test(
         tree, desc, cfg.f("fraction"), cfg.s("strategy"), n, reps,
         base_seed=cfg.i("seed"), tolerance=cfg.tolerance,

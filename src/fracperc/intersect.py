@@ -112,9 +112,6 @@ class MassSeries:
     mode: str
     diag_level: int = 0
 
-    def value(self, j):
-        return self.values[j]
-
 
 # ---------------------------------------------------------------------------
 # Product-cube rows: lookup, expansion and pruning
@@ -561,9 +558,7 @@ def _resample_batches(spec, n, replicates):
     yield _levels_batch(spec, group)
 
 
-def martingale_resample_check(
-    spec, target, n, replicates, mc_samples=DEFAULT_MC_PER_CUBE
-):
+def martingale_resample_check(spec, target, n, replicates):
     """Freeze levels <= n, re-expand level n+1 `replicates` times.
 
     Returns (Y_n, mean of resampled Y_{n+1}, s.e. of that mean).  For a
@@ -573,11 +568,11 @@ def martingale_resample_check(
     """
     if replicates < 100:
         raise ConfigError("need at least 100 resamples for a meaningful s.e.")
-    base = intersection_mass(spec, target, n, mc_samples=mc_samples)
-    y_n = base.values[n]
-    budget = DEFAULT_CUBE_BUDGET
+    y_n = intersection_mass(spec, target, n).values[n]
     samples = np.concatenate([
-        _batch_masses(spec, b, target, n + 1, mc_samples, budget, True)[0][:, n + 1]
+        _batch_masses(
+            spec, b, target, n + 1, DEFAULT_MC_PER_CUBE, DEFAULT_CUBE_BUDGET, True
+        )[0][:, n + 1]
         for b in _resample_batches(spec, n, replicates)
     ])
     mean = float(samples.mean())
@@ -639,12 +634,11 @@ def second_moment_estimate(
 # ---------------------------------------------------------------------------
 # Hölder modulus
 
-def holder_modulus(
-    spec, targets, metric, n, gamma_list, mc_samples=DEFAULT_MC_PER_CUBE,
-):
+def holder_modulus(spec, targets, n, gamma_list, mc_samples=DEFAULT_MC_PER_CUBE):
     """Empirical Hölder table for the map t -> Y_n^t on one realization.
 
-    targets: dict id -> target; metric: callable (target, target) -> distance.
+    targets: dict id -> AffinePlane, at distances d(t, u) =
+    t.metric_distance(u).
     Returns {"sup_ratio": {gamma: sup |Y^t - Y^u| / d(t,u)^gamma},
              "growth":    {gamma: [sup_t 2^(-gamma j) Y_j^t for each level j]},
              "series":    {id: MassSeries}}.
@@ -664,7 +658,7 @@ def holder_modulus(
         best = 0.0
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                dist = metric(targets[ids[i]], targets[ids[j]])
+                dist = targets[ids[i]].metric_distance(targets[ids[j]])
                 if dist <= 0.0:
                     raise ConfigError("grid targets must be pairwise distinct")
                 diff = abs(series[ids[i]].values[n] - series[ids[j]].values[n])

@@ -89,9 +89,10 @@ def _finite_points(xs, ys):
     return [x for x, _ in pts], [y for _, y in pts]
 
 
-def svg_line_plot(path, series, title="", xlabel="", ylabel="", scatter=False):
-    """series: list of (label, xs, ys).  Writes a single self-contained SVG.
-    Points with a non-finite coordinate are left out."""
+def svg_line_plot(path, series, title="", xlabel="", ylabel=""):
+    """series: list of (label, xs, ys).  Writes a single self-contained SVG:
+    a polyline per series, or a dot for a one-point series.  Points with a
+    non-finite coordinate are left out."""
     series = [(label, *_finite_points(xs, ys)) for label, xs, ys in series]
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
@@ -124,7 +125,7 @@ def svg_line_plot(path, series, title="", xlabel="", ylabel="", scatter=False):
         color = _COLORS[i % len(_COLORS)]
         px = _scale(xs, x_lo, x_hi, _PAD, _W - _PAD)
         py = _scale(ys, y_lo, y_hi, _H - _PAD, _PAD)
-        if scatter or len(xs) == 1:
+        if len(xs) == 1:
             for x, y in zip(px, py):
                 parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
         else:

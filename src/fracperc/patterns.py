@@ -19,7 +19,7 @@ from .percolation import (
 from .intersect import (
     DEFAULT_CUBE_BUDGET, _Batch, _lex_member, _poly_keep, _traverse,
 )
-from .rng import derive, root_key
+from .rng import derive, replicate_seeds, root_key
 
 FAMILIES = (
     "homothetic",
@@ -598,8 +598,9 @@ def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
     if desc.family in PLANE_FAMILIES:
         width = desc.d + (desc.family == "homothetic")
     none = np.zeros(0, np.int64), np.zeros((0, desc.m, desc.d), np.int64), np.zeros((0, width))
-    args = tolerance, budget, min_diameter, enumerate_all
-    hits = zip(none, *_detect_groups(counts, tree, cubes, desc, n, *args))
+    hits = zip(none, *_detect_groups(
+        counts, tree, cubes, desc, n, tolerance, budget, min_diameter, enumerate_all
+    ))
     return tuple(np.concatenate(h) for h in hits), counts
 
 
@@ -650,9 +651,15 @@ def detect_configuration(
 # ---------------------------------------------------------------------------
 # Sweeps and statistics
 
-def wilson_interval(successes, trials, z=1.959963984540054):
+# The two-sided 95 % standard normal quantile of Wilson intervals.
+WILSON_Z = 1.959963984540054
+
+
+def wilson_interval(successes, trials):
+    """95 % Wilson score interval of a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = WILSON_Z
     ph = successes / trials
     den = 1 + z * z / trials
     center = (ph + z * z / (2 * trials)) / den
@@ -734,25 +741,20 @@ def presence_profiles(
     return present, counters
 
 
-def threshold_sweep(
-    desc, p_grid, n, replicates, coupled=True, base_seed=0,
-    tolerance=None, variant="surviving", budget=DEFAULT_CUBE_BUDGET,
-    min_diameter=None,
-):
-    """Presence frequency of the configuration per retention probability.
+def threshold_sweep(desc, p_grid, n, replicates, coupled=True, base_seed=0):
+    """Presence frequency of the configuration per retention probability:
+    presence_profiles with its default detection, of surviving trees when
+    uncoupled.
 
     Coupled mode guarantees per-replicate monotonicity in p (one uniform
-    field per replicate, sliced at every p).  Replicate r has the seed
-    derive(root_key(base_seed), r + 1); all replicates form one batch.
+    field per replicate, sliced at every p).  The replicates' seeds are
+    replicate_seeds(base_seed, replicates); all replicates form one batch.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     p_grid = sorted(float(p) for p in p_grid)
-    seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
-    present, _ = presence_profiles(
-        desc, p_grid, n, seeds, coupled=coupled, tolerance=tolerance,
-        variant=variant, budget=budget, min_diameter=min_diameter,
-    )
+    seeds = replicate_seeds(base_seed, replicates)
+    present, _ = presence_profiles(desc, p_grid, n, seeds, coupled=coupled)
     rows = []
     for p, h in zip(p_grid, present.sum(axis=0).tolist()):
         lo, hi = wilson_interval(h, replicates)
@@ -763,12 +765,12 @@ def threshold_sweep(
 # ---------------------------------------------------------------------------
 # Pattern parameter set dimension
 
-def pattern_witnesses(cubes, sites, n, d, tolerance=None, budget=DEFAULT_CUBE_BUDGET):
+def pattern_witnesses(cubes, sites, n, d):
     """All (scale, offset) parameters of homothetic copies of the site
     pattern realized by distinct surviving cube tuples at level n: rows
     (H, d + 1) of [scale, offset...], in the detector's check order."""
     desc = ConfigDescriptor(family="homothetic", d=d, params={"sites": sites})
-    hits, _ = _detect_forest(0, cubes, 1, desc, n, tolerance, budget, enumerate_all=True)
+    hits, _ = _detect_forest(0, cubes, 1, desc, n, enumerate_all=True)
     return hits[2]
 
 
@@ -813,10 +815,7 @@ def _split_by_tree(tree, rows, trees):
     return np.split(rows[order], np.searchsorted(tree[order], np.arange(1, trees)))
 
 
-def parameter_dimensions(
-    tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=None, tolerance=None,
-    budget=DEFAULT_CUBE_BUDGET,
-):
+def parameter_dimensions(tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=None):
     """pattern_parameter_dimension of each of the replicates 0..R-1, whose
     level-n cubes (N, d) are held by trees `tree` (N,), or by the one tree
     `tree` when it is an int: the witnesses of every replicate are
@@ -830,7 +829,7 @@ def parameter_dimensions(
     desc = ConfigDescriptor(family="homothetic", d=law.d, params={"sites": sites})
     counts = {name: np.zeros(replicates, dtype=np.int64) for name in SWEEP_COUNTERS}
     boxes = {}
-    groups = _detect_groups(counts, tree, cubes, desc, n, tolerance, budget, enumerate_all=True)
+    groups = _detect_groups(counts, tree, cubes, desc, n, enumerate_all=True)
     for owner, _, wit in groups:
         for r, rows in enumerate(_split_by_tree(owner, wit, replicates)):
             if rows.shape[0]:
@@ -843,15 +842,11 @@ def parameter_dimensions(
     return out
 
 
-def pattern_parameter_dimension(
-    tree, sites, n, j_lo=4, j_hi=None, tolerance=None, budget=DEFAULT_CUBE_BUDGET
-):
-    """Box-count dimension of the set of (scale, offset) parameters whose
-    homothetic copy of the site pattern is realized at level n, against the
-    predicted value m (s - d) + d + 1."""
-    (est,) = parameter_dimensions(
-        0, tree.levels[n], 1, tree.law, sites, n, j_lo, j_hi, tolerance, budget
-    )
+def pattern_parameter_dimension(tree, sites, n, j_lo=4):
+    """Box-count dimension, over levels j_lo..n-1, of the set of (scale,
+    offset) parameters whose homothetic copy of the site pattern is realized
+    at level n, against the predicted value m (s - d) + d + 1."""
+    (est,) = parameter_dimensions(0, tree.levels[n], 1, tree.law, sites, n, j_lo)
     return est
 
 
@@ -920,7 +915,8 @@ def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
     rows that hold it without reordering the rest, and the slab prune, the
     distinct-cube test and the fit judge each tuple alone, so the witnesses
     of the cubes left are the first enumeration's rows without a removed
-    cube, in check order, and a removal drops those rows."""
+    cube, in check order, and a removal drops those rows.  Each set must be
+    lexsorted, as forest levels are."""
     tree = np.repeat(np.arange(len(sets)), [cubes.shape[0] for cubes in sets])
     counts = {name: np.zeros(len(sets), dtype=np.int64) for name in SWEEP_COUNTERS}
     sets = list(sets)
@@ -930,18 +926,21 @@ def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
         for t, rows in enumerate(_split_by_tree(owner, wit, len(sets))):
             if rows.shape[0] == 0:
                 continue
+            # each set is lexsorted, as forest levels are, so its cube keys
+            # are sorted and a witness cube's row in it is a searchsorted
             key, cube_key = _row_keys(rows.reshape(-1, desc.d), sets[t])
-            key = key.reshape(rows.shape[:2])
-            removed = []
+            wit_rows = np.searchsorted(cube_key, key).reshape(rows.shape[:2])
+            keep = np.ones(sets[t].shape[0], dtype=bool)
             for _ in range(removals[t]):
-                seen = key[:max_witnesses].ravel()
+                seen = wit_rows[:max_witnesses].ravel()
                 if seen.shape[0] == 0:
                     break
-                _, first, tally = np.unique(seen, return_index=True, return_counts=True)
-                worst = seen[first[tally == tally.max()].min()]
-                removed.append(worst)
-                key = key[np.all(key != worst, axis=1)]
-            sets[t] = sets[t][~np.isin(cube_key, np.array(removed, dtype=cube_key.dtype))]
+                tally = np.bincount(seen)
+                # the first-seen of the cubes with the highest tally
+                worst = seen[np.argmax(tally[seen] == tally.max())]
+                keep[worst] = False
+                wit_rows = wit_rows[np.all(wit_rows != worst, axis=1)]
+            sets[t] = sets[t][keep]
     return sets
 
 
@@ -950,19 +949,23 @@ def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
     return _greedy_removals([cubes], desc, n, [removals], tolerance, budget, max_witnesses)[0]
 
 
+# Greedy stress tallies each step over the first MAX_WITNESSES witnesses.
+MAX_WITNESSES = 200_000
+
+
 def subset_stress_test(
-    tree, desc, fraction, strategy, n, replicates, base_seed=0,
-    tolerance=None, budget=DEFAULT_CUBE_BUDGET, max_witnesses=200_000,
+    tree, desc, fraction, strategy, n, replicates, base_seed=0, tolerance=None,
 ):
     """Presence frequency after deleting a fraction of the surviving cubes.
 
     strategy "random" removes uniformly; "greedy" repeatedly removes the cube
-    participating in the most currently-detected witnesses (an adversarial
-    heuristic, not an optimal hitting set).  Trees are re-drawn per replicate
-    from the law and variant of the given tree, grown as one forest; greedy
-    enumerates the witnesses of every replicate in one batch, and after the
-    removals, the remaining cubes of every replicate are detected as one
-    batch.  The row's counters are the totals of SWEEP_COUNTERS over it.
+    participating in the most of the first MAX_WITNESSES currently-detected
+    witnesses (an adversarial heuristic, not an optimal hitting set).  Trees
+    are re-drawn per replicate from the law and variant of the given tree,
+    grown as one forest; greedy enumerates the witnesses of every replicate
+    in one batch, and after the removals, the remaining cubes of every
+    replicate are detected as one batch.  The row's counters are the totals
+    of SWEEP_COUNTERS over it.
     """
     if not 0.0 <= fraction < 1.0:
         raise ConfigError("fraction must be in [0, 1)")
@@ -970,7 +973,7 @@ def subset_stress_test(
         raise ConfigError("strategy must be random or greedy")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
+    seeds = replicate_seeds(base_seed, replicates)
     owner, cubes = sample_forest(tree.law, tree.variant, seeds, n)[n]
     remaining = _split_by_tree(owner, cubes, replicates)
     removals = [math.ceil(fraction * rows.shape[0]) for rows in remaining]
@@ -980,11 +983,11 @@ def subset_stress_test(
             for seed, rows, k in zip(seeds, remaining, removals)
         ]
     else:
-        remaining = _greedy_removals(remaining, desc, n, removals, tolerance, budget, max_witnesses)
+        remaining = _greedy_removals(
+            remaining, desc, n, removals, tolerance, DEFAULT_CUBE_BUDGET, MAX_WITNESSES
+        )
     owner = np.repeat(np.arange(replicates), [rows.shape[0] for rows in remaining])
-    _, counts = _detect_forest(
-        owner, np.concatenate(remaining), replicates, desc, n, tolerance, budget
-    )
+    _, counts = _detect_forest(owner, np.concatenate(remaining), replicates, desc, n, tolerance)
     counters = {name: int(counts[name].sum()) for name in SWEEP_COUNTERS}
     hits = counters["detected"]
     lo, hi = wilson_interval(hits, replicates)
@@ -1006,13 +1009,18 @@ class HarrisResult:
     counts: tuple = ()    # replicates with event 1, event 2 and both
 
 
-def _monotone_probe(event, d, n, rng, trials=100):
-    """Spot-check monotonicity: event(subset) must imply event(superset)."""
+# Random nested pairs on which harris_check probes each event.
+MONOTONE_TRIALS = 100
+
+
+def _monotone_probe(event, d, n, rng):
+    """Spot-check monotonicity on MONOTONE_TRIALS random nested pairs:
+    event(subset) must imply event(superset)."""
     full = np.array(
         list(itertools.product(range(1 << min(n, 3)), repeat=d)), dtype=np.int64
     )
     nn = min(n, 3)
-    for _ in range(trials):
+    for _ in range(MONOTONE_TRIALS):
         size_a = rng.integers(0, full.shape[0] + 1)
         pick = rng.permutation(full.shape[0])
         a = full[np.sort(pick[:size_a])]
@@ -1045,7 +1053,7 @@ def _harris_checks(pairs, law, n, replicates, base_seed, variant):
         for ev, name in ((event1, "event1"), (event2, "event2")):
             if not _monotone_probe(ev, law.d, n, rng):
                 raise ConfigError(f"{name} is not monotone on sampled nested pairs")
-    seeds = [int(derive(root_key(base_seed), r + 1)) for r in range(replicates)]
+    seeds = replicate_seeds(base_seed, replicates)
     counts = np.zeros((len(pairs), 3), dtype=np.int64)
     for levels in forest_groups(law, variant, seeds, n):
         roots = levels[0][0]

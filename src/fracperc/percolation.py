@@ -343,13 +343,12 @@ def coupled_law(d, p):
     return GaltonWatsonLaw.create(d, p)
 
 
-def coupled_slice(d, seed, p, n_max, max_cubes=DEFAULT_MAX_CUBES):
+def coupled_slice(d, seed, p, n_max):
     """Extinction-variant realization A_p of the coupled ensemble.
 
     For a fixed seed the level sets are monotone nondecreasing in p.
     """
-    law = coupled_law(d, p)
-    return sample_tree(law, "coupled", seed, n_max, max_cubes=max_cubes)
+    return sample_tree(coupled_law(d, p), "coupled", seed, n_max)
 
 
 def resample_level(tree, n, resample_index):

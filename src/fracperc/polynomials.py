@@ -12,7 +12,14 @@ from .errors import ConfigError, SingularityError
 from .geometry import _level_lower, _row_chunks, _sobol_points
 
 DEFAULT_MC_SAMPLES = 1 << 18
-DEFAULT_EPSILON_DIVISOR = 32.0
+# The coarea kernel's band half-width is the cube side over this divisor, and
+# a sampled J_q below SINGULAR_TOL near the variety is a SingularityError.
+EPSILON_DIVISOR = 32.0
+SINGULAR_TOL = 1e-6
+# Gauss-Newton stops after NEWTON_MAX_ITER steps; a row has converged once
+# max |P| < NEWTON_TOL.
+NEWTON_MAX_ITER = 30
+NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -258,7 +265,7 @@ def _taylor_values(coef, steps):
     return (flat @ steps)[: k * q].reshape(k, q, -1)
 
 
-def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
+def _coarea_level(poly, idx, level, n_samples):
     """Smoothed-coarea estimates, standard errors and smallest sampled J_q
     (inf where no sample is near the variety) for the level cubes idx."""
     m = poly.ambient
@@ -271,8 +278,7 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
     if n_samples < 1:
         raise ConfigError("coarea measures need at least one sample per cube")
     side = 2.0 ** -level
-    if epsilon is None:
-        epsilon = side / DEFAULT_EPSILON_DIVISOR
+    epsilon = side / EPSILON_DIVISOR
     lo = _level_lower(idx, level)
     scaled = side * _sobol_points(m, n_samples)
     steps = poly.monomials(scaled)
@@ -301,54 +307,42 @@ def _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol):
         mean[at] = contrib.mean(axis=1)
         if n_samples > 1:
             sd[at] = contrib.std(axis=1, ddof=1)
-    low = min_jac[min_jac < singular_tol]
+    low = min_jac[min_jac < SINGULAR_TOL]
     if low.size:
         raise SingularityError(
             f"differential nearly rank-deficient near the variety "
-            f"(J_q = {low[0]:.3e} < {singular_tol:g})"
+            f"(J_q = {low[0]:.3e} < {SINGULAR_TOL:g})"
         )
     vol = side ** m
     return vol * mean, vol * (sd / math.sqrt(n_samples)), min_jac
 
 
-def variety_level_measure(
-    poly, idx, level, n_samples=DEFAULT_MC_SAMPLES, epsilon=None, singular_tol=1e-6
-):
+def variety_level_measure(poly, idx, level, n_samples=DEFAULT_MC_SAMPLES):
     """H^(M-q) measures of {P = 0} within the half-open level cubes idx (K, M).
 
     Smoothed-coarea estimator: H^(M-q)(V cap Q) is approximated by
     vol(Q) * mean over QMC points of J_q(DP)(x) * prod_k 1[|P_k(x)| < eps]/(2 eps),
     valid when DP has full rank q on the variety inside Q.  One unscrambled
-    Sobol set is mapped into every cube (eps defaults to side/32).  Returns
-    (values, ses), one entry per row; a cube's value does not depend on the
-    rows it is measured with.  Raises SingularityError when a sample point
-    near the variety has a nearly rank-deficient differential.
+    Sobol set is mapped into every cube, and eps is side/EPSILON_DIVISOR.
+    Returns (values, ses), one entry per row; a cube's value does not depend
+    on the rows it is measured with.  Raises SingularityError when a sample
+    point near the variety has a differential with J_q below SINGULAR_TOL.
     """
-    est, se, _ = _coarea_level(poly, idx, level, n_samples, epsilon, singular_tol)
+    est, se, _ = _coarea_level(poly, idx, level, n_samples)
     return est, se
 
 
-def variety_cube_measure(
-    poly,
-    cube,
-    epsilon=None,
-    n_samples=DEFAULT_MC_SAMPLES,
-    singular_tol=1e-6,
-    with_detail=False,
-):
+def variety_cube_measure(poly, cube, n_samples=DEFAULT_MC_SAMPLES, with_detail=False):
     """H^(M-q) measure of {P = 0} within a half-open dyadic cube: a one-row
     call of `variety_level_measure`."""
-    if epsilon is None:
-        epsilon = cube.side / DEFAULT_EPSILON_DIVISOR
     est, se, min_jac = _coarea_level(
-        poly, np.array([cube.index], dtype=np.int64), cube.level, n_samples,
-        epsilon, singular_tol,
+        poly, np.array([cube.index], dtype=np.int64), cube.level, n_samples
     )
     if with_detail:
         return VarietyMeasureResult(
             estimate=float(est[0]),
             se=float(se[0]),
-            epsilon=float(epsilon),
+            epsilon=cube.side / EPSILON_DIVISOR,
             n_samples=n_samples,
             min_jacobian=(
                 float(min_jac[0]) if np.isfinite(min_jac[0]) else float("nan")
@@ -357,27 +351,28 @@ def variety_cube_measure(
     return float(est[0])
 
 
-def newton_refine_rows(poly, x0, max_iter=30, tol=1e-12):
+def newton_refine_rows(poly, x0):
     """Gauss-Newton projection of every row of x0 (K, M) towards {P = 0}.
 
     Returns (x, converged) of shapes (K, M) and (K,).  Each row follows its
-    own iteration: it has converged once max |P| < tol; a non-finite step
-    fails it where it stands; a step of norm below 1e-15, or running out of
-    iterations, ends it with the convergence test at the final point.  The
-    step is -pinv(J) P with lstsq's cutoff max(M, q) * eps * sigma_max, and a
-    row's result does not depend on the rows it is refined with.
+    own iteration: it has converged once max |P| < NEWTON_TOL; a non-finite
+    step fails it where it stands; a step of norm below 1e-15, or running out
+    of NEWTON_MAX_ITER iterations, ends it with the convergence test at the
+    final point.  The step is -pinv(J) P with lstsq's cutoff
+    max(M, q) * eps * sigma_max, and a row's result does not depend on the
+    rows it is refined with.
     """
     x = np.array(x0, dtype=float)
     k = x.shape[0]
     converged = np.zeros(k, dtype=bool)
     final = np.zeros(k, dtype=bool)
     active = np.arange(k)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if active.size == 0:
             break
         xa = x[active]
         f = poly(xa)
-        done = np.max(np.abs(f), axis=1) < tol
+        done = np.max(np.abs(f), axis=1) < NEWTON_TOL
         converged[active[done]] = True
         active, xa, f = active[~done], xa[~done], f[~done]
         if active.size == 0:
@@ -393,14 +388,12 @@ def newton_refine_rows(poly, x0, max_iter=30, tol=1e-12):
     final[active] = True
     if final.any():
         rows = np.flatnonzero(final)
-        converged[rows] = np.max(np.abs(poly(x[rows])), axis=1) < tol
+        converged[rows] = np.max(np.abs(poly(x[rows])), axis=1) < NEWTON_TOL
     return x, converged
 
 
-def newton_refine(poly, x0, max_iter=30, tol=1e-12):
+def newton_refine(poly, x0):
     """Gauss-Newton projection of x0 towards {P = 0}; returns (x, converged).
     A one-row call of `newton_refine_rows`."""
-    x, conv = newton_refine_rows(
-        poly, np.asarray(x0, dtype=float)[None, :], max_iter, tol
-    )
+    x, conv = newton_refine_rows(poly, np.asarray(x0, dtype=float)[None, :])
     return x[0], bool(conv[0])

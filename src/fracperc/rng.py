@@ -47,6 +47,13 @@ def derive(keys, salt):
     return splitmix64(keys ^ U64((int(salt) * CHILD_SALT) & _MASK))
 
 
+def replicate_seeds(base_seed, replicates):
+    """Seeds of replicates 0..replicates-1 of a run with master seed
+    base_seed: replicate r's is derive(root_key(base_seed), r + 1)."""
+    key = root_key(int(base_seed))
+    return [int(derive(key, r + 1)) for r in range(replicates)]
+
+
 def child_keys(keys, d):
     """Keys of all 2**d children. Shape (..., 2**d) appended to keys' shape."""
     keys = np.asarray(keys, dtype=U64)

@@ -5,6 +5,7 @@ import ast
 import itertools
 import json
 import os
+import shlex
 import warnings
 
 import numpy as np
@@ -140,15 +141,35 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["perc-dim-test", "p_grid="],
         ["perc-dim-test", "p_grid=0.5"],
         ["intersect", "family=distance", "d=2", "m=2", "mc_samples=0"],
+        ["intersect", "m=7"],
         ["intersect", "family=angle", "lam=0.5", "d=2", "m=3", "n=2", "replicates=3"],
     ]
+    errors = []
     for k, (command, *overrides) in enumerate(malformed):
         argv = [command, "--preset", "smoke", "--out", str(tmp_path / f"m{k}")]
         capsys.readouterr()
         assert main(argv + overrides) == 2, (command, overrides)
-    # the last case: the angle polynomial is singular wherever sites
-    # coincide, and the mass commands refuse it before growing a tree
-    assert "family angle has no intersection mass" in capsys.readouterr().err
+        errors.append(capsys.readouterr().err)
+    # m is derived from the target: three sites on the line give m = 3
+    assert "m = 7 disagrees with the target" in errors[-2]
+    # the angle polynomial is singular wherever sites coincide, and the mass
+    # commands refuse it before growing a tree
+    assert "family angle has no intersection mass" in errors[-1]
+
+
+def test_readme_example_block_runs(tmp_path, monkeypatch):
+    # The README's example block of fracperc command lines runs as written,
+    # in order, each line exiting 0.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        blocks = fh.read().split("```sh\n")[1:]
+    examples = [
+        lines for lines in (block.split("```")[0].splitlines() for block in blocks)
+        if lines and all(line.startswith("fracperc ") for line in lines)
+    ]
+    assert len(examples) == 1
+    monkeypatch.chdir(tmp_path)
+    for line in examples[0]:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_power_mode_without_distinct_cubes_exits_2(tmp_path, capsys):
@@ -234,6 +255,82 @@ def test_every_export_is_reached_or_declared():
                 used.update(a.name for a in node.names)
     assert set(_ONE_CALL_EXPORTS) <= exported
     assert sorted(exported - used - set(_ONE_CALL_EXPORTS)) == []
+
+
+def _optional_parameters(path):
+    """(qualified name, called name, [(position or None, parameter)]) of each
+    module-level function, method and dataclass constructor in the file
+    that has optional parameters; a position counts the arguments a call
+    passes (after self or cls), None marks a keyword-only parameter."""
+    with open(path) as fh:
+        body = ast.parse(fh.read()).body
+    out = []
+    for node in body:
+        defs = [(None, node)]
+        if isinstance(node, ast.ClassDef):
+            defs = [(node.name, item) for item in node.body]
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                opt = [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+                out.append((node.name, node.name, opt))
+        for cls, fn in defs:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            skip = cls is not None and "staticmethod" not in map(ast.unparse, fn.decorator_list)
+            first = len(pos) - len(args.defaults)
+            opt = [(i - skip, pos[i].arg) for i in range(first, len(pos))]
+            opt += [
+                (None, a.arg) for a, v in zip(args.kwonlyargs, args.kw_defaults) if v is not None
+            ]
+            called = cls if fn.name == "__init__" else fn.name
+            out.append((f"{cls}.{fn.name}" if cls else fn.name, called, opt))
+    return [entry for entry in out if entry[2]]
+
+
+def _calls(path):
+    """(called name, arguments passed by position, keywords) of each call in
+    the file by name or attribute.  Positions after a *args are not known,
+    and **kwargs names no keyword, so neither sets a parameter."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = getattr(node.func, "id", None) or node.func.attr
+            plain = itertools.takewhile(lambda a: not isinstance(a, ast.Starred), node.args)
+            out.append((name, len(list(plain)), {k.arg for k in node.keywords}))
+    return out
+
+
+def test_every_optional_parameter_is_set_by_a_call():
+    # An optional parameter of a library function is set by some call in the
+    # library, its tests or its benchmarks; one that no call sets changes
+    # nothing and belongs in a module constant.  Calls are matched by name.
+    # An argument passed only through *args or **kwargs is not seen: write
+    # it out.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src", "fracperc")
+    calls = {}
+    for tree in ("src", "tests", "perfbench", "benchmarks"):
+        for folder, _, files in os.walk(os.path.join(root, tree)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    for call in _calls(os.path.join(folder, name)):
+                        calls.setdefault(call[0], []).append(call[1:])
+    unset = []
+    for module in sorted(os.listdir(src)):
+        if not module.endswith(".py"):
+            continue
+        for qualname, called, optional in _optional_parameters(os.path.join(src, module)):
+            for pos, param in optional:
+                if not any(
+                    param in keywords or (pos is not None and count > pos)
+                    for count, keywords in calls.get(called, [])
+                ):
+                    unset.append(f"{module}:{qualname}({param})")
+    assert unset == []
 
 
 def test_cli_threads_flag_reproducible(tmp_path):

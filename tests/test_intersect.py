@@ -357,8 +357,7 @@ def test_holder_modulus_tables():
     t = tree_d(2, 0.8, 7, 3)
     spec = spec_indep([t])
     targets = {f"t{i}": line([1, 0], [0.0, 0.2 + 0.1 * i]) for i in range(4)}
-    metric = lambda a, b: a.metric_distance(b)
-    out = fp.holder_modulus(spec, targets, metric, 3, [0.25, 0.5])
+    out = fp.holder_modulus(spec, targets, 3, [0.25, 0.5])
     assert set(out) == {"sup_ratio", "growth", "series"}
     assert set(out["sup_ratio"]) == {0.25, 0.5}
     assert set(out["series"]) == set(targets)
@@ -378,7 +377,7 @@ def test_holder_series_match_standalone_masses():
         "b": line([1, 2], [0.0, 0.1]),
         "c": line([2, 1], [0.0, 0.2]),
     }
-    out = fp.holder_modulus(spec, targets, lambda a, b: a.metric_distance(b), 3, [0.5])
+    out = fp.holder_modulus(spec, targets, 3, [0.5])
     for tid, target in targets.items():
         alone = fp.intersection_mass(spec, target, 3, param_id=tid)
         assert out["series"][tid].values == alone.values, tid

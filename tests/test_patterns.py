@@ -999,10 +999,8 @@ def test_random_stress_matches_one_tree_detection(desc, p, variant, strategy, mo
 def _pattern_dim_forest(replicates, n):
     """The level-n cubes of the pattern-dim paper trees (d = 1, p = 0.8,
     surviving) of seed 1's first replicates, as (tree, cubes), and the law."""
-    from fracperc.harness import _rep_seed
-
     law = fp.GaltonWatsonLaw.create(1, 0.8)
-    seeds = [_rep_seed(1, r) for r in range(replicates)]
+    seeds = fp.rng.replicate_seeds(1, replicates)
     return fp.sample_forest(law, "surviving", seeds, n)[n], law, seeds
 
 
