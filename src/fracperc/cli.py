@@ -49,8 +49,6 @@ def main(argv=None):
             overrides[k] = v
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         cfg = ExperimentConfig(
             args.command, overrides=overrides,
             config_path=args.config, preset=args.preset,

@@ -43,20 +43,15 @@ from .patterns import (
 from .rng import derive, replicate_seeds, root_key
 from . import io as fio
 
-COMMANDS = (
-    "sample", "sweep", "intersect", "holder", "second-moment",
-    "dimension", "pattern-dim", "perc-dim-test", "harris", "stress",
-)
-
 MASS_COLUMNS = ("seed", "param_id", "n", "Y", "kernel", "se")
 FREQ_COLUMNS = (
     "family", "params", "p", "n", "replicates", "frequency", "ci_lo", "ci_hi"
 )
 
-# Per-command defaults; smoke presets are sized to finish within seconds.
-_BASE_DEFAULTS = {
+# The default of every config key.
+_DEFAULTS = {
     "d": "1", "p": "0.8", "variant": "surviving", "n": "6",
-    "replicates": "50", "seed": "0", "threads": "1",
+    "replicates": "50", "seed": "0",
     "coupled": "1", "tolerance_c": "", "mode": "independent", "m": "",
     "family": "homothetic", "sites": "0,1,2", "lam": "0.5", "vol": "0.25",
     "ratios": "1.0,1.0", "p_grid": "0.4,0.55,0.7,0.85",
@@ -66,10 +61,43 @@ _BASE_DEFAULTS = {
     "shape": "line", "mc_samples": "4096", "diag_level": "1",
 }
 
-_COMMAND_DEFAULTS = {
-    "perc-dim-test": {"d": "2", "p_grid": "0.3,0.4,0.45,0.5,0.55,0.6,0.7"},
-}
 
+def _keys(names, **defaults):
+    """The config of a command that reads the given keys: each key with its
+    default, or with the command's own default where one is given."""
+    return {k: defaults.get(k, _DEFAULTS[k]) for k in names.split()}
+
+
+_SAMPLE_KEYS = "d p variant n replicates seed"
+_FAMILY_KEYS = "family sites lam vol"
+_PRODUCT_KEYS = "mode m diag_level mc_samples"
+_MASS_KEYS = f"{_SAMPLE_KEYS} {_PRODUCT_KEYS} target_kind target_spec {_FAMILY_KEYS}"
+
+# The keys each command reads, with their defaults; any other key is refused.
+_COMMAND_CONFIG = {
+    "sample": _keys(_SAMPLE_KEYS),
+    "sweep": _keys(
+        f"d variant n replicates seed coupled tolerance_c p_grid {_FAMILY_KEYS} ratios"
+    ),
+    "intersect": _keys(_MASS_KEYS),
+    "holder": _keys(
+        f"d p variant n seed {_PRODUCT_KEYS} family sites gammas grid_size grid_delta"
+    ),
+    "second-moment": _keys(_MASS_KEYS),
+    "dimension": _keys(_SAMPLE_KEYS),
+    "pattern-dim": _keys(f"{_SAMPLE_KEYS} sites j_lo j_hi"),
+    "perc-dim-test": _keys(
+        "d n replicates seed shape p_grid",
+        d="2", p_grid="0.3,0.4,0.45,0.5,0.55,0.6,0.7",
+    ),
+    "harris": _keys("d p n replicates seed"),
+    "stress": _keys(
+        f"{_SAMPLE_KEYS} {_FAMILY_KEYS} ratios fraction strategy tolerance_c"
+    ),
+}
+COMMANDS = tuple(_COMMAND_CONFIG)
+
+# Smoke presets are sized to finish within seconds.
 _PRESETS = {
     "smoke": {
         "n": "5", "replicates": "20", "p_grid": "0.45,0.6,0.75,0.9",
@@ -104,20 +132,19 @@ class ExperimentConfig:
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         self.command = command
-        raw = dict(_BASE_DEFAULTS)
-        raw.update(_COMMAND_DEFAULTS.get(command, {}))
+        raw = dict(_COMMAND_CONFIG[command])
         if preset:
             if preset not in _PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}")
-            raw.update(_PRESETS[preset])
-        if config_path:
-            raw.update(parse_config_file(config_path))
-        for k, v in (overrides or {}).items():
-            if v is not None:
-                raw[k] = str(v)
-        unknown = set(raw) - set(_BASE_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raw.update((k, v) for k, v in _PRESETS[preset].items() if k in raw)
+        given = parse_config_file(config_path) if config_path else {}
+        given.update((k, str(v)) for k, v in (overrides or {}).items() if v is not None)
+        unread = sorted(set(given) - set(raw))
+        if unread:
+            raise ConfigError(
+                f"{command} does not read config key(s) {', '.join(unread)}"
+            )
+        raw.update(given)
         self.raw = raw
         self.preset = preset
 
@@ -137,7 +164,12 @@ class ExperimentConfig:
         return self.raw[key]
 
     def flag(self, key):
-        return self.raw[key] not in ("0", "false", "no", "")
+        value = self.raw[key]
+        if value in ("1", "true", "yes"):
+            return True
+        if value in ("0", "false", "no"):
+            return False
+        raise ConfigError(f"{key} must be 1, true, yes, 0, false or no, got {value!r}")
 
     def floats(self, key):
         try:
@@ -185,19 +217,19 @@ class ExperimentConfig:
         if kind == "poly":
             return polynomial_from_text(self.s("target_spec"))
         if kind == "family":
-            desc = self.descriptor()
-            if desc.family in PLANE_FAMILIES:
-                return configuration_plane(desc)
-            if desc.family in SCALE_INVARIANT:
+            fam = self.s("family")
+            if fam in PLANE_FAMILIES:
+                return configuration_plane(self.descriptor())
+            if fam in SCALE_INVARIANT:
                 # a polynomial in the sites' differences with no constant
                 # term: it and its differential vanish on the diagonal
                 raise ConfigError(
-                    f"family {desc.family} has no intersection mass: its "
+                    f"family {fam} has no intersection mass: its "
                     "polynomial and its differential vanish wherever the "
                     "sites coincide, and every level keeps cubes holding "
                     "such points; sweep and stress detect this family"
                 )
-            return configuration_polynomial(desc)
+            return configuration_polynomial(self.descriptor())
         raise ConfigError(f"unknown target_kind {kind!r}")
 
 
@@ -356,12 +388,13 @@ def _run_intersect(cfg, out_dir):
 def _run_holder(cfg, out_dir):
     n = cfg.i("n")
     gammas = cfg.floats("gammas")
+    if not gammas:
+        raise ConfigError("gammas must hold at least one exponent")
     grid_size = cfg.i("grid_size")
     delta = cfg.f("grid_delta")
-    desc = cfg.descriptor()
-    if desc.family not in ("homothetic", "translate"):
+    if cfg.s("family") not in PLANE_FAMILIES:
         raise ConfigError("holder command expects a plane family")
-    base = configuration_plane(desc)
+    base = configuration_plane(cfg.descriptor())
     targets = {}
     for k in range(grid_size):
         off = base.offset.copy().astype(float)
@@ -573,7 +606,8 @@ _RUNNERS = {
 
 def run(cfg, out_dir):
     """Execute one configured experiment; returns the JSON summary dict."""
-    if cfg.i("n") < 0 or cfg.i("replicates") < 1:
+    # holder grows one replicate and has no replicates key
+    if cfg.i("n") < 0 or ("replicates" in cfg.raw and cfg.i("replicates") < 1):
         raise ConfigError("n must be >= 0 and replicates >= 1")
     fio.ensure_dir(out_dir)
     t0 = time.monotonic()

@@ -141,6 +141,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["perc-dim-test", "p_grid="],
         ["perc-dim-test", "p_grid=0.5"],
         ["intersect", "family=distance", "d=2", "m=2", "mc_samples=0"],
+        ["sweep", "coupled=bogus"],
+        ["holder", "gammas="],
+        ["intersect", "family=triangle", "d=2"],
+        ["second-moment", "family=triangle", "d=2"],
+        ["holder", "family=distance", "d=2"],
         ["intersect", "m=7"],
         ["intersect", "family=angle", "lam=0.5", "d=2", "m=3", "n=2", "replicates=3"],
     ]
@@ -155,6 +160,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     # the angle polynomial is singular wherever sites coincide, and the mass
     # commands refuse it before growing a tree
     assert "family angle has no intersection mass" in errors[-1]
+    # the family is refused before its parameters are read
+    for err in errors[-5:-3]:
+        assert "family triangle has no intersection mass" in err
+    assert "holder command expects a plane family" in errors[-3]
+    # a key the command does not read exits 2, naming the command and the key,
+    # inline or in a config file
+    config = tmp_path / "perc.cfg"
+    config.write_text("p=0.3\n")
+    misplaced = [
+        ("p", ["sweep", "p=0.3"]),
+        ("variant", ["harris", "variant=surviving"]),
+        ("replicates", ["holder", "replicates=5"]),
+        ("variant", ["perc-dim-test", "variant=surviving"]),
+        ("threads", ["sample", "threads=2"]),
+        ("p", ["perc-dim-test", "--config", str(config)]),
+    ]
+    for k, (key, (command, *rest)) in enumerate(misplaced):
+        argv = [command, "--preset", "smoke", "--out", str(tmp_path / f"x{k}")]
+        capsys.readouterr()
+        assert main(argv + rest) == 2, (command, rest)
+        err = capsys.readouterr().err
+        assert f"{command} does not read config key(s) {key}" in err, err
 
 
 def test_readme_example_block_runs(tmp_path, monkeypatch):
@@ -490,7 +517,62 @@ def test_aggregate_schema_mismatch(tmp_path):
 def test_every_command_has_smoke_preset(tmp_path):
     for cmd in COMMANDS:
         cfg = ExperimentConfig(cmd, preset="smoke")
-        assert cfg.i("replicates") >= 1 or cmd == "sample"
+        if cmd == "holder":
+            # holder grows one replicate
+            assert "replicates" not in cfg.raw
+        else:
+            assert cfg.i("replicates") >= 1 or cmd == "sample"
+
+
+class _ReadRecorder(dict):
+    """A config dict that records the keys read from it."""
+
+    def __init__(self, raw, read):
+        super().__init__(raw)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+_FAMILY_PROBES = [{}, {"family": "distance", "d": "2"}, {"family": "volume", "d": "2"}]
+_DETECT_PROBES = _FAMILY_PROBES + [{"family": "triangle", "d": "2"}]
+_MASS_PROBES = _FAMILY_PROBES + [
+    {"mode": "power", "diag_level": "2"},
+    {"mode": "weighted"},
+    {"target_kind": "plane", "target_spec": "2 0 0 0.5;1 0 0;0 1 0"},
+    {"target_kind": "poly", "target_spec": "0 2 0 1\n0 0 2 1\n0 0 0 -0.5"},
+]
+# Small configs of each command that between them take every branch that
+# reads a key: the modes, the target kinds and the families.
+_READ_PROBES = {
+    "sample": [{}],
+    "dimension": [{}],
+    "harris": [{}],
+    "perc-dim-test": [{}],
+    "pattern-dim": [{"n": "5"}],
+    "sweep": _DETECT_PROBES,
+    "stress": _DETECT_PROBES,
+    "intersect": _MASS_PROBES,
+    "second-moment": _MASS_PROBES,
+    "holder": [{}, {"mode": "power", "diag_level": "2"}],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_config_key_is_read(command, tmp_path):
+    # A command accepts exactly the config keys it reads: a key that no run
+    # reads changes nothing, yet summary.json would echo it as if it did.
+    accepted = set(ExperimentConfig(command).raw)
+    small = {"n": "4", "replicates": "2", "mc_samples": "64"}
+    read = set()
+    for k, probe in enumerate(_READ_PROBES[command]):
+        overrides = {key: v for key, v in small.items() if key in accepted}
+        cfg = ExperimentConfig(command, overrides={**overrides, **probe}, preset="smoke")
+        cfg.raw = _ReadRecorder(cfg.raw, read)
+        run(cfg, str(tmp_path / str(k)))
+    assert sorted(read) == sorted(accepted)
 
 
 def _strict_json(text):
