@@ -15,7 +15,8 @@ sample_tree one by one.
 It then times the one product-cube traversal (`intersect._traverse`) that
 masses and detection share, in tuples tested by its keep predicate per
 second (the least of five rounds) and the fraction of them that the
-predicate drops:
+predicate drops, in the groups each caller uses (BATCH_TUPLES tuples for
+the masses, four times as many for detection):
   mass:      200 replicates of three d=1, p=0.8 extinction trees to level 6,
              pruned against the plane x - 2y + z = 0 (the mass-plane
              benchmark's inputs);
@@ -30,7 +31,8 @@ of the verifier's cap (CHUNK_FLOATS floats):
   plane:     the least-squares fit of the progression candidates above;
   newton:    Gauss-Newton roots of |x - y| = 0.5 on the candidate pairs of
              the coupled slices of the plane at p=0.5, level 4, of seeds
-             0-99 (the sweep-distance benchmark's inputs).
+             0-99 (the sweep-distance benchmark's inputs); one equation,
+             so each Gauss-Newton step is the closed-form -g P / (g . g).
 
 Then it times witness enumeration, in witness parameter rows per second (the
 least of three rounds): `parameter_dimensions` of the 3-term progression
@@ -65,6 +67,7 @@ import numpy as np
 
 from fracperc import geometry
 from fracperc.intersect import (
+    BATCH_TUPLES,
     DEFAULT_CUBE_BUDGET,
     ProductMeasureSpec,
     _Batch,
@@ -98,9 +101,10 @@ from fracperc.polynomials import variety_level_measure
 from fracperc.rng import derive, replicate_seeds, root_key
 
 
-def traversal(batches, keep, n, distinct=None, rounds=5):
-    """(tuples tested, seconds, fraction dropped) of traversing every batch;
-    the seconds are the least of `rounds` repeats."""
+def traversal(batches, keep, n, limit, distinct=None, rounds=5):
+    """(tuples tested, seconds, fraction dropped) of traversing every batch
+    in groups of at most `limit` tuples; the seconds are the least of
+    `rounds` repeats."""
     secs = []
     for _ in range(rounds):
         tested = kept = 0
@@ -114,7 +118,7 @@ def traversal(batches, keep, n, distinct=None, rounds=5):
 
         t0 = time.perf_counter()
         for batch in batches:
-            for _ in _traverse(batch, counting, n, DEFAULT_CUBE_BUDGET, distinct):
+            for _ in _traverse(batch, counting, n, DEFAULT_CUBE_BUDGET, limit, distinct):
                 pass
         secs.append(time.perf_counter() - t0)
     return tested, min(secs), 1.0 - kept / tested
@@ -129,7 +133,7 @@ def mass_traversal():
     root = sample_tree(law, "extinction", 0, 0)
     spec = ProductMeasureSpec(mode="independent", trees=[root] * m, m=m)
     batch = _grown_batch(spec, keys, seeds, n)
-    return traversal([batch], _target_keep(configuration_plane(desc)), n)
+    return traversal([batch], _target_keep(configuration_plane(desc)), n, BATCH_TUPLES)
 
 
 def slice_levels(desc, p, n, seeds=range(100)):
@@ -150,7 +154,7 @@ def detection_traversal():
     levels = slice_levels(desc, p, n)
     keep = _detection_keep(desc, desc._detection_target, 2.0 ** -n)
     batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
-    return traversal([batch], keep, n, distinct=n)
+    return traversal([batch], keep, n, 4 * BATCH_TUPLES, distinct=n)
 
 
 def verification(desc, p, n, rounds=5):
@@ -234,7 +238,9 @@ def coarea_measure(rounds=3):
     batch = _grown_batch(spec, keys, seeds, n)
     calls = [
         _product_idx(state, [batch.factor[n][1]] * desc.m)
-        for lev, state, _ in _traverse(batch, _target_keep(target), n, DEFAULT_CUBE_BUDGET)
+        for lev, state, _ in _traverse(
+            batch, _target_keep(target), n, DEFAULT_CUBE_BUDGET, BATCH_TUPLES
+        )
         if lev == n and state.shape[0]
     ]
     secs = []

@@ -274,8 +274,9 @@ def _grown_batch(spec, keys, seeds, n):
 # ---------------------------------------------------------------------------
 # Pruned product-cube traversal
 
-# Most tuples a group of several replicates may hold while a level is
-# expanded.  A larger group is halved at a replicate boundary and each half
+# Most tuples a group of several replicates may hold while a level of their
+# masses is expanded (detection, whose rows are lighter, allows four times
+# as many).  A larger group is halved at a replicate boundary and each half
 # goes on alone, so the rows a batch holds at once (its tuples, their product
 # indices and the kernels' temporaries) stay near those of the largest single
 # replicate, whatever the number of replicates.
@@ -293,7 +294,7 @@ def _expansion_peak(state, counts):
     return peak
 
 
-def _traverse(batch, keep, n, budget, distinct=None):
+def _traverse(batch, keep, n, budget, limit, distinct=None):
     """Yield (level, state (K, m), rep (K,)) for levels 0..n: tuples of
     surviving factor cubes, as rows into the factor forest level, whose
     product cube keep(idx (C, m*d), level) -> bool (C,) keeps (all when keep
@@ -304,13 +305,14 @@ def _traverse(batch, keep, n, budget, distinct=None):
     expansion, pruning and splitting keep row order.
 
     Replicates go depth-first in groups.  When the expansion of a group of
-    several replicates would hold more than min(BATCH_TUPLES, budget)
-    tuples, the group is halved at a replicate boundary and each half goes
-    on alone, so a level may be yielded once per group.  A lone replicate is
+    several replicates would hold more than min(limit, budget) tuples, the
+    group is halved at a replicate boundary and each half goes on alone, so
+    a level may be yielded once per group: the masses pass BATCH_TUPLES as
+    the limit, detection 4 * BATCH_TUPLES.  A lone replicate is
     never split: its expansion over `budget` raises BudgetError.  After the
     last tuple of a group dies out, its remaining levels are yielded empty."""
     m, t = batch.m, batch.t
-    limit = min(BATCH_TUPLES, budget)
+    limit = min(limit, budget)
     tables = {}
 
     def level(state, lev):
@@ -412,7 +414,7 @@ def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
     diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
     keep = _target_keep(target) if pruned else None
     held = {}  # level -> the variety cubes measured so far (_measure_once)
-    for lev, state, rep in _traverse(batch, keep, n, budget, diag):
+    for lev, state, rep in _traverse(batch, keep, n, budget, BATCH_TUPLES, diag):
         if rep.shape[0] == 0:
             continue
         r0, r1 = int(rep[0]), int(rep[-1]) + 1

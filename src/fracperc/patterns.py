@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError
-from . import geometry
+from . import geometry, intersect
 from .geometry import AffinePlane
 from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
@@ -469,10 +469,13 @@ def _candidate_groups(levels, desc, n, tolerance, target, budget):
     Yields, group by group, the level-n tuples (K, m) of rows into levels[n]
     of pairwise-distinct cubes that survive the safe prune, with each
     tuple's tree (K,); a tree's tuples come in one yield, in the order of its
-    own one-tree traversal."""
+    own one-tree traversal.  Groups of several trees hold at most
+    4 * BATCH_TUPLES tuples: four times the masses' cap, so that each
+    verification call amortises its fixed costs over more candidates."""
     batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
     keep = _detection_keep(desc, target, tolerance)
-    for lev, state, tree in _traverse(batch, keep, n, budget, distinct=n):
+    limit = 4 * intersect.BATCH_TUPLES
+    for lev, state, tree in _traverse(batch, keep, n, budget, limit, distinct=n):
         if lev == n:
             yield state, tree
 
@@ -686,6 +689,15 @@ def sweep_min_diameter(desc, n):
     return 0.0
 
 
+def _sorted_grid(p_grid):
+    """p_grid as sorted floats; a p given twice is refused."""
+    grid = sorted(float(p) for p in p_grid)
+    for a, b in zip(grid, grid[1:]):
+        if a == b:
+            raise ConfigError(f"p_grid holds p = {a!r} more than once")
+    return grid
+
+
 def presence_profiles(
     desc, p_grid, n, seeds, coupled=True, tolerance=None,
     variant="surviving", budget=DEFAULT_CUBE_BUDGET, min_diameter=None,
@@ -696,11 +708,12 @@ def presence_profiles(
     coupled mode, else sample_tree(law at p, variant, seeds[r], n).  At each
     p of the sorted grid, the realizations of all replicates still to be
     searched are grown as one forest and detected as one batch: they are
-    traversed together, in groups of at most BATCH_TUPLES tuples, and each
-    group's candidates are verified as they arrive, every replicate in its
-    own doubling blocks until its first witness.  Each presence equals that
-    of detect_configuration on the replicate's realization alone.  A
-    replicate that alone exceeds `budget` raises BudgetError.
+    traversed together, in groups of at most 4 * BATCH_TUPLES tuples (four
+    times the masses' cap), and each group's candidates are verified as they
+    arrive, every replicate in its own doubling blocks until its first
+    witness.  Each presence equals that of detect_configuration on the
+    replicate's realization alone.  A replicate that alone exceeds `budget`
+    raises BudgetError.
 
     Coupled mode percolates one uniform field per replicate and slices it
     at every p, so each profile is monotone nondecreasing in p by
@@ -716,7 +729,7 @@ def presence_profiles(
     if min_diameter is None:
         min_diameter = sweep_min_diameter(desc, n)
     tolerance = _detection_tolerance(desc, n, tolerance)
-    p_grid = sorted(float(p) for p in p_grid)
+    p_grid = _sorted_grid(p_grid)
     if not p_grid:
         raise ConfigError("p_grid must hold at least one p")
     seeds = np.array([int(s) & ((1 << 64) - 1) for s in seeds], dtype=np.uint64)
@@ -871,7 +884,7 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
         cubes = cubes[:, None]
     if cubes.shape[0] == 0:
         raise ConfigError("empty target set")
-    p_grid = sorted(float(p) for p in p_grid)
+    p_grid = _sorted_grid(p_grid)
     if len(p_grid) < 2:
         raise ConfigError("a steepest transition needs a p_grid of at least two p")
     if replicates < 1:
@@ -895,8 +908,7 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
     # steepest transition
     best, p_star = -1.0, p_grid[0]
     for a, b in zip(rows, rows[1:]):
-        dp = b.p - a.p
-        slope = (b.frequency - a.frequency) / dp if dp > 0 else 0.0
+        slope = (b.frequency - a.frequency) / (b.p - a.p)
         if slope > best:
             best = slope
             p_star = 0.5 * (a.p + b.p)

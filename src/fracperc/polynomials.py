@@ -359,8 +359,10 @@ def newton_refine_rows(poly, x0):
     step fails it where it stands; a step of norm below 1e-15, or running out
     of NEWTON_MAX_ITER iterations, ends it with the convergence test at the
     final point.  The step is -pinv(J) P with lstsq's cutoff
-    max(M, q) * eps * sigma_max, and a row's result does not depend on the
-    rows it is refined with.
+    max(M, q) * eps * sigma_max; for one equation (q = 1) it is taken in
+    closed form, -g P / (g . g) with g the gradient row, which is that
+    pseudo-inverse, and a zero gradient gives a zero step.  A row's result
+    does not depend on the rows it is refined with.
     """
     x = np.array(x0, dtype=float)
     k = x.shape[0]
@@ -377,8 +379,16 @@ def newton_refine_rows(poly, x0):
         active, xa, f = active[~done], xa[~done], f[~done]
         if active.size == 0:
             break
-        pinv = np.linalg.pinv(poly.jacobian(xa), rtol=None)
-        step = -(pinv @ f[..., None])[..., 0]
+        jac = poly.jacobian(xa)
+        if poly.codomain == 1:
+            # the pseudo-inverse of a 1 x M row g is g^T / (g . g)
+            g = jac[:, 0]
+            gg = (g * g).sum(axis=1)
+            scale = np.divide(f[:, 0], gg, out=np.zeros_like(gg), where=gg != 0)
+            step = -g * scale[:, None]
+        else:
+            pinv = np.linalg.pinv(jac, rtol=None)
+            step = -(pinv @ f[..., None])[..., 0]
         finite = np.all(np.isfinite(step), axis=1)
         active, xa, step = active[finite], xa[finite], step[finite]
         x[active] = xa + step

@@ -217,6 +217,18 @@ def test_no_replicates_or_negative_depth_is_a_config_error(command, tmp_path):
         assert main(argv) == 2, bad
 
 
+@pytest.mark.parametrize("command", ["sweep", "perc-dim-test"])
+def test_duplicate_p_in_grid_exits_2(command, tmp_path, capsys):
+    # a p given twice would be searched twice and written as two rows (and
+    # twice in the sweep's detail.csv header)
+    out = tmp_path / "out"
+    argv = [command, "--preset", "smoke", "--seed", "1", "--out", str(out)]
+    assert main(argv + ["p_grid=0.5,0.7,0.5"]) == 2
+    assert "p_grid holds p = 0.5 more than once" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert main(argv + ["p_grid=0.5,0.7"]) == 0
+
+
 def _no_replicate_calls():
     law = fp.GaltonWatsonLaw.create(1, 0.8)
     tree = fp.sample_tree(law, "surviving", 1, 3)

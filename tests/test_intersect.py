@@ -438,7 +438,7 @@ def test_traversal_budget_checked_before_expansion():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            for _ in _traverse(_spec_batch(spec, 2), None, 2, 5000):
+            for _ in _traverse(_spec_batch(spec, 2), None, 2, 5000, intersect.BATCH_TUPLES):
                 pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -542,7 +542,8 @@ def _row_order_values(spec, target, n, mc_samples):
     batch = _spec_batch(spec, n)
     diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
     for lev, state, _ in _traverse(
-        batch, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET, diag
+        batch, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET,
+        intersect.BATCH_TUPLES, diag,
     ):
         idx = _product_idx(state, [batch.factor[lev][1]] * spec.m)
         if spec.mode == "power" and lev < spec.diag_level:
@@ -615,7 +616,10 @@ def test_variety_cubes_are_measured_once_per_run(monkeypatch):
     whole = _grown_batch(spec, keys, seeds, n)
     per_group = sum(
         np.unique(_product_idx(state, [whole.factor[lev][1]] * m), axis=0).shape[0]
-        for lev, state, _ in _traverse(whole, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET)
+        for lev, state, _ in _traverse(
+            whole, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET,
+            intersect.BATCH_TUPLES,
+        )
         if state.shape[0]
     )
     assert per_group > sum(idx.shape[0] for _, idx in calls)
@@ -645,7 +649,8 @@ def test_batch_over_budget_is_split_not_refused(monkeypatch):
     # into groups, which yield some level more than once ...
     seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
     whole = _grown_batch(specs[0], keys, seeds, n)
-    assert len(list(_traverse(whole, _target_keep(target), n, budget))) > n + 1
+    traversal = _traverse(whole, _target_keep(target), n, budget, intersect.BATCH_TUPLES)
+    assert len(list(traversal)) > n + 1
     # ... and the masses are those of the replicates alone
     batch = replicate_masses(specs[0], keys, target, n, budget=budget)
     alone = [intersection_mass(s, target, n) for s in specs]

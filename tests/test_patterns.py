@@ -885,6 +885,28 @@ def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
         )
 
 
+def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
+    # Detection groups take their limit from BATCH_TUPLES when they are
+    # made: at a cap of 40, a multi-replicate forest is split into several
+    # groups, none of several trees over 160 tuples, and some over 40.
+    from fracperc import intersect
+    from fracperc.patterns import _forest_ancestors
+    from fracperc.percolation import coupled_law
+
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 40)
+    desc, n = fp.ConfigDescriptor("distance", 2, {"lam": 0.5}), 4
+    seeds = np.array([fp.rng.derive(fp.rng.root_key(11), r + 1) for r in range(40)])
+    tree, cubes = fp.sample_forest(coupled_law(2, 0.35), "coupled", seeds, n)[n]
+    _, levels = _forest_ancestors(tree, cubes, n, desc.m)
+    tol = math.sqrt(desc.d) * 2.0 ** -n
+    groups = list(_candidate_groups(
+        levels, desc, n, tol, desc._detection_target, intersect.DEFAULT_CUBE_BUDGET
+    ))
+    assert len(groups) > 1
+    several = [s.shape[0] for s, trees in groups if trees.size and trees[0] != trees[-1]]
+    assert several and 40 < max(several) <= 160
+
+
 def test_box_count_slope_matches_row_unique():
     from fracperc.patterns import box_count_slope
 

@@ -2,6 +2,7 @@
 surface-measure estimates and Newton refinement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ import fracperc as fp
 import fracperc.geometry as geometry
 from fracperc.errors import SingularityError
 from fracperc.geometry import _sobol_points
+from fracperc.patterns import _detection_polys
 from fracperc.polynomials import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     _coarea_jacobian_factor,
     _taylor_values,
     polynomial_from_text,
@@ -305,6 +309,102 @@ def test_newton_rows_count_the_unconverged_row():
     # Rows do not depend on the rows they are refined with.
     x_rev, conv_rev = fp.newton_refine_rows(poly, x0[::-1])
     assert np.array_equal(x_rev[::-1], x) and np.array_equal(conv_rev[::-1], conv)
+
+
+def _pinv_refine_rows(poly, x0):
+    """newton_refine_rows with every step -pinv(J) P, as taken for systems
+    of several equations: the reference for the one-equation closed form."""
+    x = np.array(x0, dtype=float)
+    converged = np.zeros(x.shape[0], dtype=bool)
+    final = np.zeros(x.shape[0], dtype=bool)
+    active = np.arange(x.shape[0])
+    for _ in range(NEWTON_MAX_ITER):
+        if active.size == 0:
+            break
+        xa = x[active]
+        f = poly(xa)
+        done = np.max(np.abs(f), axis=1) < NEWTON_TOL
+        converged[active[done]] = True
+        active, xa, f = active[~done], xa[~done], f[~done]
+        if active.size == 0:
+            break
+        step = -(np.linalg.pinv(poly.jacobian(xa), rtol=None) @ f[..., None])[..., 0]
+        finite = np.all(np.isfinite(step), axis=1)
+        active, xa, step = active[finite], xa[finite], step[finite]
+        x[active] = xa + step
+        stalled = np.linalg.norm(step, axis=1) < 1e-15
+        final[active[stalled]] = True
+        active = active[~stalled]
+    final[active] = True
+    rows = np.flatnonzero(final)
+    converged[rows] = np.max(np.abs(poly(x[rows])), axis=1) < NEWTON_TOL
+    return x, converged
+
+
+def _one_equation_systems():
+    systems = {
+        f"distance-d{d}": fp.configuration_polynomial(
+            fp.ConfigDescriptor("distance", d, {"lam": 0.5})
+        )
+        for d in (1, 2, 3)
+    }
+    systems["angle-d2"] = fp.configuration_polynomial(
+        fp.ConfigDescriptor("angle", 2, {"lam": 0.3})
+    )
+    volume = _detection_polys(fp.ConfigDescriptor("volume", 2, {"vol": 0.1}))
+    systems["volume-d2"], systems["volume-d2-mirrored"] = volume
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(_one_equation_systems()))
+def test_one_equation_step_matches_pinv(name):
+    # A 1 x M Jacobian row g has the pseudo-inverse g^T / (g . g), so the
+    # closed-form step must reach the pinv step's verdicts, and its roots to
+    # 1e-9 where the root is regular.  Rows running into the angle
+    # polynomial's singular set (u = 0 or v = 0, where P and its gradient
+    # vanish) converge linearly, and there one ulp moved in the start moves
+    # the pinv root itself by up to 1e-8.
+    poly = _one_equation_systems()[name]
+    assert poly.codomain == 1
+    x0 = np.random.default_rng(5).uniform(0.0, 1.0, size=(2000, poly.ambient))
+    x, conv = fp.newton_refine_rows(poly, x0)
+    want, want_conv = _pinv_refine_rows(poly, x0)
+    assert np.array_equal(conv, want_conv)
+    assert conv.any()
+    regular = np.linalg.norm(poly.jacobian(want)[:, 0], axis=1) >= 1e-3
+    assert np.max(np.abs(x - want)[regular]) < 1e-9
+    assert np.max(np.abs(x - want)) < 1e-6
+    # each row is refined as it would be alone, bit for bit
+    for row in range(0, x0.shape[0], 97):
+        one, one_conv = fp.newton_refine_rows(poly, x0[row : row + 1])
+        assert one.tobytes() == x[row].tobytes() and one_conv[0] == conv[row]
+
+
+def test_one_equation_step_stalls_or_fails_in_place():
+    # Distance at x = y: P = -lam^2 and the gradient vanishes, so the step
+    # is zero, with no division by zero, and the row stalls, failing the
+    # final test where it started.  A NaN start or an overflowing P gives a
+    # non-finite step, which fails its row where it stands; the other rows
+    # converge as they would alone.
+    poly = _one_equation_systems()["distance-d2"]
+    x0 = np.array([
+        [0.3, 0.6, 0.3, 0.6],
+        [0.1, 0.2, 0.5, 0.6],
+        [np.nan, 0.2, 0.5, 0.6],
+        [1e200, 0.0, 0.0, 0.0],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finite_x, finite_conv = fp.newton_refine_rows(poly, x0[:3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, conv = fp.newton_refine_rows(poly, x0)
+    assert conv.tolist() == [False, True, False, False]
+    assert np.array_equal(x[[0, 2, 3]], x0[[0, 2, 3]], equal_nan=True)
+    assert x[:3].tobytes() == finite_x.tobytes() and conv[:3].tolist() == finite_conv.tolist()
+    want, want_conv = _pinv_refine_rows(poly, x0[:2])
+    assert want_conv.tolist() == [False, True]
+    assert np.array_equal(want[0], x0[0]) and np.max(np.abs(want[1] - x[1])) < 1e-9
+    assert fp.newton_refine(poly, x0[1])[0].tobytes() == x[1].tobytes()
 
 
 def _cylinder_slice(r=0.35):
