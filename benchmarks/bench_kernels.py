@@ -69,7 +69,7 @@ from fracperc import geometry
 from fracperc.intersect import (
     BATCH_TUPLES,
     DEFAULT_CUBE_BUDGET,
-    ProductMeasureSpec,
+    ProductLaw,
     _Batch,
     _grown_batch,
     _measure_once,
@@ -98,7 +98,7 @@ from fracperc.percolation import (
     sample_tree,
 )
 from fracperc.polynomials import variety_level_measure
-from fracperc.rng import derive, replicate_seeds, root_key
+from fracperc.rng import replicate_seeds, root_key
 
 
 def traversal(batches, keep, n, limit, distinct=None, rounds=5):
@@ -129,10 +129,7 @@ def mass_traversal():
     n, m = 6, 3
     desc = ConfigDescriptor("homothetic", 1, {"sites": [[0], [1], [2]]})
     keys = root_key(np.arange(200, dtype=np.uint64))
-    seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
-    root = sample_tree(law, "extinction", 0, 0)
-    spec = ProductMeasureSpec(mode="independent", trees=[root] * m, m=m)
-    batch = _grown_batch(spec, keys, seeds, n)
+    batch = _grown_batch(ProductLaw(law, "extinction", "independent", m), keys, n)
     return traversal([batch], _target_keep(configuration_plane(desc)), n, BATCH_TUPLES)
 
 
@@ -232,10 +229,8 @@ def coarea_measure(rounds=3):
     desc, n = ConfigDescriptor("distance", 2, {"lam": 0.5}), 3
     target = configuration_polynomial(desc)
     keys = root_key(np.array(replicate_seeds(1000, 16), dtype=np.uint64))
-    seeds = np.stack([derive(keys, j + 1) for j in range(desc.m)], axis=1)
-    root = sample_tree(GaltonWatsonLaw.create(2, 0.7), "extinction", 0, 0)
-    spec = ProductMeasureSpec(mode="independent", trees=[root] * desc.m, m=desc.m)
-    batch = _grown_batch(spec, keys, seeds, n)
+    law = ProductLaw(GaltonWatsonLaw.create(2, 0.7), "extinction", "independent", desc.m)
+    batch = _grown_batch(law, keys, n)
     calls = [
         _product_idx(state, [batch.factor[n][1]] * desc.m)
         for lev, state, _ in _traverse(

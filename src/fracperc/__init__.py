@@ -42,6 +42,7 @@ from .polynomials import (
 )
 from .intersect import (
     MassSeries,
+    ProductLaw,
     ProductMeasureSpec,
     holder_modulus,
     intersection_mass,

@@ -20,6 +20,7 @@ from .percolation import (
     sample_tree,
 )
 from .intersect import (
+    ProductLaw,
     ProductMeasureSpec,
     _product_cubes,
     holder_modulus,
@@ -233,9 +234,9 @@ class ExperimentConfig:
         raise ConfigError(f"unknown target_kind {kind!r}")
 
 
-def _product_spec(cfg, seed, n, target):
-    """The product of m factor trees grown to level n from the key of seed,
-    with m = target.ambient // d; a given m that disagrees is refused."""
+def _product_law(cfg, target):
+    """The law of the product of m factor trees, m = target.ambient // d; a
+    given m that disagrees is refused."""
     mode = cfg.s("mode")
     d = cfg.i("d")
     m = target.ambient // d
@@ -244,24 +245,8 @@ def _product_spec(cfg, seed, n, target):
             f"m = {cfg.i('m')} disagrees with the target: its ambient dimension "
             f"{target.ambient} over d = {d} gives m = {m}"
         )
-    law = cfg.law()
-    variant = cfg.s("variant")
-    key = root_key(seed)
-    if mode == "power":
-        tree = sample_tree(law, variant, int(derive(key, 1)), n)
-        return ProductMeasureSpec(
-            mode="power", trees=(tree,), m=m, diag_level=cfg.i("diag_level")
-        )
-    trees = tuple(
-        sample_tree(law, variant, int(derive(key, j + 1)), n) for j in range(m)
-    )
-    if mode == "weighted":
-        aux_law = GaltonWatsonLaw.create(m * d, cfg.f("p"))
-        aux = sample_tree(aux_law, variant, int(derive(key, m + 1)), n)
-        return ProductMeasureSpec(
-            mode="weighted", trees=trees, m=m, aux_tree=aux
-        )
-    return ProductMeasureSpec(mode=mode, trees=trees, m=m)
+    diag_level = cfg.i("diag_level") if mode == "power" else 0
+    return ProductLaw(cfg.law(), cfg.s("variant"), mode, m, diag_level)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +342,9 @@ def _run_intersect(cfg, out_dir):
     target = cfg.target()
     n, reps = cfg.i("n"), cfg.i("replicates")
     seeds = replicate_seeds(cfg.i("seed"), reps)
-    # the replicates' trees are grown in replicate_masses; this depth-0 spec
-    # only carries their mode and laws
-    spec = _product_spec(cfg, seeds[0], 0, target)
     results = list(zip(seeds, replicate_masses(
-        spec, root_key(np.array(seeds, dtype=np.uint64)), target, n,
-        mc_samples=cfg.i("mc_samples"), param_id=cfg.s("target_kind"),
+        _product_law(cfg, target), root_key(np.array(seeds, dtype=np.uint64)),
+        target, n, mc_samples=cfg.i("mc_samples"), param_id=cfg.s("target_kind"),
     )))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for seed, series in results:
@@ -401,7 +383,15 @@ def _run_holder(cfg, out_dir):
         off[-1] += k * delta
         targets[f"shift{k}"] = AffinePlane(basis=base.basis, offset=off)
     seed = replicate_seeds(cfg.i("seed"), 1)[0]
-    spec = _product_spec(cfg, seed, n, base)
+    # the replicate's factor trees, then its product-space tree in weighted
+    # mode, seeded as replicate_masses seeds them
+    law, key = _product_law(cfg, base), root_key(seed)
+    laws = [law.law] * (1 if law.mode == "power" else law.m) + [law.aux_law]
+    trees = [
+        sample_tree(lw, law.variant, int(derive(key, j + 1)), n) if lw else None
+        for j, lw in enumerate(laws)
+    ]
+    spec = ProductMeasureSpec(law.mode, trees[:-1], law.m, law.diag_level, trees[-1])
     table = holder_modulus(spec, targets, n, gammas, mc_samples=cfg.i("mc_samples"))
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for tid, series in sorted(table["series"].items()):
@@ -418,10 +408,9 @@ def _run_second_moment(cfg, out_dir):
     target = cfg.target()
     n, reps = cfg.i("n"), cfg.i("replicates")
     seed = cfg.i("seed")
-    # depth 0: second_moment_estimate grows its own replicates
-    spec = _product_spec(cfg, replicate_seeds(seed, 1)[0], 0, target)
     rep = second_moment_estimate(
-        spec, target, n, reps, base_seed=seed, mc_samples=cfg.i("mc_samples")
+        _product_law(cfg, target), target, n, reps, base_seed=seed,
+        mc_samples=cfg.i("mc_samples"),
     )
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         csv.row(seed, "mean_Y", n, rep.mean, "aggregate", 0.0)
@@ -570,13 +559,9 @@ def _run_harris(cfg, out_dir):
 def _run_stress(cfg, out_dir):
     desc = cfg.descriptor()
     n, reps = cfg.i("n"), cfg.i("replicates")
-    law = cfg.law()
-    # the replicates' trees are grown in subset_stress_test; this depth-0
-    # tree only carries their law and variant
-    tree = sample_tree(law, cfg.s("variant"), replicate_seeds(cfg.i("seed"), 1)[0], 0)
     row = subset_stress_test(
-        tree, desc, cfg.f("fraction"), cfg.s("strategy"), n, reps,
-        base_seed=cfg.i("seed"), tolerance=cfg.tolerance,
+        cfg.law(), cfg.s("variant"), desc, cfg.f("fraction"), cfg.s("strategy"),
+        n, reps, base_seed=cfg.i("seed"), tolerance=cfg.tolerance,
     )
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), FREQ_COLUMNS) as csv:
         csv.row(desc.family, desc.to_text(), cfg.f("p"), n, reps,

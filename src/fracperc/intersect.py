@@ -4,6 +4,7 @@ second-moment estimates and empirical Hölder moduli.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -11,7 +12,8 @@ from .errors import BudgetError, ConfigError, DegenerateInputError
 from .geometry import AffinePlane, _row_chunks, plane_level_keep, plane_level_measure
 from .polynomials import variety_level_measure
 from .percolation import (
-    DEFAULT_MAX_CUBES, _replicate_cut, _row_keys, resample_level, sample_forest,
+    DEFAULT_MAX_CUBES, GaltonWatsonLaw, _replicate_cut, _row_keys, resample_level,
+    sample_forest,
 )
 from .rng import derive, root_key
 
@@ -22,82 +24,99 @@ MODES = ("independent", "power", "weighted")
 
 
 @dataclass(frozen=True)
-class ProductMeasureSpec:
-    """Product of m natural percolation measures on [0,1)^(m d).
-
-    modes:
+class ProductLaw:
+    """Law of the product of m natural percolation measures on [0,1)^(m d):
+    the factor law and variant, and the mode in which the factors are drawn:
       independent — m independent trees (one per factor);
       power       — one tree used for every factor, restricted at level
                     diag_level to product cubes with pairwise-distinct
                     factors (a diagonal-free decomposition);
-      weighted    — independent factors times one extra independent tree
-                    living directly on [0,1)^(m d) (density p^-mn * pt^-n).
-    """
+      weighted    — independent factors times one extra independent tree on
+                    [0,1)^(m d), of law aux_law (density p^-mn * pt^-n)."""
 
+    law: GaltonWatsonLaw   # of each factor
+    variant: str
     mode: str
-    trees: tuple           # factor trees: m entries (1 entry reused if power)
     m: int
     diag_level: int = 0    # power mode: level of the diagonal-free decomposition
-    aux_tree: object = None  # weighted mode: tree on the product space
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        trees = tuple(self.trees)
-        object.__setattr__(self, "trees", trees)
-        if self.mode == "power":
-            if len(trees) != 1:
-                raise ConfigError("power mode takes exactly one tree")
-            if self.m >= 2 and self.diag_level < 1:
+        if self.mode == "power" and self.m >= 2:
+            if self.diag_level < 1:
                 raise ConfigError(
                     "power mode requires a diagonal-free decomposition level >= 1"
                 )
-            cubes = 2 ** (trees[0].law.d * self.diag_level)
-            if self.m >= 2 and cubes < self.m:
+            cubes = 2 ** (self.d * self.diag_level)
+            if cubes < self.m:
                 raise ConfigError(
                     f"power mode at diag_level {self.diag_level} has {cubes} cubes "
                     f"for {self.m} factors: no tuple of distinct cubes exists"
                 )
-        else:
-            if len(trees) != self.m:
-                raise ConfigError("need one tree per factor")
-        d0, p0 = trees[0].law.d, trees[0].law.p
-        for t in trees:
-            if t.law.d != d0 or t.law.p != p0:
-                raise ConfigError("all factors must share d and p")
-        if self.mode == "weighted":
-            if self.aux_tree is None:
-                raise ConfigError("weighted mode needs an auxiliary tree")
-            if self.aux_tree.law.d != self.m * d0:
-                raise ConfigError("auxiliary tree must live on the product space")
-        elif self.aux_tree is not None:
-            raise ConfigError("auxiliary tree only valid in weighted mode")
 
     @property
     def d(self):
-        return self.trees[0].law.d
+        return self.law.d
 
     @property
     def p(self):
-        return self.trees[0].law.p
+        return self.law.p
 
     @property
     def ambient(self):
         return self.m * self.d
 
-    @property
-    def depth(self):
-        dep = min(t.depth for t in self.trees)
-        if self.aux_tree is not None:
-            dep = min(dep, self.aux_tree.depth)
-        return dep
+    @cached_property
+    def aux_law(self):
+        """Weighted mode: the law of the tree on the product space, (m d, p)."""
+        if self.mode != "weighted":
+            return None
+        return GaltonWatsonLaw.create(self.ambient, self.p)
 
     def density_factor(self, j):
         """Normalization p^-mj (times pt^-j in weighted mode)."""
         f = float(self.p) ** (-self.m * j)
         if self.mode == "weighted":
-            f *= float(self.aux_tree.law.p) ** (-j)
+            f *= float(self.aux_law.p) ** (-j)
         return f
+
+
+class ProductMeasureSpec(ProductLaw):
+    """A ProductLaw plus its trees: one realization of the product.  The
+    factor law, variant and auxiliary law are those of its trees; trees of
+    mixed variants can be measured but not replicated."""
+
+    def __init__(self, mode, trees, m, diag_level, aux_tree=None):
+        trees = tuple(trees)
+        # set past the frozen __setattr__; aux_law shadows ProductLaw's
+        self.__dict__.update(
+            law=trees[0].law, mode=mode, m=m, diag_level=diag_level, trees=trees,
+            aux_tree=aux_tree, aux_law=None if aux_tree is None else aux_tree.law,
+        )
+        self.__post_init__()
+        if mode == "power":
+            if len(trees) != 1:
+                raise ConfigError("power mode takes exactly one tree")
+        elif len(trees) != m:
+            raise ConfigError("need one tree per factor")
+        if any(t.law.d != self.law.d or t.law.p != self.law.p for t in trees):
+            raise ConfigError("all factors must share d and p")
+        if mode == "weighted":
+            if aux_tree is None:
+                raise ConfigError("weighted mode needs an auxiliary tree")
+            if aux_tree.law.d != self.ambient:
+                raise ConfigError("auxiliary tree must live on the product space")
+        elif aux_tree is not None:
+            raise ConfigError("auxiliary tree only valid in weighted mode")
+
+    @property
+    def variant(self):
+        trees = self.trees + (self.aux_tree,)
+        variant, *mixed = {t.variant for t in trees if t is not None}
+        if mixed:
+            raise ConfigError("replicated factors must share one variant")
+        return variant
 
 
 @dataclass
@@ -250,25 +269,24 @@ def _levels_batch(spec, replicates):
 
 def _spec_batch(spec, n):
     """The one-replicate batch of spec's trees, levels 0..n."""
-    if spec.depth < n:
-        raise ConfigError("trees not materialized to the requested level")
     trees = spec.trees + ((spec.aux_tree,) if spec.aux_tree is not None else ())
+    if min(t.depth for t in trees) < n:
+        raise ConfigError("trees not materialized to the requested level")
     return _levels_batch(spec, [[t.levels[: n + 1] for t in trees]])
 
 
-def _grown_batch(spec, keys, seeds, n):
-    """The batch of replicates drawn like spec's trees: replicate r's tree j
-    has seed seeds[r, j], and its product-space tree derive(keys[r], T + 1)
-    with T = len(spec.trees).  One forest holds every factor tree."""
-    t0 = spec.trees[0]
-    if any(t.variant != t0.variant for t in spec.trees):
-        raise ConfigError("replicated factors must share one variant")
-    factor = sample_forest(t0.law, t0.variant, seeds.ravel(), n)
+def _grown_batch(law, keys, n):
+    """The batch of replicates of a ProductLaw drawn from keys: replicate r's
+    factor tree j has seed derive(keys[r], j + 1), for its T factor trees (one
+    in power mode, else m), and its product-space tree derive(keys[r], T + 1).
+    One forest holds every factor tree."""
+    t = 1 if law.mode == "power" else law.m
+    seeds = np.stack([derive(keys, j + 1) for j in range(t)], axis=1)
+    factor = sample_forest(law.law, law.variant, seeds.ravel(), n)
     aux = None
-    if spec.aux_tree is not None:
-        a = spec.aux_tree
-        aux = sample_forest(a.law, a.variant, derive(keys, len(spec.trees) + 1), n)
-    return _Batch(spec.m, len(spec.trees), keys.shape[0], factor, aux)
+    if law.aux_law is not None:
+        aux = sample_forest(law.aux_law, law.variant, derive(keys, t + 1), n)
+    return _Batch(law.m, t, keys.shape[0], factor, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +420,17 @@ def _measure_once(held, idx, measure):
     return values[pos], ses[pos], (cubes, values, ses)
 
 
-def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
+def _batch_masses(law, batch, target, n, mc_samples, budget, pruned):
     """(values, ses, counts), (R, n+1) arrays, of the batch's replicates in
-    spec's mode: one kernel call per level and group, summed per replicate.
-    A variety's kernel measures each product cube once per run: a level's
-    cubes met in an earlier group are looked up, not measured again."""
+    the mode of the ProductLaw `law`: one kernel call per level and group,
+    summed per replicate.  A variety's kernel measures each product cube once
+    per run: a level's cubes met in an earlier group are looked up, not
+    measured again."""
     shape = (batch.reps, n + 1)
     totals, variances = np.zeros(shape), np.zeros(shape)
     counts = np.zeros(shape, dtype=np.int64)
     # power mode's decomposition level, from which factors are distinct
-    diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
+    diag = law.diag_level if law.mode == "power" and law.m >= 2 else None
     keep = _target_keep(target) if pruned else None
     held = {}  # level -> the variety cubes measured so far (_measure_once)
     for lev, state, rep in _traverse(batch, keep, n, budget, BATCH_TUPLES, diag):
@@ -423,7 +442,7 @@ def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
         counts[r0:r1, lev] = cnt
         if diag is not None and lev < diag:
             continue
-        idx_md = _product_idx(state, [batch.factor[lev][1]] * spec.m)
+        idx_md = _product_idx(state, [batch.factor[lev][1]] * law.m)
         if isinstance(target, AffinePlane):
             vals, se = plane_level_measure(target, idx_md, lev, mc_samples)
         else:
@@ -434,7 +453,7 @@ def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
         start = np.where(cnt > 0, -0.0, 0.0)
         totals[r0:r1, lev] = _segment_sums(vals, rep, start)
         variances[r0:r1, lev] = _segment_sums(se * se, rep, start)
-    f = np.array([spec.density_factor(lev) for lev in range(n + 1)])
+    f = np.array([law.density_factor(lev) for lev in range(n + 1)])
     values, ses = f * totals, f * np.sqrt(variances)
     # below the power mode's decomposition level the mass includes the
     # diagonal and is not reported
@@ -442,32 +461,29 @@ def _batch_masses(spec, batch, target, n, mc_samples, budget, pruned):
     return values, ses, counts
 
 
-def _kernel_name(spec, target):
+def _kernel_name(law, target):
     if isinstance(target, AffinePlane):
-        k, mm = target.dim, spec.ambient
+        k, mm = target.dim, law.ambient
         return "exact" if k in (1, mm - 1, mm) else "qmc"
     return "coarea-qmc"
 
 
-def _check_target(spec, target):
+def _check_target(law, target):
+    if target.ambient != law.ambient:
+        raise ConfigError("target ambient must equal m*d")
     if isinstance(target, AffinePlane):
-        if target.ambient != spec.ambient:
-            raise ConfigError("target ambient must equal m*d")
         if target.dim < 1:
             raise DegenerateInputError("target dimension must be >= 1")
-    else:
-        if target.ambient != spec.ambient:
-            raise ConfigError("target ambient must equal m*d")
-        if target.ambient - target.codomain < 1:
-            raise DegenerateInputError("variety dimension must be >= 1")
+    elif target.ambient - target.codomain < 1:
+        raise DegenerateInputError("variety dimension must be >= 1")
 
 
-def _series(spec, batch, target, n, mc_samples, budget, pruned, param_id, seeds):
+def _series(law, batch, target, n, mc_samples, budget, pruned, param_id, seeds):
     """One MassSeries per replicate of the batch; seeds[r] is its seed."""
     values, ses, counts = _batch_masses(
-        spec, batch, target, n, mc_samples, budget, pruned
+        law, batch, target, n, mc_samples, budget, pruned
     )
-    kernel = _kernel_name(spec, target)
+    kernel = _kernel_name(law, target)
     return [
         MassSeries(
             param_id=param_id,
@@ -477,8 +493,8 @@ def _series(spec, batch, target, n, mc_samples, budget, pruned, param_id, seeds)
             counts=c.tolist(),
             ses=s.tolist(),
             kernel=kernel,
-            mode=spec.mode,
-            diag_level=spec.diag_level,
+            mode=law.mode,
+            diag_level=law.diag_level,
         )
         for seed, v, s, c in zip(seeds, values, ses, counts)
     ]
@@ -508,7 +524,7 @@ def intersection_mass(
 
 
 def replicate_masses(
-    spec,
+    law,
     keys,
     target,
     n,
@@ -516,26 +532,22 @@ def replicate_masses(
     budget=DEFAULT_CUBE_BUDGET,
     param_id="target",
 ):
-    """MassSeries of len(keys) independent replicates drawn like spec's trees.
+    """MassSeries of len(keys) independent replicates of the ProductLaw `law`.
 
-    Replicate r's tree j has seed derive(keys[r], j + 1), and in weighted
-    mode its product-space tree derive(keys[r], len(spec.trees) + 1); spec
-    supplies the mode, m and laws, and its own trees are not read.  All
-    replicates are grown as one forest and traversed together, in groups of
-    at most BATCH_TUPLES tuples, with one kernel call per level and group.
-    Each series is equal, bit for bit, to intersection_mass on that
-    replicate's trees alone.  A replicate that alone exceeds `budget` (or a
-    tree DEFAULT_MAX_CUBES) raises BudgetError; a batch that only exceeds it
-    together is split.
+    Replicate r's factor tree j has seed derive(keys[r], j + 1), and in
+    weighted mode its product-space tree derive(keys[r], T + 1), for its T
+    factor trees (one in power mode, else m).  All replicates are grown as
+    one forest and traversed together, in groups of at most BATCH_TUPLES
+    tuples, with one kernel call per level and group.  Each series is equal,
+    bit for bit, to intersection_mass on that replicate's trees alone.  A
+    replicate that alone exceeds `budget` (or a tree DEFAULT_MAX_CUBES)
+    raises BudgetError; a batch that only exceeds it together is split.
     """
-    _check_target(spec, target)
+    _check_target(law, target)
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-    seeds = np.stack(
-        [derive(keys, j + 1) for j in range(len(spec.trees))], axis=1
-    )
-    batch = _grown_batch(spec, keys, seeds, n)
+    batch = _grown_batch(law, keys, n)
     return _series(
-        spec, batch, target, n, mc_samples, budget, True, param_id, seeds[:, 0]
+        law, batch, target, n, mc_samples, budget, True, param_id, derive(keys, 1)
     )
 
 
@@ -604,18 +616,19 @@ def _product_cubes(series):
 
 
 def second_moment_estimate(
-    spec, target, n, replicates, base_seed=0, mc_samples=DEFAULT_MC_PER_CUBE,
+    law, target, n, replicates, base_seed=0, mc_samples=DEFAULT_MC_PER_CUBE,
 ):
-    """Monte Carlo E[Y_n], E[Y_n^2] over independent replicates, with the
-    Paley-Zygmund survival lower bound P(Y_n > 0) >= E[Y_n]^2 / E[Y_n^2].
+    """Monte Carlo E[Y_n], E[Y_n^2] over independent replicates of the
+    ProductLaw `law`, with the Paley-Zygmund survival lower bound
+    P(Y_n > 0) >= E[Y_n]^2 / E[Y_n^2].
 
-    Replicate r's trees are drawn like spec's, from the key
+    Replicate r's trees are drawn from the key
     derive(root_key(base_seed), 2r + 1); all replicates form one batch."""
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     root = root_key(int(base_seed))
     keys = [derive(root, 2 * r + 1) for r in range(replicates)]
-    series = replicate_masses(spec, keys, target, n, mc_samples=mc_samples)
+    series = replicate_masses(law, keys, target, n, mc_samples=mc_samples)
     ys = np.array([s.values[n] for s in series])
     mean = float(ys.mean())
     mean_sq = float((ys ** 2).mean())

@@ -966,17 +966,17 @@ MAX_WITNESSES = 200_000
 
 
 def subset_stress_test(
-    tree, desc, fraction, strategy, n, replicates, base_seed=0, tolerance=None,
+    law, variant, desc, fraction, strategy, n, replicates, base_seed=0, tolerance=None,
 ):
     """Presence frequency after deleting a fraction of the surviving cubes.
 
     strategy "random" removes uniformly; "greedy" repeatedly removes the cube
     participating in the most of the first MAX_WITNESSES currently-detected
-    witnesses (an adversarial heuristic, not an optimal hitting set).  Trees
-    are re-drawn per replicate from the law and variant of the given tree,
-    grown as one forest; greedy enumerates the witnesses of every replicate
-    in one batch, and after the removals, the remaining cubes of every
-    replicate are detected as one batch.  The row's counters are the totals
+    witnesses (an adversarial heuristic, not an optimal hitting set).  The
+    replicates' trees, of the given law and variant, are grown as one forest;
+    greedy enumerates the witnesses of every replicate in one batch, and after
+    the removals, the remaining cubes of every replicate are detected as one
+    batch.  The row's counters are the totals
     of SWEEP_COUNTERS over it.
     """
     if not 0.0 <= fraction < 1.0:
@@ -986,7 +986,7 @@ def subset_stress_test(
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     seeds = replicate_seeds(base_seed, replicates)
-    owner, cubes = sample_forest(tree.law, tree.variant, seeds, n)[n]
+    owner, cubes = sample_forest(law, variant, seeds, n)[n]
     remaining = _split_by_tree(owner, cubes, replicates)
     removals = [math.ceil(fraction * rows.shape[0]) for rows in remaining]
     if strategy == "random":

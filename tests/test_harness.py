@@ -233,7 +233,7 @@ def _no_replicate_calls():
     law = fp.GaltonWatsonLaw.create(1, 0.8)
     tree = fp.sample_tree(law, "surviving", 1, 3)
     desc = fp.ConfigDescriptor(family="homothetic", d=1, params={"sites": [[0], [1], [2]]})
-    spec = fp.ProductMeasureSpec(mode="independent", trees=(tree,), m=1)
+    product = fp.ProductLaw(law, "surviving", "independent", 1)
     line = fp.AffinePlane(basis=np.eye(1), offset=np.zeros(1))
     alive = lambda cubes, n: cubes.shape[0] > 0
     return {
@@ -242,10 +242,10 @@ def _no_replicate_calls():
             tree.levels[3], 3, 1, [0.5, 0.9], r
         ),
         "subset_stress_test": lambda r: fp.subset_stress_test(
-            tree, desc, 0.2, "random", 3, r
+            law, "surviving", desc, 0.2, "random", 3, r
         ),
         "harris_check": lambda r: fp.harris_check(alive, alive, law, 3, r),
-        "second_moment_estimate": lambda r: fp.second_moment_estimate(spec, line, 3, r),
+        "second_moment_estimate": lambda r: fp.second_moment_estimate(product, line, 3, r),
     }
 
 

@@ -223,20 +223,30 @@ def test_power_mode_matches_distinct_pair_enumeration():
 
 def test_spec_validation():
     t = tree_d(1, 0.8, 0, 1)
-    with pytest.raises(ConfigError):
-        fp.ProductMeasureSpec(mode="bogus", trees=[t], m=1, diag_level=0)
+    t2 = tree_d(2, 0.8, 0, 1)
+    # each check that needs no tree refuses the law and the spec alike
+    for mode, tree, m, diag_level, match in (
+        ("bogus", t, 1, 0, "unknown mode"),
+        ("power", t, 2, 0, "decomposition level >= 1"),
+        # power mode needs m distinct cubes at diag_level: 2^(d diag_level) >= m
+        ("power", t, 3, 1, "no tuple of distinct cubes"),
+        ("power", t2, 5, 1, "no tuple of distinct cubes"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            fp.ProductLaw(tree.law, tree.variant, mode, m, diag_level)
+        with pytest.raises(ConfigError, match=match):
+            fp.ProductMeasureSpec(mode=mode, trees=[tree], m=m, diag_level=diag_level)
     with pytest.raises(ConfigError):
         fp.ProductMeasureSpec(mode="independent", trees=[t], m=2, diag_level=0)
-    with pytest.raises(ConfigError):
-        fp.ProductMeasureSpec(mode="power", trees=[t], m=2, diag_level=0)
-    # Power mode needs m distinct cubes at diag_level: 2^(d diag_level) >= m.
-    with pytest.raises(ConfigError, match="no tuple of distinct cubes"):
-        fp.ProductMeasureSpec(mode="power", trees=[t], m=3, diag_level=1)
-    fp.ProductMeasureSpec(mode="power", trees=[t], m=2, diag_level=1)
-    fp.ProductMeasureSpec(mode="power", trees=[t], m=4, diag_level=2)
-    fp.ProductMeasureSpec(mode="power", trees=[tree_d(2, 0.8, 0, 1)], m=4, diag_level=1)
-    with pytest.raises(ConfigError, match="no tuple of distinct cubes"):
-        fp.ProductMeasureSpec(mode="power", trees=[tree_d(2, 0.8, 0, 1)], m=5, diag_level=1)
+    for tree, m, diag_level in ((t, 2, 1), (t, 4, 2), (t2, 4, 1)):
+        fp.ProductLaw(tree.law, tree.variant, "power", m, diag_level)
+        fp.ProductMeasureSpec(mode="power", trees=[tree], m=m, diag_level=diag_level)
+    # factor trees of mixed variants are measured, but not replicated
+    mixed = spec_indep([t, tree_d(1, 0.8, 1, 1, variant="surviving")])
+    target = line([1, -1], [0.5, 0.5])
+    intersection_mass(mixed, target, 1)
+    with pytest.raises(ConfigError, match="replicated factors must share one variant"):
+        fp.second_moment_estimate(mixed, target, 1, 4)
 
 
 def test_martingale_resample_small():
@@ -612,8 +622,7 @@ def test_variety_cubes_are_measured_once_per_run(monkeypatch):
         handed = np.concatenate([idx for level, idx in calls if level == lev])
         assert np.unique(handed, axis=0).shape[0] == handed.shape[0], lev
     # groups share cubes: measured once per group, they would be more
-    seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
-    whole = _grown_batch(spec, keys, seeds, n)
+    whole = _grown_batch(spec, keys, n)
     per_group = sum(
         np.unique(_product_idx(state, [whole.factor[lev][1]] * m), axis=0).shape[0]
         for lev, state, _ in _traverse(
@@ -647,8 +656,7 @@ def test_batch_over_budget_is_split_not_refused(monkeypatch):
     budget = max(_smallest_budget(s, target, n) for s in specs)
     # every replicate fits, the whole batch does not: its traversal is split
     # into groups, which yield some level more than once ...
-    seeds = np.stack([derive(keys, j + 1) for j in range(m)], axis=1)
-    whole = _grown_batch(specs[0], keys, seeds, n)
+    whole = _grown_batch(specs[0], keys, n)
     traversal = _traverse(whole, _target_keep(target), n, budget, intersect.BATCH_TUPLES)
     assert len(list(traversal)) > n + 1
     # ... and the masses are those of the replicates alone

@@ -502,12 +502,11 @@ def test_threshold_sweep_deterministic():
 def test_subset_stress_reduces_presence():
     desc = desc_homothetic()
     law = fp.GaltonWatsonLaw.create(1, 0.9)
-    tree = fp.sample_tree(law, "surviving", 2, 6)
-    out = fp.subset_stress_test(tree, desc, 0.4, "random", 6, 10, base_seed=3)
+    out = fp.subset_stress_test(law, "surviving", desc, 0.4, "random", 6, 10, base_seed=3)
     assert out.p == pytest.approx(0.4)
     assert out.replicates == 10
     assert 0.0 <= out.ci_lo <= out.frequency <= out.ci_hi + 1e-12 <= 1.0 + 1e-12
-    greedy = fp.subset_stress_test(tree, desc, 0.4, "greedy", 6, 3, base_seed=3)
+    greedy = fp.subset_stress_test(law, "surviving", desc, 0.4, "greedy", 6, 3, base_seed=3)
     # The adversarial strategy can only do at least as much damage.
     assert greedy.frequency <= out.frequency + 1e-12
 
@@ -1009,8 +1008,7 @@ def test_random_stress_matches_one_tree_detection(desc, p, variant, strategy, mo
         monkeypatch.setattr(intersect, "BATCH_TUPLES", limit)
         monkeypatch.setattr(geometry, "CHUNK_FLOATS", chunk)
         row = fp.subset_stress_test(
-            fp.sample_tree(law, variant, 0, 0), desc, fraction, strategy, n,
-            replicates, base_seed=base,
+            law, variant, desc, fraction, strategy, n, replicates, base_seed=base,
         )
         assert row.frequency == present / replicates, (limit, chunk)
         assert row.counters["detected"] == present
