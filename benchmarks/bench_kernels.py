@@ -68,7 +68,6 @@ import numpy as np
 from fracperc import geometry
 from fracperc.intersect import (
     BATCH_TUPLES,
-    DEFAULT_CUBE_BUDGET,
     ProductLaw,
     _Batch,
     _grown_batch,
@@ -78,7 +77,6 @@ from fracperc.intersect import (
     _traverse,
 )
 from fracperc.patterns import (
-    MAX_WITNESSES,
     ConfigDescriptor,
     _candidate_groups,
     _detection_keep,
@@ -118,7 +116,7 @@ def traversal(batches, keep, n, limit, distinct=None, rounds=5):
 
         t0 = time.perf_counter()
         for batch in batches:
-            for _ in _traverse(batch, counting, n, DEFAULT_CUBE_BUDGET, limit, distinct):
+            for _ in _traverse(batch, counting, n, limit, distinct):
                 pass
         secs.append(time.perf_counter() - t0)
     return tested, min(secs), 1.0 - kept / tested
@@ -160,7 +158,7 @@ def verification(desc, p, n, rounds=5):
     levels = slice_levels(desc, p, n)
     tol = math.sqrt(desc.d) * 2.0 ** -n
     target = desc._detection_target
-    states = [s for s, _ in _candidate_groups(levels, desc, n, tol, target, DEFAULT_CUBE_BUDGET)]
+    states = [s for s, _ in _candidate_groups(levels, desc, n, tol, target)]
     centers = (levels[n][1][np.concatenate(states)].astype(float) + 0.5) * 2.0 ** -n
     cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
     secs = []
@@ -217,7 +215,7 @@ def greedy_removal(rounds=3):
     secs = []
     for _ in range(rounds):
         t0 = time.perf_counter()
-        left = _greedy_removals(sets, desc, n, removals, None, DEFAULT_CUBE_BUDGET, MAX_WITNESSES)
+        left = _greedy_removals(sets, desc, n, removals, None)
         secs.append(time.perf_counter() - t0)
     return sum(a.shape[0] - b.shape[0] for a, b in zip(sets, left)), min(secs)
 
@@ -233,9 +231,7 @@ def coarea_measure(rounds=3):
     batch = _grown_batch(law, keys, n)
     calls = [
         _product_idx(state, [batch.factor[n][1]] * desc.m)
-        for lev, state, _ in _traverse(
-            batch, _target_keep(target), n, DEFAULT_CUBE_BUDGET, BATCH_TUPLES
-        )
+        for lev, state, _ in _traverse(batch, _target_keep(target), n, BATCH_TUPLES)
         if lev == n and state.shape[0]
     ]
     secs = []

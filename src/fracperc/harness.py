@@ -12,7 +12,7 @@ from .errors import BudgetError, ConfigError
 from .geometry import AffinePlane, plane_from_text
 from .polynomials import polynomial_from_text
 from .percolation import (
-    DEFAULT_MAX_CUBES,
+    MAX_CUBES,
     GaltonWatsonLaw,
     forest_groups,
     natural_mass,
@@ -470,17 +470,16 @@ def _run_pattern_dim(cfg, out_dir):
 
 def _shape_cubes(shape, d, n):
     """The level-n cubes (N, d) of a target shape, in lexicographic order;
-    a shape of more than DEFAULT_MAX_CUBES cubes is refused before it is
-    built."""
+    a shape of more than MAX_CUBES cubes is refused before it is built."""
     bits = {"line": n, "full": n * d, "point": 0}  # log2 of the cube count
     if shape not in bits:
         raise ConfigError(f"unknown shape {shape!r}")
     if shape == "line" and d < 2:
         raise ConfigError("line shape needs d >= 2")
-    if bits[shape] > math.log2(DEFAULT_MAX_CUBES):
+    if bits[shape] > math.log2(MAX_CUBES):
         raise BudgetError(
             f"shape {shape} holds 2^{bits[shape]} cubes at level {n}, "
-            f"over {DEFAULT_MAX_CUBES}"
+            f"over {MAX_CUBES}"
         )
     if shape == "full":
         return np.indices((1 << n,) * d, dtype=np.int64).reshape(d, -1).T.copy()

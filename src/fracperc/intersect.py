@@ -12,12 +12,14 @@ from .errors import BudgetError, ConfigError, DegenerateInputError
 from .geometry import AffinePlane, _row_chunks, plane_level_keep, plane_level_measure
 from .polynomials import variety_level_measure
 from .percolation import (
-    DEFAULT_MAX_CUBES, GaltonWatsonLaw, _replicate_cut, _row_keys, resample_level,
+    MAX_CUBES, GaltonWatsonLaw, _replicate_cut, _row_keys, resample_level,
     sample_forest,
 )
 from .rng import derive, root_key
 
-DEFAULT_CUBE_BUDGET = 5_000_000
+# Most tuples one replicate's traversal may hold while it expands a level
+# (checked once per expansion, from its peak, before any factor expands).
+TUPLE_BUDGET = 5_000_000
 DEFAULT_MC_PER_CUBE = 1 << 12
 
 MODES = ("independent", "power", "weighted")
@@ -85,7 +87,11 @@ class ProductLaw:
 class ProductMeasureSpec(ProductLaw):
     """A ProductLaw plus its trees: one realization of the product.  The
     factor law, variant and auxiliary law are those of its trees; trees of
-    mixed variants can be measured but not replicated."""
+    mixed variants can be measured but not replicated.  Specs compare by
+    identity, as their trees do."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, mode, trees, m, diag_level, aux_tree=None):
         trees = tuple(trees)
@@ -128,8 +134,6 @@ class MassSeries:
     counts: list          # product cubes retained at level j
     ses: list             # quadrature s.e. of Y_j (0 for exact kernels)
     kernel: str
-    mode: str
-    diag_level: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +161,10 @@ def _child_table(parent, child):
     return order, starts, counts
 
 
-def _expand_factor(state, col, order, starts, counts, budget):
-    """Replace column `col` (factor rows) by every child row, expanding state.
-
-    Raises BudgetError when the expansion would hold more than `budget` rows,
-    before anything of that size is allocated."""
+def _expand_factor(state, col, order, starts, counts):
+    """Replace column `col` (factor rows) by every child row, expanding state."""
     c = counts[state[:, col]]
     total = int(c.sum())
-    if total > budget:
-        raise BudgetError(f"traversal would hold {total} tuples (budget {budget})")
     # where each tuple's children start in `order`, less its first output
     # row: output row i then takes child row off[tuple] + i
     off = starts[state[:, col]] - (np.cumsum(c) - c)
@@ -312,7 +311,7 @@ def _expansion_peak(state, counts):
     return peak
 
 
-def _traverse(batch, keep, n, budget, limit, distinct=None):
+def _traverse(batch, keep, n, limit, distinct=None):
     """Yield (level, state (K, m), rep (K,)) for levels 0..n: tuples of
     surviving factor cubes, as rows into the factor forest level, whose
     product cube keep(idx (C, m*d), level) -> bool (C,) keeps (all when keep
@@ -322,15 +321,17 @@ def _traverse(batch, keep, n, budget, limit, distinct=None):
     contiguous and in the order of its own one-replicate traversal, since
     expansion, pruning and splitting keep row order.
 
-    Replicates go depth-first in groups.  When the expansion of a group of
-    several replicates would hold more than min(limit, budget) tuples, the
+    Replicates go depth-first in groups.  Each expansion first takes its
+    peak, the most tuples it would hold (_expansion_peak).  When the peak
+    of a group of several replicates is over min(limit, TUPLE_BUDGET), the
     group is halved at a replicate boundary and each half goes on alone, so
     a level may be yielded once per group: the masses pass BATCH_TUPLES as
-    the limit, detection 4 * BATCH_TUPLES.  A lone replicate is
-    never split: its expansion over `budget` raises BudgetError.  After the
-    last tuple of a group dies out, its remaining levels are yielded empty."""
+    the limit, detection 4 * BATCH_TUPLES.  A lone replicate is never
+    split: a peak over TUPLE_BUDGET raises BudgetError before any factor
+    expands.  After the last tuple of a group dies out, its remaining
+    levels are yielded empty."""
     m, t = batch.m, batch.t
-    limit = min(limit, budget)
+    limit = min(limit, TUPLE_BUDGET)
     tables = {}
 
     def level(state, lev):
@@ -362,17 +363,22 @@ def _traverse(batch, keep, n, budget, limit, distinct=None):
 
     def expand(state, rep, lev):
         """Expand a group's tuples to level lev + 1, halving the group first
-        while it would hold too many."""
+        while it would hold too many; refuse a lone replicate that would."""
         if lev not in tables:
             tables[lev] = _child_table(batch.factor[lev], batch.factor[lev + 1])
         table = tables[lev]
-        if rep[0] != rep[-1] and _expansion_peak(state, table[2]) > limit:
+        peak = _expansion_peak(state, table[2])
+        if peak > limit and rep[0] != rep[-1]:
             cut = _replicate_cut(rep)
             yield from expand(state[:cut], rep[:cut], lev)
             yield from expand(state[cut:], rep[cut:], lev)
             return
+        if peak > TUPLE_BUDGET:
+            raise BudgetError(
+                f"traversal would hold {peak} tuples (budget {TUPLE_BUDGET})"
+            )
         for j in range(m):
-            state = _expand_factor(state, j, *table, budget)
+            state = _expand_factor(state, j, *table)
         # hold no reference to the unpruned expansion while the consumer
         # works on what level() yields from it
         deeper = level(state, lev + 1)
@@ -420,7 +426,7 @@ def _measure_once(held, idx, measure):
     return values[pos], ses[pos], (cubes, values, ses)
 
 
-def _batch_masses(law, batch, target, n, mc_samples, budget, pruned):
+def _batch_masses(law, batch, target, n, mc_samples, pruned):
     """(values, ses, counts), (R, n+1) arrays, of the batch's replicates in
     the mode of the ProductLaw `law`: one kernel call per level and group,
     summed per replicate.  A variety's kernel measures each product cube once
@@ -433,7 +439,7 @@ def _batch_masses(law, batch, target, n, mc_samples, budget, pruned):
     diag = law.diag_level if law.mode == "power" and law.m >= 2 else None
     keep = _target_keep(target) if pruned else None
     held = {}  # level -> the variety cubes measured so far (_measure_once)
-    for lev, state, rep in _traverse(batch, keep, n, budget, BATCH_TUPLES, diag):
+    for lev, state, rep in _traverse(batch, keep, n, BATCH_TUPLES, diag):
         if rep.shape[0] == 0:
             continue
         r0, r1 = int(rep[0]), int(rep[-1]) + 1
@@ -478,11 +484,9 @@ def _check_target(law, target):
         raise DegenerateInputError("variety dimension must be >= 1")
 
 
-def _series(law, batch, target, n, mc_samples, budget, pruned, param_id, seeds):
+def _series(law, batch, target, n, mc_samples, pruned, param_id, seeds):
     """One MassSeries per replicate of the batch; seeds[r] is its seed."""
-    values, ses, counts = _batch_masses(
-        law, batch, target, n, mc_samples, budget, pruned
-    )
+    values, ses, counts = _batch_masses(law, batch, target, n, mc_samples, pruned)
     kernel = _kernel_name(law, target)
     return [
         MassSeries(
@@ -493,8 +497,6 @@ def _series(law, batch, target, n, mc_samples, budget, pruned, param_id, seeds):
             counts=c.tolist(),
             ses=s.tolist(),
             kernel=kernel,
-            mode=law.mode,
-            diag_level=law.diag_level,
         )
         for seed, v, s, c in zip(seeds, values, ses, counts)
     ]
@@ -505,7 +507,6 @@ def intersection_mass(
     target,
     n,
     mc_samples=DEFAULT_MC_PER_CUBE,
-    budget=DEFAULT_CUBE_BUDGET,
     pruned=True,
     param_id="target",
 ):
@@ -518,8 +519,7 @@ def intersection_mass(
     _check_target(spec, target)
     batch = _spec_batch(spec, n)
     return _series(
-        spec, batch, target, n, mc_samples, budget, pruned, param_id,
-        [spec.trees[0].seed],
+        spec, batch, target, n, mc_samples, pruned, param_id, [spec.trees[0].seed],
     )[0]
 
 
@@ -529,7 +529,6 @@ def replicate_masses(
     target,
     n,
     mc_samples=DEFAULT_MC_PER_CUBE,
-    budget=DEFAULT_CUBE_BUDGET,
     param_id="target",
 ):
     """MassSeries of len(keys) independent replicates of the ProductLaw `law`.
@@ -540,14 +539,16 @@ def replicate_masses(
     one forest and traversed together, in groups of at most BATCH_TUPLES
     tuples, with one kernel call per level and group.  Each series is equal,
     bit for bit, to intersection_mass on that replicate's trees alone.  A
-    replicate that alone exceeds `budget` (or a tree DEFAULT_MAX_CUBES)
-    raises BudgetError; a batch that only exceeds it together is split.
+    replicate whose traversal alone would hold over intersect.TUPLE_BUDGET
+    tuples at a level (checked once per expansion, from its peak, before
+    any factor expands), or a tree over percolation.MAX_CUBES cubes, raises
+    BudgetError; a batch that only exceeds them together is split.
     """
     _check_target(law, target)
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     batch = _grown_batch(law, keys, n)
     return _series(
-        law, batch, target, n, mc_samples, budget, True, param_id, derive(keys, 1)
+        law, batch, target, n, mc_samples, True, param_id, derive(keys, 1)
     )
 
 
@@ -556,7 +557,7 @@ def replicate_masses(
 
 def _resample_batches(spec, n, replicates):
     """Batches of resamples 0..replicates-1, in order, each of as many as fit
-    in DEFAULT_MAX_CUBES stacked level rows (at least one): resample r holds
+    in MAX_CUBES stacked level rows (at least one): resample r holds
     levels 0..n of spec's trees plus their resample_level(tree, n, r)."""
     trees = spec.trees + ((spec.aux_tree,) if spec.aux_tree is not None else ())
     frozen = sum(t.levels[lev].shape[0] for t in trees for lev in range(n + 1))
@@ -564,7 +565,7 @@ def _resample_batches(spec, n, replicates):
     for r in range(replicates):
         rep = [t.levels[: n + 1] + [resample_level(t, n, r)] for t in trees]
         size = frozen + sum(lv[n + 1].shape[0] for lv in rep)
-        if group and rows + size > DEFAULT_MAX_CUBES:
+        if group and rows + size > MAX_CUBES:
             yield _levels_batch(spec, group)
             group, rows = [], 0
         group.append(rep)
@@ -584,9 +585,7 @@ def martingale_resample_check(spec, target, n, replicates):
         raise ConfigError("need at least 100 resamples for a meaningful s.e.")
     y_n = intersection_mass(spec, target, n).values[n]
     samples = np.concatenate([
-        _batch_masses(
-            spec, b, target, n + 1, DEFAULT_MC_PER_CUBE, DEFAULT_CUBE_BUDGET, True
-        )[0][:, n + 1]
+        _batch_masses(spec, b, target, n + 1, DEFAULT_MC_PER_CUBE, True)[0][:, n + 1]
         for b in _resample_batches(spec, n, replicates)
     ])
     mean = float(samples.mean())

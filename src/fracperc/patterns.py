@@ -16,9 +16,7 @@ from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
     GaltonWatsonLaw, _row_keys, coupled_law, forest_groups, sample_forest,
 )
-from .intersect import (
-    DEFAULT_CUBE_BUDGET, _Batch, _lex_member, _poly_keep, _traverse,
-)
+from .intersect import _Batch, _lex_member, _poly_keep, _traverse
 from .rng import derive, replicate_seeds, root_key
 
 FAMILIES = (
@@ -108,25 +106,6 @@ class ConfigDescriptor:
             arr = np.asarray(v, dtype=float)
             parts.append(f"{k}={';'.join(repr(float(x)) for x in arr.ravel())}")
         return " ".join(parts)
-
-    @classmethod
-    def from_text(cls, text):
-        kv = {}
-        for tok in text.split():
-            k, _, v = tok.partition("=")
-            kv[k] = v
-        family = kv.pop("family")
-        d = int(kv.pop("d"))
-        params = {}
-        for k, v in kv.items():
-            vals = [float(x) for x in v.replace(";", ",").split(",")]
-            if k == "sites":
-                params[k] = np.array(vals).reshape(-1, d)
-            elif k == "ratios":
-                params[k] = tuple(vals)
-            else:
-                params[k] = vals[0] if len(vals) == 1 else vals
-        return cls(family=family, d=d, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +440,7 @@ def _detection_tolerance(desc, n, tolerance):
     return tolerance
 
 
-def _candidate_groups(levels, desc, n, tolerance, target, budget):
+def _candidate_groups(levels, desc, n, tolerance, target):
     """Branch-and-bound over the product of each tree's cube hierarchy: the
     masses' traversal of a forest of ancestor levels, in which every tree is
     a replicate serving all m factors.
@@ -475,7 +454,7 @@ def _candidate_groups(levels, desc, n, tolerance, target, budget):
     batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
     keep = _detection_keep(desc, target, tolerance)
     limit = 4 * intersect.BATCH_TUPLES
-    for lev, state, tree in _traverse(batch, keep, n, budget, limit, distinct=n):
+    for lev, state, tree in _traverse(batch, keep, n, limit, distinct=n):
         if lev == n:
             yield state, tree
 
@@ -550,8 +529,7 @@ SWEEP_COUNTERS = (
 
 
 def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
-                   budget=DEFAULT_CUBE_BUDGET, min_diameter=0.0,
-                   enumerate_all=False):
+                   min_diameter=0.0, enumerate_all=False):
     """Detection in each tree of a forest's level n: the cubes (N, d), or
     (N,) for d = 1, held by trees `tree` (N,), or all by tree `tree` if it
     is an int, with _detection_tolerance.  Trees with fewer than m cubes
@@ -571,7 +549,7 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
     cubes = levels[n][1]
     side = 2.0 ** -n
     cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
-    for state, owner in _candidate_groups(levels, desc, n, tolerance, target, budget):
+    for state, owner in _candidate_groups(levels, desc, n, tolerance, target):
         if state.shape[0] == 0:
             continue
 
@@ -593,8 +571,7 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
 
 
 def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
-                   budget=DEFAULT_CUBE_BUDGET, min_diameter=0.0,
-                   enumerate_all=False):
+                   min_diameter=0.0, enumerate_all=False):
     """(hits, counts) of _detect_groups in trees 0..trees-1, all groups' hits concatenated."""
     counts = {name: np.zeros(trees, dtype=np.int64) for name in SWEEP_COUNTERS}
     width = desc.ambient
@@ -602,7 +579,7 @@ def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
         width = desc.d + (desc.family == "homothetic")
     none = np.zeros(0, np.int64), np.zeros((0, desc.m, desc.d), np.int64), np.zeros((0, width))
     hits = zip(none, *_detect_groups(
-        counts, tree, cubes, desc, n, tolerance, budget, min_diameter, enumerate_all
+        counts, tree, cubes, desc, n, tolerance, min_diameter, enumerate_all
     ))
     return tuple(np.concatenate(h) for h in hits), counts
 
@@ -612,7 +589,6 @@ def detect_configuration(
     desc,
     n,
     tolerance=None,
-    budget=DEFAULT_CUBE_BUDGET,
     enumerate_all=False,
     min_diameter=0.0,
 ):
@@ -635,7 +611,7 @@ def detect_configuration(
     """
     tolerance = _detection_tolerance(desc, n, tolerance)
     (_, wit, params), counts = _detect_forest(
-        0, cubes, 1, desc, n, tolerance, budget, min_diameter, enumerate_all
+        0, cubes, 1, desc, n, tolerance, min_diameter, enumerate_all
     )
     witnesses = []
     for cells, row in zip(wit.tolist(), params.tolist()):
@@ -700,7 +676,7 @@ def _sorted_grid(p_grid):
 
 def presence_profiles(
     desc, p_grid, n, seeds, coupled=True, tolerance=None,
-    variant="surviving", budget=DEFAULT_CUBE_BUDGET, min_diameter=None,
+    variant="surviving", min_diameter=None,
 ):
     """Presence of the configuration in each replicate at each p.
 
@@ -712,8 +688,10 @@ def presence_profiles(
     times the masses' cap), and each group's candidates are verified as they
     arrive, every replicate in its own doubling blocks until its first
     witness.  Each presence equals that of detect_configuration on the
-    replicate's realization alone.  A replicate that alone exceeds `budget`
-    raises BudgetError.
+    replicate's realization alone.  A replicate whose traversal alone would
+    hold over intersect.TUPLE_BUDGET tuples at a level raises BudgetError:
+    the budget is checked once per expansion, from its peak, before any
+    factor expands.
 
     Coupled mode percolates one uniform field per replicate and slices it
     at every p, so each profile is monotone nondecreasing in p by
@@ -746,7 +724,7 @@ def presence_profiles(
             law, kind = GaltonWatsonLaw.create(d=desc.d, p=p), variant
         tree, cubes = sample_forest(law, kind, seeds[todo], n)[n]
         _, counts = _detect_forest(
-            tree, cubes, todo.shape[0], desc, n, tolerance, budget, min_diameter
+            tree, cubes, todo.shape[0], desc, n, tolerance, min_diameter
         )
         present[todo[counts["detected"] > 0], i] = True
         for name in SWEEP_COUNTERS:
@@ -918,10 +896,14 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
 # ---------------------------------------------------------------------------
 # Subset stress test
 
-def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
+# Greedy stress tallies each step over the first MAX_WITNESSES witnesses.
+MAX_WITNESSES = 200_000
+
+
+def _greedy_removals(sets, desc, n, removals, tolerance):
     """The level-n cubes (N_t, d) of each tree t's set left after removals[t]
     greedy steps, each removing the cube in the most of the first
-    max_witnesses witnesses of the cubes left (a tie goes to the one seen
+    MAX_WITNESSES witnesses of the cubes left (a tie goes to the one seen
     first); the steps stop once no witness is left.  Every tree's witnesses
     are enumerated once, in one batch: removing a cube drops the ancestor
     rows that hold it without reordering the rest, and the slab prune, the
@@ -933,7 +915,7 @@ def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
     counts = {name: np.zeros(len(sets), dtype=np.int64) for name in SWEEP_COUNTERS}
     sets = list(sets)
     for owner, wit, _ in _detect_groups(
-        counts, tree, np.concatenate(sets), desc, n, tolerance, budget, enumerate_all=True
+        counts, tree, np.concatenate(sets), desc, n, tolerance, enumerate_all=True
     ):
         for t, rows in enumerate(_split_by_tree(owner, wit, len(sets))):
             if rows.shape[0] == 0:
@@ -944,7 +926,7 @@ def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
             wit_rows = np.searchsorted(cube_key, key).reshape(rows.shape[:2])
             keep = np.ones(sets[t].shape[0], dtype=bool)
             for _ in range(removals[t]):
-                seen = wit_rows[:max_witnesses].ravel()
+                seen = wit_rows[:MAX_WITNESSES].ravel()
                 if seen.shape[0] == 0:
                     break
                 tally = np.bincount(seen)
@@ -956,13 +938,9 @@ def _greedy_removals(sets, desc, n, removals, tolerance, budget, max_witnesses):
     return sets
 
 
-def _greedy_removal(cubes, desc, n, removals, tolerance, budget, max_witnesses):
+def _greedy_removal(cubes, desc, n, removals, tolerance):
     """The one-tree call of _greedy_removals."""
-    return _greedy_removals([cubes], desc, n, [removals], tolerance, budget, max_witnesses)[0]
-
-
-# Greedy stress tallies each step over the first MAX_WITNESSES witnesses.
-MAX_WITNESSES = 200_000
+    return _greedy_removals([cubes], desc, n, [removals], tolerance)[0]
 
 
 def subset_stress_test(
@@ -995,9 +973,7 @@ def subset_stress_test(
             for seed, rows, k in zip(seeds, remaining, removals)
         ]
     else:
-        remaining = _greedy_removals(
-            remaining, desc, n, removals, tolerance, DEFAULT_CUBE_BUDGET, MAX_WITNESSES
-        )
+        remaining = _greedy_removals(remaining, desc, n, removals, tolerance)
     owner = np.repeat(np.arange(replicates), [rows.shape[0] for rows in remaining])
     _, counts = _detect_forest(owner, np.concatenate(remaining), replicates, desc, n, tolerance)
     counters = {name: int(counts[name].sum()) for name in SWEEP_COUNTERS}

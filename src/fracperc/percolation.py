@@ -24,7 +24,8 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import COUNT_SALT, RESAMPLE_SALT, child_keys, derive, key_uniform, root_key
 
-DEFAULT_MAX_CUBES = 20_000_000
+# Most cubes one tree may hold at a level: checked as the level is grown.
+MAX_CUBES = 20_000_000
 # Largest accepted ambient dimension.  Expansion builds all 2**d children of
 # every cube before it filters them ((N, 2**d) keys, (N, 2**d, d) indices), so
 # its memory per parent cube grows like d 2**d; 6 caps that at 64 children.
@@ -108,6 +109,15 @@ class GaltonWatsonLaw:
     @property
     def supercritical(self):
         return self.p > 2.0 ** -self.d
+
+    # q, offspring and s are functions of (d, p), so laws compare and hash by (d, p)
+    def __eq__(self, other):
+        if not isinstance(other, GaltonWatsonLaw):
+            return NotImplemented
+        return (self.d, self.p) == (other.d, other.p)
+
+    def __hash__(self):
+        return hash((self.d, self.p))
 
 
 @dataclass(frozen=True)
@@ -255,13 +265,13 @@ def _row_keys(*blocks):
     return [keys[end - b.shape[0]: end] for b, end in zip(blocks, ends)]
 
 
-def _step(law, variant, level, max_cubes):
+def _step(law, variant, level):
     """The next level (tree, idx, keys) of a forest level, sorted by (tree,
-    idx) as the level is; BudgetError if it would hold over max_cubes."""
+    idx) as the level is; BudgetError if it would hold over MAX_CUBES."""
     tree, idx, keys = level
     cidx, ckeys, par = _expand_raw(law, variant, idx, keys)
-    if cidx.shape[0] > max_cubes:
-        raise BudgetError(f"level would hold {cidx.shape[0]} cubes (budget {max_cubes})")
+    if cidx.shape[0] > MAX_CUBES:
+        raise BudgetError(f"level would hold {cidx.shape[0]} cubes (budget {MAX_CUBES})")
     ctree = tree[par]
     (key,) = _row_keys(np.column_stack([ctree, cidx]))
     # the stable sort merges the sorted runs that children come in
@@ -269,16 +279,16 @@ def _step(law, variant, level, max_cubes):
     return ctree[order], cidx[order], ckeys[order]
 
 
-def forest_groups(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES, keep=None):
+def forest_groups(law, variant, seeds, n_max, keep=None):
     """Grow one tree per seed to level n_max, yielding the forest group by
     group, in seed order: levels 0..n_max of (tree, idx, keys), sorted by
     (tree, idx), tree the index into seeds.  keep(lev, idx) -> bool, when
     given, filters each level lev >= 1 as it is grown.
 
     A group of several trees that could grow a level of more than
-    min(FOREST_CUBES, max_cubes) cubes (2^d per cube) is first halved at a
-    tree boundary.  So only a lone tree's level over max_cubes raises
-    BudgetError, and, as every tree grows from its own keys, the grouping
+    min(FOREST_CUBES, MAX_CUBES) cubes (2^d per cube) is first halved at a
+    tree boundary.  So only a lone tree's level over percolation.MAX_CUBES
+    raises BudgetError, and, as every tree grows from its own keys, the grouping
     never changes a tree."""
     if variant not in ("extinction", "surviving", "coupled"):
         raise ConfigError(f"unknown variant {variant!r}")
@@ -287,7 +297,7 @@ def forest_groups(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES, keep=
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
     tree = np.arange(seeds.shape[0], dtype=np.int64)
     roots = (tree, np.zeros((tree.shape[0], law.d), dtype=np.int64), root_key(seeds))
-    limit = min(FOREST_CUBES, max_cubes)
+    limit = min(FOREST_CUBES, MAX_CUBES)
     stack = [[roots]]  # groups to grow; split halves are copies, freeing the whole
     while stack:
         levels = stack.pop()
@@ -300,34 +310,34 @@ def forest_groups(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES, keep=
             stack.append([tuple(a[i:].copy() for a in lev) for lev, i in zip(levels, at)])
             stack.append([tuple(a[:i].copy() for a in lev) for lev, i in zip(levels, at)])
         else:
-            child = _step(law, variant, levels[-1], max_cubes)
+            child = _step(law, variant, levels[-1])
             if keep is not None:
                 held = keep(len(levels), child[1])
                 child = tuple(a[held] for a in child)
             stack.append(levels + [child])
 
 
-def sample_forest(law, variant, seeds, n_max, max_cubes=DEFAULT_MAX_CUBES):
+def sample_forest(law, variant, seeds, n_max):
     """Sample len(seeds) independent trees in one batched structure.
 
     Returns (rep, idx) per level: rep[n] is an (N,) int64 array of replicate
     ids and idx[n] the matching (N, d) cube indices.  Bit-identical to
     sampling each tree separately with its own seed.  The trees grow in
-    groups (forest_groups), so only a tree that alone exceeds max_cubes
-    raises BudgetError.
+    groups (forest_groups), so only a tree whose level alone exceeds
+    percolation.MAX_CUBES cubes raises BudgetError.
     """
     groups = [
         [lev[:2] for lev in levels]
-        for levels in forest_groups(law, variant, seeds, n_max, max_cubes)
+        for levels in forest_groups(law, variant, seeds, n_max)
     ]
     return [tuple(np.concatenate(a) for a in zip(*lev)) for lev in zip(*groups)]
 
 
-def sample_tree(law, variant, seed, n_max, max_cubes=DEFAULT_MAX_CUBES):
+def sample_tree(law, variant, seed, n_max):
     """Sample a percolation tree down to level n_max: the one-seed call of
     forest_groups."""
     seeds = [int(seed) & ((1 << 64) - 1)]
-    (levels,) = forest_groups(law, variant, seeds, n_max, max_cubes)
+    (levels,) = forest_groups(law, variant, seeds, n_max)
     return PercolationTree(
         law=law, variant=variant, seed=int(seed),
         levels=[idx for _, idx, _ in levels], _keys=[keys for _, _, keys in levels],
@@ -363,7 +373,7 @@ def resample_level(tree, n, resample_index):
     idx = tree.levels[n]
     keys = derive(tree._keys[n], RESAMPLE_SALT + int(resample_index) + 1)
     level = (np.zeros(idx.shape[0], dtype=np.int64), idx, keys)
-    return _step(tree.law, tree.variant, level, DEFAULT_MAX_CUBES)[1]
+    return _step(tree.law, tree.variant, level)[1]
 
 
 def natural_mass(law, count, n):

@@ -633,7 +633,7 @@ def test_sample_below_two_levels_has_no_slope(tmp_path, n):
 
 def test_shape_cubes_full_grid_and_budget(tmp_path):
     # The full grid is every cube in lexicographic order, as itertools
-    # enumerates it; shapes over DEFAULT_MAX_CUBES are refused (exit 3)
+    # enumerates it; shapes over MAX_CUBES are refused (exit 3)
     # before they are built.
     for d in (1, 2, 3):
         for n in range(4):

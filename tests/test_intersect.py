@@ -249,6 +249,31 @@ def test_spec_validation():
         fp.second_moment_estimate(mixed, target, 1, 4)
 
 
+def test_laws_compare_by_value_and_specs_by_identity():
+    law = fp.GaltonWatsonLaw.create(1, 0.8)
+    same = fp.GaltonWatsonLaw.create(1, 0.8)
+    assert law == same and hash(law) == hash(same)
+    assert law != fp.GaltonWatsonLaw.create(1, 0.7)
+    assert law != fp.GaltonWatsonLaw.create(2, 0.8)
+    product = fp.ProductLaw(law, "surviving", "independent", 2)
+    twin = fp.ProductLaw(same, "surviving", "independent", 2)
+    assert product == twin and hash(product) == hash(twin)
+    assert product != fp.ProductLaw(law, "extinction", "independent", 2)
+    assert product != fp.ProductLaw(law, "surviving", "independent", 3)
+    # equal laws are one dict key
+    table = {law: "law", product: "product"}
+    assert table[same] == "law" and table[twin] == "product"
+    assert len({law, same, product, twin}) == 2
+    # specs hold trees: equal laws and different trees are not equal
+    trees = [fp.sample_tree(law, "surviving", s, 2) for s in (1, 2)]
+    spec = spec_indep(trees)
+    other = spec_indep(trees[::-1])
+    assert spec.law == other.law and spec != other
+    assert spec == spec and spec != product and product != spec
+    assert spec_indep(trees) != spec
+    assert len({spec: 0, other: 1}) == 2
+
+
 def test_martingale_resample_small():
     t = tree_d(2, 0.7, 2, 3)
     y, mean, se = fp.martingale_resample_check(
@@ -327,7 +352,7 @@ def test_resamples_split_into_groups_under_the_row_cap(monkeypatch):
         for t in list(spec.trees) + [spec.aux_tree] for lev in range(n + 1)
     )
     # room for two or three resamples per group
-    monkeypatch.setattr(intersect, "DEFAULT_MAX_CUBES", 8 * frozen)
+    monkeypatch.setattr(intersect, "MAX_CUBES", 8 * frozen)
     groups = []
     batches_of = intersect._resample_batches
 
@@ -394,24 +419,6 @@ def test_holder_series_match_standalone_masses():
         assert out["series"][tid].counts == alone.counts, tid
 
 
-def test_budget_refuses_expansion_before_allocating():
-    # 1000 tuples whose factor cube has 10^4 children: the refused expansion
-    # would hold 10^7 rows of two int64 columns (160 MB).
-    state = np.zeros((1000, 2), dtype=np.int64)
-    order = np.arange(10_000, dtype=np.int64)
-    starts = np.array([0, 10_000], dtype=np.int64)
-    counts = np.array([10_000], dtype=np.int64)
-    refused_bytes = 1000 * 10_000 * 2 * 8
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetError):
-            _expand_factor(state, 0, order, starts, counts, 50_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < refused_bytes / 1000
-
-
 def test_expansion_holds_few_vectors_beside_output():
     # 400000 triples whose middle factor cube has 1-3 children: besides the
     # (K, 3) output, the expansion may hold at most three int64 vectors of
@@ -424,7 +431,7 @@ def test_expansion_holds_few_vectors_beside_output():
     state = rng.integers(0, 1000, size=(400_000, 3))
     tracemalloc.start()
     try:
-        out = _expand_factor(state, 1, order, starts, counts, 10**9)
+        out = _expand_factor(state, 1, order, starts, counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -438,22 +445,46 @@ def test_expansion_holds_few_vectors_beside_output():
     assert out[: len(want)].tolist() == [list(r) for r in want]
 
 
-def test_traversal_budget_checked_before_expansion():
-    # d = 4, m = 2, full retention: level-1 tuples grow 16-fold per factor,
-    # and the second factor's expansion (65536 tuples) is refused.
+def _full_square_pairs():
+    """The one-replicate batch of two full-retention trees in d = 4 to level
+    2: level-1 tuples grow 16-fold per factor, to 65536 at level 2."""
     law = fp.GaltonWatsonLaw.create(4, 1.0)
     spec = spec_indep([fp.sample_tree(law, "extinction", s, 2) for s in (1, 2)])
-    target = fp.AffinePlane(basis=np.eye(8), offset=np.zeros(8))
+    return _spec_batch(spec, 2)
+
+
+def test_traversal_budget_checked_before_expansion(monkeypatch):
+    # The second factor's expansion (65536 tuples) is refused.
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", 5000)
+    batch = _full_square_pairs()
     refused_bytes = 65536 * 2 * 8
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            for _ in _traverse(_spec_batch(spec, 2), None, 2, 5000, intersect.BATCH_TUPLES):
+            for _ in _traverse(batch, None, 2, intersect.BATCH_TUPLES):
                 pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < refused_bytes / 2
+
+
+def test_refused_level_expands_no_factor(monkeypatch):
+    # The budget is checked from the expansion's peak before any factor of
+    # the refused level expands: level 1's two factors expand, level 2's
+    # none (expanding its first factor would hold 4096 tuples).
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", 5000)
+    calls = []
+
+    def counted(state, col, *table):
+        calls.append((state.shape[0], col))
+        return _expand_factor(state, col, *table)
+
+    monkeypatch.setattr(intersect, "_expand_factor", counted)
+    with pytest.raises(BudgetError, match="would hold 65536 tuples"):
+        for _ in _traverse(_full_square_pairs(), None, 2, intersect.BATCH_TUPLES):
+            pass
+    assert calls == [(1, 0), (16, 1)]
 
 
 def test_pruning_holds_one_chunk_of_indices(monkeypatch):
@@ -552,8 +583,7 @@ def _row_order_values(spec, target, n, mc_samples):
     batch = _spec_batch(spec, n)
     diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
     for lev, state, _ in _traverse(
-        batch, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET,
-        intersect.BATCH_TUPLES, diag,
+        batch, _target_keep(target), n, intersect.BATCH_TUPLES, diag
     ):
         idx = _product_idx(state, [batch.factor[lev][1]] * spec.m)
         if spec.mode == "power" and lev < spec.diag_level:
@@ -626,21 +656,21 @@ def test_variety_cubes_are_measured_once_per_run(monkeypatch):
     per_group = sum(
         np.unique(_product_idx(state, [whole.factor[lev][1]] * m), axis=0).shape[0]
         for lev, state, _ in _traverse(
-            whole, _target_keep(target), n, intersect.DEFAULT_CUBE_BUDGET,
-            intersect.BATCH_TUPLES,
+            whole, _target_keep(target), n, intersect.BATCH_TUPLES
         )
         if state.shape[0]
     )
     assert per_group > sum(idx.shape[0] for _, idx in calls)
 
 
-def _smallest_budget(spec, target, n):
+def _smallest_budget(monkeypatch, spec, target, n):
     """The least traversal budget under which spec's mass is computed."""
     lo, hi = 1, 1 << 20
     while lo < hi:
         mid = (lo + hi) // 2
+        monkeypatch.setattr(intersect, "TUPLE_BUDGET", mid)
         try:
-            intersection_mass(spec, target, n, budget=mid)
+            intersection_mass(spec, target, n)
             hi = mid
         except BudgetError:
             lo = mid + 1
@@ -653,33 +683,37 @@ def test_batch_over_budget_is_split_not_refused(monkeypatch):
     mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-hyperplane"]
     keys = root_key(np.arange(200, 208, dtype=np.uint64))
     specs = _replicate_specs(mode, d, m, p, variant, keys, n, 0)
-    budget = max(_smallest_budget(s, target, n) for s in specs)
+    alone = [intersection_mass(s, target, n) for s in specs]
+    budget = max(_smallest_budget(monkeypatch, s, target, n) for s in specs)
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", budget)
     # every replicate fits, the whole batch does not: its traversal is split
     # into groups, which yield some level more than once ...
     whole = _grown_batch(specs[0], keys, n)
-    traversal = _traverse(whole, _target_keep(target), n, budget, intersect.BATCH_TUPLES)
+    traversal = _traverse(whole, _target_keep(target), n, intersect.BATCH_TUPLES)
     assert len(list(traversal)) > n + 1
     # ... and the masses are those of the replicates alone
-    batch = replicate_masses(specs[0], keys, target, n, budget=budget)
-    alone = [intersection_mass(s, target, n) for s in specs]
+    batch = replicate_masses(specs[0], keys, target, n)
     for field in ("values", "ses", "counts"):
         assert _bits(batch, field) == _bits(alone, field), field
     # a replicate that alone exceeds the budget is still refused
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", budget - 1)
     with pytest.raises(BudgetError):
-        replicate_masses(specs[0], keys, target, n, budget=budget - 1)
+        replicate_masses(specs[0], keys, target, n)
 
 
-def test_forest_over_budget_is_grown_in_halves():
+def test_forest_over_budget_is_grown_in_halves(monkeypatch):
     law = fp.GaltonWatsonLaw.create(2, 0.9)
     seeds = np.arange(10, 16, dtype=np.uint64)
     whole = fp.sample_forest(law, "surviving", seeds, 4)
     largest = max(np.bincount(tree).max() for tree, _ in whole)
-    # a forest over max_cubes whose every tree fits grows in groups
-    halves = fp.sample_forest(law, "surviving", seeds, 4, max_cubes=largest)
+    # a forest over MAX_CUBES whose every tree fits grows in groups
+    monkeypatch.setattr(fp.percolation, "MAX_CUBES", largest)
+    halves = fp.sample_forest(law, "surviving", seeds, 4)
     for (ta, ia), (tb, ib) in zip(whole, halves):
         assert np.array_equal(ta, tb) and np.array_equal(ia, ib)
+    monkeypatch.setattr(fp.percolation, "MAX_CUBES", largest - 1)
     with pytest.raises(BudgetError):
-        fp.sample_forest(law, "surviving", seeds, 4, max_cubes=largest - 1)
+        fp.sample_forest(law, "surviving", seeds, 4)
 
 
 def test_second_moment_is_one_batch():

@@ -311,10 +311,9 @@ def test_descriptor_round_trip():
         ),
     ]
     for d in descs:
-        back = fp.ConfigDescriptor.from_text(d.to_text())
-        assert back.family == d.family and back.d == d.d
-        assert back.m == d.m
-        assert ("," not in d.to_text()) or d.to_text().count(",") == 0
+        text = d.to_text()
+        assert text.startswith(f"family={d.family} d={d.d}")
+        assert "," not in text
 
 
 def test_descriptor_validation():
@@ -532,29 +531,30 @@ def _dict_tally_removals(cubes, desc, n, removals, max_witnesses):
     return removed, ties
 
 
-def test_greedy_removal_matches_dict_tally():
+def test_greedy_removal_matches_dict_tally(monkeypatch):
     # The array tally removes the same cubes in the same order as the dict
     # tally, a tie going to the cube seen first in witness order.
-    from fracperc.patterns import DEFAULT_CUBE_BUDGET, _greedy_removal
+    from fracperc import patterns
+    from fracperc.patterns import _greedy_removal
 
     desc = desc_homothetic()
     law = fp.GaltonWatsonLaw.create(1, 0.9)
     n = 6
     tied = 0
     for seed, max_witnesses in ((1, 200_000), (2, 200_000), (3, 200_000), (4, 7)):
+        monkeypatch.setattr(patterns, "MAX_WITNESSES", max_witnesses)
         cubes = fp.sample_tree(law, "surviving", seed, n).levels[n]
         removals = math.ceil(0.4 * cubes.shape[0])
         removed, ties = _dict_tally_removals(cubes, desc, n, removals, max_witnesses)
         tied += sum(ties)
         assert removed
-        args = (None, DEFAULT_CUBE_BUDGET, max_witnesses)
         remaining = cubes
         for k in range(1, len(removed) + 1):
-            remaining = _greedy_removal(remaining, desc, n, 1, *args)
+            remaining = _greedy_removal(remaining, desc, n, 1, None)
             want = cubes[[tuple(c) not in removed[:k] for c in cubes.tolist()]]
             assert np.array_equal(remaining, want), (seed, k)
         # all steps in one call, stopping early if no witness is left
-        assert np.array_equal(_greedy_removal(cubes, desc, n, removals, *args), remaining)
+        assert np.array_equal(_greedy_removal(cubes, desc, n, removals, None), remaining)
     assert tied > 0
 
 
@@ -562,28 +562,27 @@ def test_greedy_removal_matches_dict_tally_in_the_plane():
     # Removals that mask the rows of one witness enumeration remove the same
     # cubes, in the same order, as re-detecting after every removal, for
     # polynomial families and a plane family in d = 2.
-    from fracperc.patterns import DEFAULT_CUBE_BUDGET, _greedy_removal
+    from fracperc.patterns import MAX_WITNESSES, _greedy_removal
 
     cases = (
         (fp.ConfigDescriptor(family="distance", d=2, params={"lam": 0.5}), 0.7, 4, (1, 2, 3, 4)),
         (fp.ConfigDescriptor(family="angle", d=2, params={"lam": 0.5}), 0.7, 3, (1, 2)),
         (desc_homothetic(2, ((0, 0), (1, 0), (0, 1))), 0.8, 3, (1, 2, 3, 4)),
     )
-    args = (None, DEFAULT_CUBE_BUDGET, 200_000)
     tied = 0
     for desc, p, n, seeds in cases:
         law = fp.GaltonWatsonLaw.create(2, p)
         for seed in seeds:
             cubes = fp.sample_tree(law, "surviving", seed, n).levels[n]
             removals = math.ceil(0.3 * cubes.shape[0])
-            removed, ties = _dict_tally_removals(cubes, desc, n, removals, 200_000)
+            removed, ties = _dict_tally_removals(cubes, desc, n, removals, MAX_WITNESSES)
             tied += sum(ties)
             assert removed, (desc.family, seed)
             # the first step, half of the steps, and all of them in one call
             # (stopping early if no witness is left)
             for k in sorted({1, len(removed) // 2, removals}):
                 want = cubes[[tuple(c) not in removed[:k] for c in cubes.tolist()]]
-                got = _greedy_removal(cubes, desc, n, k, *args)
+                got = _greedy_removal(cubes, desc, n, k, None)
                 assert np.array_equal(got, want), (desc.family, seed, k)
     assert tied > 0
 
@@ -631,7 +630,7 @@ def _one_tree_candidates(cubes, desc, n, tolerance, target):
     candidate tuples (B, m), in traversal order: one tree's candidates."""
     levels = _ancestor_levels(cubes, n)
     forest = [_stack([lev]) for lev in levels]
-    ((state, _),) = _candidate_groups(forest, desc, n, tolerance, target, 5_000_000)
+    ((state, _),) = _candidate_groups(forest, desc, n, tolerance, target)
     return levels, state
 
 
@@ -858,30 +857,28 @@ def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
     seeds = [int(fp.rng.derive(fp.rng.root_key(11), r + 1)) for r in range(reps)]
 
     def fits(budget):
+        monkeypatch.setattr(intersect, "TUPLE_BUDGET", budget)
         for seed, p in itertools.product(seeds, grid):
             law = fp.GaltonWatsonLaw.create(2, p)
             cubes = fp.sample_tree(law, "extinction", seed, n).levels[n]
             try:
-                fp.detect_configuration(cubes, desc, n, budget=budget)
+                fp.detect_configuration(cubes, desc, n)
             except BudgetError:
                 return False
         return True
 
+    want = fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
     budget = 16
     while not fits(budget):
         budget *= 2
-    want = fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
-    got = fp.presence_profiles(
-        desc, grid, n, seeds, coupled=False, variant="extinction", budget=budget
-    )
+    got = fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
     assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
     # unsplit, the last expansion of all replicates at the largest p would
     # have held more tuples than the budget
     assert got[1]["candidate_tuples"][-1] > budget
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", budget // 2)
     with pytest.raises(BudgetError):
-        fp.presence_profiles(
-            desc, grid, n, seeds, coupled=False, variant="extinction", budget=budget // 2
-        )
+        fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
 
 
 def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
@@ -898,9 +895,7 @@ def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
     tree, cubes = fp.sample_forest(coupled_law(2, 0.35), "coupled", seeds, n)[n]
     _, levels = _forest_ancestors(tree, cubes, n, desc.m)
     tol = math.sqrt(desc.d) * 2.0 ** -n
-    groups = list(_candidate_groups(
-        levels, desc, n, tol, desc._detection_target, intersect.DEFAULT_CUBE_BUDGET
-    ))
+    groups = list(_candidate_groups(levels, desc, n, tol, desc._detection_target))
     assert len(groups) > 1
     several = [s.shape[0] for s, trees in groups if trees.size and trees[0] != trees[-1]]
     assert several and 40 < max(several) <= 160
@@ -985,7 +980,7 @@ def test_random_stress_matches_one_tree_detection(desc, p, variant, strategy, mo
     # equal the one-tree _greedy_removal of each replicate.  Small groups and
     # chunks put group boundaries inside the replicate set.
     from fracperc import geometry, intersect
-    from fracperc.patterns import DEFAULT_CUBE_BUDGET, _greedy_removal
+    from fracperc.patterns import _greedy_removal
 
     n, fraction, replicates, base = 5, 0.3, 12, 4
     law = fp.GaltonWatsonLaw.create(desc.d, p)
@@ -998,7 +993,7 @@ def test_random_stress_matches_one_tree_detection(desc, p, variant, strategy, mo
             keep = np.random.default_rng(seed).permutation(cubes.shape[0])[removals:]
             left = cubes[np.sort(keep)]
         else:
-            left = _greedy_removal(cubes, desc, n, removals, None, DEFAULT_CUBE_BUDGET, 200_000)
+            left = _greedy_removal(cubes, desc, n, removals, None)
         res = fp.detect_configuration(left, desc, n)
         present += res.present
         checked += res.tuples_checked

@@ -206,10 +206,11 @@ def test_natural_measure_total_mass():
     assert natural_mass(law, tree.count(3), 3) == pytest.approx(expected)
 
 
-def test_budget_and_config_errors():
+def test_budget_and_config_errors(monkeypatch):
     law = fp.GaltonWatsonLaw.create(2, 0.9)
+    monkeypatch.setattr(fp.percolation, "MAX_CUBES", 10)
     with pytest.raises(BudgetError):
-        fp.sample_tree(law, "surviving", 1, 20, max_cubes=10)
+        fp.sample_tree(law, "surviving", 1, 20)
     with pytest.raises(ConfigError):
         fp.sample_tree(law, "bogus", 1, 2)
     for d in (0, 7):
