@@ -54,7 +54,9 @@ cubes of `intersect --seed 1000` in the mass-variety benchmark's
 configuration (d=2, m=2, p=0.7, extinction trees, 16 replicates, 4096 QMC
 points a cube), group by group through the run's store of measured cubes,
 as the command measures them: `variety_level_measure` sees each distinct
-cube of the run once.  The distinct column counts those cubes.
+cube of the run once.  The distinct column counts those cubes, and the near
+column those of them with a sample near the variety (a finite smallest J_q):
+only their near samples enter the moments.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 """
@@ -95,7 +97,7 @@ from fracperc.percolation import (
     sample_forest,
     sample_tree,
 )
-from fracperc.polynomials import variety_level_measure
+from fracperc.polynomials import _coarea_level, variety_level_measure
 from fracperc.rng import replicate_seeds, root_key
 
 
@@ -221,9 +223,9 @@ def greedy_removal(rounds=3):
 
 
 def coarea_measure(rounds=3):
-    """(product cubes, distinct cubes, seconds) of measuring the level-3
-    product cubes of the mass-variety inputs once per run; least of
-    `rounds`."""
+    """(product cubes, distinct cubes, distinct cubes with a near sample,
+    seconds) of measuring the level-3 product cubes of the mass-variety
+    inputs once per run; least of `rounds`."""
     desc, n = ConfigDescriptor("distance", 2, {"lam": 0.5}), 3
     target = configuration_polynomial(desc)
     keys = root_key(np.array(replicate_seeds(1000, 16), dtype=np.uint64))
@@ -244,7 +246,8 @@ def coarea_measure(rounds=3):
             )
         secs.append(time.perf_counter() - t0)
     rows = sum(idx.shape[0] for idx in calls)
-    return rows, held[0].shape[0], min(secs)
+    near = np.isfinite(_coarea_level(target, held[0], n, 4096)[2]).sum()
+    return rows, held[0].shape[0], near, min(secs)
 
 
 def main():
@@ -294,9 +297,9 @@ def main():
     print(f"{'stress':>10}{removed:>12}{secs:>10.3f}{removed / secs:>14.0f}")
 
     print()
-    print(f"{'measure':>10}{'cubes':>12}{'distinct':>10}{'s':>10}{'cubes/s':>14}")
-    rows, distinct, secs = coarea_measure()
-    print(f"{'coarea':>10}{rows:>12}{distinct:>10}{secs:>10.3f}{rows / secs:>14.0f}")
+    print(f"{'measure':>10}{'cubes':>12}{'distinct':>10}{'near':>8}{'s':>10}{'cubes/s':>14}")
+    rows, distinct, near, secs = coarea_measure()
+    print(f"{'coarea':>10}{rows:>12}{distinct:>10}{near:>8}{secs:>10.3f}{rows / secs:>14.0f}")
 
 
 if __name__ == "__main__":

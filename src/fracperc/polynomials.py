@@ -236,7 +236,13 @@ def polynomial_from_text(text):
 # Variety measures
 
 def _coarea_jacobian_factor(jac):
-    """J_q(DP) = sqrt(det(DP DP^T)) for jac of shape (..., q, M)."""
+    """J_q(DP) = sqrt(det(DP DP^T)) for jac of shape (..., q, M).  For one
+    equation (q = 1) it is the gradient's norm sqrt(g . g), taken in closed
+    form: numpy's det of a 1 x 1 matrix goes through LU and a log/exp round
+    trip and can be off by a few eps.  Two or more equations keep det."""
+    if jac.shape[-2] == 1:
+        g = jac[..., 0, :]
+        return np.sqrt((g * g).sum(axis=-1))
     gram = jac @ np.swapaxes(jac, -1, -2)
     det = np.linalg.det(gram)
     return np.sqrt(np.maximum(det, 0.0))
@@ -267,7 +273,16 @@ def _taylor_values(coef, steps):
 
 def _coarea_level(poly, idx, level, n_samples):
     """Smoothed-coarea estimates, standard errors and smallest sampled J_q
-    (inf where no sample is near the variety) for the level cubes idx."""
+    (inf where no sample is near the variety) for the level cubes idx.
+
+    Only the near test |P| < eps runs at every sample.  A cube's
+    contributions c = J_q / (2 eps)^q are nonzero at its near samples only,
+    so its moments are summed over those, in column order: the mean
+    mu = sum(c) / N and the sample variance
+    (sum (c - mu)^2 + (N - n_near) mu^2) / (N - 1), whose second term is the
+    far samples' zeros.  Chunks are measured in row order, and the first
+    chunk with a sampled J_q below SINGULAR_TOL raises SingularityError
+    before any later chunk is evaluated."""
     m = poly.ambient
     q = poly.codomain
     if q >= m:
@@ -284,35 +299,38 @@ def _coarea_level(poly, idx, level, n_samples):
     steps = poly.monomials(scaled)
     k = idx.shape[0]
     mean = np.zeros(k)
-    sd = np.zeros(k)
+    spread = np.zeros(k)
     min_jac = np.full(k, np.inf)
     # chunks are sized by the samples' M coordinates, though P takes q values
-    # a sample: larger chunks measure no faster, and their near points'
-    # temporaries raise the peak memory
+    # a sample: this bounds the near samples' arrays when every sample is near
     for rows in _row_chunks(k, m * n_samples):
         vals = _taylor_values(poly.taylor(lo[rows]), steps)
         near = np.all(np.abs(vals, out=vals) < epsilon, axis=1)
-        # the near points in row order, rebuilt by index as the same sums
+        # the near points in row order
         r, col = np.divmod(np.flatnonzero(near), n_samples)
         if r.size == 0:
             continue
         jfac = _coarea_jacobian_factor(poly.jacobian(lo[rows][r] + scaled[col]))
         counts = np.bincount(r, minlength=near.shape[0])
         met = np.flatnonzero(counts)
+        start = (np.cumsum(counts) - counts)[met]
+        low = np.minimum.reduceat(jfac, start)
+        singular = low < SINGULAR_TOL
+        if singular.any():
+            raise SingularityError(
+                f"differential nearly rank-deficient near the variety "
+                f"(J_q = {low[singular][0]:.3e} < {SINGULAR_TOL:g})"
+            )
         at = rows.start + met
-        min_jac[at] = np.minimum.reduceat(jfac, (np.cumsum(counts) - counts)[met])
-        # rows without a near point have mean and sd exactly 0
-        contrib = np.zeros((met.size, n_samples))
-        contrib[np.repeat(np.arange(met.size), counts[met]), col] = jfac / (2.0 * epsilon) ** q
-        mean[at] = contrib.mean(axis=1)
-        if n_samples > 1:
-            sd[at] = contrib.std(axis=1, ddof=1)
-    low = min_jac[min_jac < SINGULAR_TOL]
-    if low.size:
-        raise SingularityError(
-            f"differential nearly rank-deficient near the variety "
-            f"(J_q = {low[0]:.3e} < {SINGULAR_TOL:g})"
-        )
+        min_jac[at] = low
+        c = jfac / (2.0 * epsilon) ** q
+        mu = np.add.reduceat(c, start) / n_samples
+        dev = c - np.repeat(mu, counts[met])
+        mean[at] = mu
+        spread[at] = np.add.reduceat(dev * dev, start) + (n_samples - counts[met]) * mu * mu
+    # cubes without a near sample have mean and sd exactly 0, and so has
+    # every sd of one sample, whose spread is 0
+    sd = np.sqrt(spread / max(n_samples - 1, 1))
     vol = side ** m
     return vol * mean, vol * (sd / math.sqrt(n_samples)), min_jac
 
@@ -324,9 +342,16 @@ def variety_level_measure(poly, idx, level, n_samples=DEFAULT_MC_SAMPLES):
     vol(Q) * mean over QMC points of J_q(DP)(x) * prod_k 1[|P_k(x)| < eps]/(2 eps),
     valid when DP has full rank q on the variety inside Q.  One unscrambled
     Sobol set is mapped into every cube, and eps is side/EPSILON_DIVISOR.
-    Returns (values, ses), one entry per row; a cube's value does not depend
-    on the rows it is measured with.  Raises SingularityError when a sample
-    point near the variety has a differential with J_q below SINGULAR_TOL.
+    The mean and sample standard deviation are summed over a cube's near
+    samples only (the far ones add zeros), and J_q is the gradient norm in
+    closed form for one equation.  On the tested inputs the values and
+    standard errors agree with dense moments over every sample within 64 eps
+    relative, with the same zeros; a standard error whose true spread is zero
+    (the same J_q at every sample) comes out only as small as the rounding
+    of the mean.  Returns
+    (values, ses), one entry per row; a cube's value does not depend on the
+    rows it is measured with.  Raises SingularityError when a sample point
+    near the variety has a differential with J_q below SINGULAR_TOL.
     """
     est, se, _ = _coarea_level(poly, idx, level, n_samples)
     return est, se

@@ -9,13 +9,16 @@ import pytest
 
 import fracperc as fp
 import fracperc.geometry as geometry
+import fracperc.polynomials as polynomials
 from fracperc.errors import SingularityError
 from fracperc.geometry import _sobol_points
 from fracperc.patterns import _detection_polys
 from fracperc.polynomials import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    SINGULAR_TOL,
     _coarea_jacobian_factor,
+    _coarea_level,
     _taylor_values,
     polynomial_from_text,
     polynomial_to_text,
@@ -425,9 +428,17 @@ _COAREA_MAPS = {
 }
 
 
+# The kernel sums a cube's moments over its near samples in another order
+# than the dense mean and std, so the two agree to this relative tolerance,
+# fixed from the dtype; one flip of the near test moves a value by at least
+# 1 / n_samples of it, far above that.
+MOMENT_RTOL = 64 * np.finfo(float).eps
+
+
 def _reference_level_measure(poly, idx, level, n_samples):
     """The coarea estimator cube by cube, its near test |P| < eps taken on
-    poly(lo + side * sobol) point by point."""
+    poly(lo + side * sobol) point by point, its moments the dense mean and
+    std over every sample."""
     side = 2.0 ** -level
     eps = side / 32.0
     scaled = side * _sobol_points(poly.ambient, n_samples)
@@ -438,17 +449,26 @@ def _reference_level_measure(poly, idx, level, n_samples):
         near = np.all(np.abs(poly(x)) < eps, axis=-1)
         contrib = np.zeros(n_samples)
         contrib[near] = _coarea_jacobian_factor(poly.jacobian(x[near])) / (2 * eps) ** poly.codomain
-        out.append((vol * contrib.mean(), vol * (contrib.std(ddof=1) / math.sqrt(n_samples))))
+        sd = contrib.std(ddof=1) if n_samples > 1 else 0.0
+        out.append((vol * contrib.mean(), vol * (sd / math.sqrt(n_samples))))
     return np.array(out).T
+
+
+def _assert_moments_close(got, want, msg=None):
+    """Same zero pattern, and every nonzero within MOMENT_RTOL relative."""
+    for g, w in zip(got, want):
+        assert np.array_equal(g == 0, w == 0), msg
+        assert np.all(np.abs(g - w) <= MOMENT_RTOL * np.abs(w)), (msg, np.max(np.abs(g - w) / np.abs(w)))
 
 
 @pytest.mark.parametrize("name", sorted(_COAREA_MAPS))
 def test_coarea_taylor_product_matches_pointwise_evaluation(name, monkeypatch):
     # The kernel evaluates P over a cube's samples as the product of its
-    # Taylor coefficients at the corner with the samples' monomials.  Its
-    # values and s.e. must equal those of the pointwise near test exactly,
-    # with chunks of one cube (a lone row) and of three, and with repeated
-    # rows; the product itself must match poly(lo + s) to rounding.
+    # Taylor coefficients at the corner with the samples' monomials, and sums
+    # its moments over the near samples only.  Its values and s.e. must match
+    # the pointwise near test's dense moments, with the same zeros and within
+    # MOMENT_RTOL, with chunks of one cube (a lone row) and of three, and with
+    # repeated rows; the product itself must match poly(lo + s) to rounding.
     poly = _COAREA_MAPS[name]
     m, n_samples = poly.ambient, 512
     rng = np.random.default_rng(7)
@@ -462,11 +482,77 @@ def test_coarea_taylor_product_matches_pointwise_evaluation(name, monkeypatch):
         for per_chunk in (1, 3, None):
             if per_chunk is not None:
                 monkeypatch.setattr(geometry, "CHUNK_FLOATS", per_chunk * m * n_samples)
-            vals, ses = variety_level_measure(poly, idx, level, n_samples)
-            assert np.array_equal(vals, want[0]) and np.array_equal(ses, want[1]), (level, per_chunk)
+            got = variety_level_measure(poly, idx, level, n_samples)
+            _assert_moments_close(got, want, (level, per_chunk))
             monkeypatch.undo()
         lo = idx.astype(float) * side
         scaled = side * _sobol_points(m, n_samples)
         got = _taylor_values(poly.taylor(lo), poly.monomials(scaled))
         direct = np.moveaxis(poly(lo[:, None, :] + scaled), -1, 1)
         assert np.max(np.abs(got - direct)) < 1e-12, level
+
+
+def test_sparse_moments_edge_cases():
+    # On the level-0 square, eps = 1/32.  0.01 (x - 0.5) + 0.005 y^2 has
+    # |P| <= 0.01 and a J that varies with y, so every sample is near and the
+    # spread is the dense one; 0.01 (x - 0.5) has the constant J = 0.01, a
+    # spread of exactly zero, which both sums know only to the rounding of
+    # the mean.  x + 2 stays above eps: no sample is near.
+    square = np.zeros((1, 2), dtype=np.int64)
+    every = fp.PolynomialMap(ambient=2, components=({(1, 0): 0.01, (0, 0): -0.005, (0, 2): 0.005},))
+    flat = fp.PolynomialMap(ambient=2, components=({(1, 0): 0.01, (0, 0): -0.005},))
+    for n_samples in (1, 2, 7, 512, 4096):
+        est, se, min_jac = _coarea_level(every, square, 0, n_samples)
+        want = _reference_level_measure(every, square, 0, n_samples)
+        _assert_moments_close((est, se), want, n_samples)
+        assert min_jac[0] >= 0.01
+        est, se, min_jac = _coarea_level(flat, square, 0, n_samples)
+        assert est[0] == pytest.approx(0.01 / (2 / 32), rel=MOMENT_RTOL)
+        assert se[0] <= MOMENT_RTOL * est[0] and min_jac[0] == 0.01
+    # one sample: the s.e. is 0, as the kernel has always given it
+    assert _coarea_level(every, square, 0, 1)[1][0] == 0.0
+    far = fp.PolynomialMap(ambient=2, components=({(1, 0): 1.0, (0, 0): 2.0},))
+    got = _coarea_level(far, np.zeros((3, 2), dtype=np.int64), 0, 512)
+    assert [a.tolist() for a in got] == [[0.0] * 3, [0.0] * 3, [math.inf] * 3]
+    # J_q for one equation is the gradient norm in closed form, within 4 eps
+    # of sqrt(det) of the 1 x 1 Gram matrix; two equations keep det
+    rng = np.random.default_rng(11)
+    jac = rng.normal(size=(2000, 1, 4)) * rng.uniform(0.01, 100, size=(2000, 1, 1))
+    closed = _coarea_jacobian_factor(jac)
+    via_det = np.sqrt(np.linalg.det(jac @ np.swapaxes(jac, -1, -2)))
+    assert np.all(np.abs(closed - via_det) <= 4 * np.finfo(float).eps * via_det)
+    assert np.array_equal(closed, np.sqrt(np.sum(jac[:, 0] ** 2, axis=1)))
+    poly = _COAREA_MAPS["circle-in-space"]
+    jac = poly.jacobian(rng.uniform(0, 1, size=(500, 3)))
+    gram = jac @ np.swapaxes(jac, -1, -2)
+    assert np.array_equal(
+        _coarea_jacobian_factor(jac), np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
+    )
+
+
+def test_singular_chunk_stops_the_level(monkeypatch):
+    # (x - .5)^2 + (y - .5)^2 vanishes, with its gradient, at the corner
+    # (.5, .5): the first Sobol point of level-1 cube (1, 1).  With one cube
+    # a chunk, that cube's chunk is the second; no later chunk is evaluated,
+    # and the message names the J_q that a one-chunk call names.
+    poly = fp.PolynomialMap(ambient=2, components=(
+        {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.0, (0, 1): -1.0, (0, 0): 0.5},
+    ))
+    idx = np.array([[0, 0], [1, 1], [0, 1], [1, 0]])
+    n_samples = 256
+    assert np.isfinite(_coarea_level(poly, idx[:1], 1, n_samples)[2][0])
+    with pytest.raises(SingularityError) as whole:
+        variety_level_measure(poly, idx, 1, n_samples)
+    calls = []
+
+    def counting(coef, steps):
+        calls.append(coef.shape[0])
+        return _taylor_values(coef, steps)
+
+    monkeypatch.setattr(polynomials, "_taylor_values", counting)
+    monkeypatch.setattr(geometry, "CHUNK_FLOATS", 2 * n_samples)
+    with pytest.raises(SingularityError) as chunked:
+        variety_level_measure(poly, idx, 1, n_samples)
+    assert calls == [1, 1]
+    assert str(chunked.value) == str(whole.value)
+    assert f"{SINGULAR_TOL:g}" in str(whole.value)
