@@ -1,4 +1,4 @@
-"""Benchmark the tree-expansion kernels and the product-cube traversal.
+"""Benchmark the tree-expansion kernel and the product-cube traversal.
 
 Reports the throughput of expanding a surviving forest of `reps` trees
 (d=2, p=0.7, to level 9) plus the time to grow up to 200 extinction-variant

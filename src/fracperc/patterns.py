@@ -86,10 +86,6 @@ class ConfigDescriptor:
         raise ConfigError(f)
 
     @property
-    def scale_invariant(self):
-        return self.family in SCALE_INVARIANT
-
-    @property
     def ambient(self):
         return self.m * self.d
 

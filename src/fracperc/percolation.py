@@ -24,11 +24,14 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import COUNT_SALT, RESAMPLE_SALT, child_keys, derive, key_uniform, root_key
 
-# Most cubes one tree may hold at a level: checked as the level is grown.
+# Most cubes one tree may hold at a level: checked on the live children of a
+# level before their indices are built.
 MAX_CUBES = 20_000_000
-# Largest accepted ambient dimension.  Expansion builds all 2**d children of
-# every cube before it filters them ((N, 2**d) keys, (N, 2**d, d) indices), so
-# its memory per parent cube grows like d 2**d; 6 caps that at 64 children.
+# Largest accepted ambient dimension.  Expansion draws the keys, uniforms and
+# (surviving variant) ranks of all 2**d children of every cube, (N, 2**d)
+# arrays, and builds indices for the live children only, so its memory per
+# parent cube grows like 2**d (d 2**d when every child lives); 6 caps that at
+# 64 children.
 MAX_DIM = 6
 
 
@@ -175,58 +178,37 @@ def _child_offsets(d):
     return (rng[:, None] >> np.arange(d - 1, -1, -1, dtype=np.int64)) & 1
 
 
-def expand_extinction(idx, keys, d, p):
-    """Expand one level of the extinction (plain Bernoulli) variant.
+def _expand(law, variant, idx, keys):
+    """The live children of one level: idx (N, d) int64 cube indices, keys
+    (N,) uint64.  Returns (child_idx, child_keys, parent_rows) in
+    parent-major, offset-minor order (callers sort lexicographically).
 
-    idx: (N, d) int64 cube indices at the current level; keys: (N,) uint64.
-    Each of the 2**d children of each cube is retained iff its key-uniform
-    is <= p.  Returns (child_idx, child_keys, parent_rows) in parent-major,
-    offset-minor order (callers sort lexicographically).
+    The variant decides only which of the (N, 2**d) children live.  In the
+    extinction and coupled variants a child lives iff its key-uniform is
+    <= p.  In the surviving variant each cube draws an offspring count k
+    from the conditional law, and its k children with the smallest
+    key-uniforms live; by exchangeability they are a uniform k-subset.
+    BudgetError if more than MAX_CUBES children live, raised before their
+    indices are built.
     """
-    n = idx.shape[0]
-    if n == 0:
-        return idx[:0], keys[:0], np.empty(0, dtype=np.int64)
+    d = law.d
     ck = child_keys(keys, d)                      # (N, 2**d)
-    keep = key_uniform(ck) <= p
-    offs = _child_offsets(d)                      # (2**d, d)
-    all_idx = idx[:, None, :] * 2 + offs[None, :, :]
-    mask = keep.ravel()
-    parents = np.repeat(np.arange(n, dtype=np.int64), 1 << d)[mask]
-    return all_idx.reshape(n * (1 << d), d)[mask], ck.ravel()[mask], parents
-
-
-def expand_surviving(idx, keys, d, offspring_cdf):
-    """Expand one level of the survival-conditioned variant.
-
-    Each cube draws an offspring count k from offspring_cdf (cdf over
-    1..2**d), then the k children with the smallest child-key uniforms
-    survive; by exchangeability this is a uniform k-subset.
-    """
-    n = idx.shape[0]
-    if n == 0:
-        return idx[:0], keys[:0], np.empty(0, dtype=np.int64)
-    two_d = 1 << d
-    u_cnt = key_uniform(derive(keys, COUNT_SALT))
-    k = np.searchsorted(offspring_cdf, u_cnt, side="right") + 1  # in 1..2**d
-    k = np.minimum(k, two_d)  # guard against fp shortfall in cdf[-1]
-    ck = child_keys(keys, d)
-    scores = key_uniform(ck)
-    rank = np.argsort(np.argsort(scores, axis=1, kind="stable"), axis=1, kind="stable")
-    keep = rank < k[:, None]
-    offs = _child_offsets(d)
-    all_idx = idx[:, None, :] * 2 + offs[None, :, :]
-    mask = keep.ravel()
-    parents = np.repeat(np.arange(n, dtype=np.int64), two_d)[mask]
-    return all_idx.reshape(n * two_d, d)[mask], ck.ravel()[mask], parents
-
-
-def _expand_raw(law, variant, idx, keys):
-    if variant in ("extinction", "coupled"):
-        return expand_extinction(idx, keys, law.d, law.p)
+    u = key_uniform(ck)
     if variant == "surviving":
-        cdf = np.cumsum(law.offspring)
-        return expand_surviving(idx, keys, law.d, cdf)
-    raise ConfigError(f"unknown variant {variant!r}")
+        u_cnt = key_uniform(derive(keys, COUNT_SALT))
+        k = np.searchsorted(np.cumsum(law.offspring), u_cnt, side="right") + 1
+        k = np.minimum(k, 1 << d)  # guard against fp shortfall in cdf[-1]
+        rank = np.argsort(np.argsort(u, axis=1, kind="stable"), axis=1, kind="stable")
+        keep = rank < k[:, None]
+    else:
+        keep = u <= law.p
+    # row-major flat positions: parent-major, offset-minor
+    live = np.flatnonzero(keep)
+    if live.size > MAX_CUBES:
+        raise BudgetError(f"level would hold {live.size} cubes (budget {MAX_CUBES})")
+    parents = live >> d
+    cidx = idx[parents] * 2 + _child_offsets(d)[live & ((1 << d) - 1)]
+    return cidx, ck.ravel()[live], parents
 
 
 # Most cubes a group of several trees may grow into at one level.  A group
@@ -269,9 +251,7 @@ def _step(law, variant, level):
     """The next level (tree, idx, keys) of a forest level, sorted by (tree,
     idx) as the level is; BudgetError if it would hold over MAX_CUBES."""
     tree, idx, keys = level
-    cidx, ckeys, par = _expand_raw(law, variant, idx, keys)
-    if cidx.shape[0] > MAX_CUBES:
-        raise BudgetError(f"level would hold {cidx.shape[0]} cubes (budget {MAX_CUBES})")
+    cidx, ckeys, par = _expand(law, variant, idx, keys)
     ctree = tree[par]
     (key,) = _row_keys(np.column_stack([ctree, cidx]))
     # the stable sort merges the sorted runs that children come in

@@ -219,6 +219,79 @@ def test_budget_and_config_errors(monkeypatch):
     assert fp.GaltonWatsonLaw.create(6, 0.9).d == 6
 
 
+def test_budget_refuses_live_children_before_their_indices(monkeypatch):
+    # Surviving d = 2 trees at p = 0.9 hold 120 763 cubes at level 9 from
+    # seed 1.  The refusal counts live children before their indices exist:
+    # building the (N, 2^d, d) indices of every child first peaks near
+    # 11 MiB on this input, above the 8 MiB bound.
+    import tracemalloc
+
+    law = fp.GaltonWatsonLaw.create(2, 0.9)
+    monkeypatch.setattr(fp.percolation, "MAX_CUBES", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"^level would hold 120763 cubes \(budget 100000\)$"):
+            fp.sample_tree(law, "surviving", 1, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    monkeypatch.setattr(fp.percolation, "MAX_CUBES", 120_763)
+    assert fp.sample_tree(law, "surviving", 1, 9).count(9) == 120_763
+    monkeypatch.setattr(fp.percolation, "MAX_CUBES", 120_762)
+    with pytest.raises(BudgetError, match="hold 120763 cubes"):
+        fp.sample_tree(law, "surviving", 1, 9)
+
+
+def test_expand_matches_per_cube_rule():
+    # The expansion rule, one cube at a time.  A child lives iff its
+    # key-uniform is <= p (extinction, coupled), or iff it is among the k
+    # children of its cube with the smallest key-uniforms, ties to the lower
+    # offset, k drawn from the offspring cdf by the cube's count key
+    # (surviving).  Live children come parent-major, in offset order, with
+    # index 2 * parent + offset (axis 0 the most significant offset bit).
+    from fracperc.percolation import _expand
+    from fracperc.rng import COUNT_SALT, child_keys, derive, key_uniform
+
+    def reference(law, variant, idx, keys):
+        d, n = law.d, 1 << law.d
+        cdf = np.cumsum(law.offspring).tolist() if variant == "surviving" else None
+        out_idx, out_keys, out_par = [], [], []
+        for row, (cube, key) in enumerate(zip(idx.tolist(), keys.tolist())):
+            ck = child_keys(np.uint64(key), d).tolist()
+            u = [float(key_uniform(np.uint64(c))) for c in ck]
+            if variant == "surviving":
+                u_cnt = float(key_uniform(derive(np.uint64(key), COUNT_SALT)))
+                k = min(sum(c <= u_cnt for c in cdf) + 1, n)
+                live = set(sorted(range(n), key=lambda j: (u[j], j))[:k])
+            else:
+                live = {j for j in range(n) if u[j] <= law.p}
+            for j in sorted(live):
+                out_idx.append([2 * c + ((j >> (d - 1 - i)) & 1) for i, c in enumerate(cube)])
+                out_keys.append(ck[j])
+                out_par.append(row)
+        return (
+            np.array(out_idx, dtype=np.int64).reshape(-1, d),
+            np.array(out_keys, dtype=np.uint64),
+            np.array(out_par, dtype=np.int64),
+        )
+
+    rng = np.random.default_rng(3)
+    for variant in ("extinction", "coupled", "surviving"):
+        for d in (1, 2, 3):
+            for p in (0.7, 1.0):
+                law = fp.GaltonWatsonLaw.create(d, p)
+                for rows in (0, 40):
+                    idx = rng.integers(0, 1 << 8, size=(rows, d))
+                    keys = root_key(rng.integers(0, 1 << 62, size=rows))
+                    got = _expand(law, variant, idx, keys)
+                    want = reference(law, variant, idx, keys)
+                    if p == 1.0:
+                        assert want[0].shape[0] == rows << d
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and np.array_equal(g, w), (variant, d, p, rows)
+
+
 def test_root_key_distinct():
     ks = {int(root_key(s)) for s in range(1000)}
     assert len(ks) == 1000
