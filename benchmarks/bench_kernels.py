@@ -14,20 +14,26 @@ sample_tree one by one.
 
 It then times the one product-cube traversal (`intersect._traverse`) that
 masses and detection share, in tuples tested by its keep predicate per
-second (the least of five rounds) and the fraction of them that the
-predicate drops, in the groups each caller uses (BATCH_TUPLES tuples for
-the masses, four times as many for detection):
+second (the least of five rounds), the level-n tuples among them (those
+the last expansion builds) and the fraction of them that the predicate
+drops, in the groups each caller uses (BATCH_TUPLES tuples for the masses,
+four times as many for detection):
   mass:      200 replicates of three d=1, p=0.8 extinction trees to level 6,
              pruned against the plane x - 2y + z = 0 (the mass-plane
              benchmark's inputs);
   detection: 3-term progressions in the coupled slices of the line at
              p=0.63, level 9, of seeds 0-99 (those with at least 3 cubes),
              under the detector's widened slab prune, as one batch of
-             those slices, the way a sweep detects them.
+             those slices, the way a sweep detects them: the whole search
+             (`patterns._witness_search`), whose last level is built in
+             blocks of level-8 tuples and verified block by block with the
+             sweep's diameter floor, so its seconds include the fits and
+             each replicate stops at its first witness.
 
 Last, it times detection verification, in candidate rows fitted per second
-(the least of five rounds), on every level-n candidate of a batch, in blocks
-of the verifier's cap (CHUNK_FLOATS floats):
+(the least of five rounds), on every level-n candidate of a batch (the
+search under enumerate_all), in blocks of the verifier's cap (CHUNK_FLOATS
+floats):
   plane:     the least-squares fit of the progression candidates above;
   newton:    Gauss-Newton roots of |x - y| = 0.5 on the candidate pairs of
              the coupled slices of the plane at p=0.5, level 4, of seeds
@@ -71,7 +77,6 @@ from fracperc import geometry
 from fracperc.intersect import (
     BATCH_TUPLES,
     ProductLaw,
-    _Batch,
     _grown_batch,
     _measure_once,
     _product_idx,
@@ -79,16 +84,18 @@ from fracperc.intersect import (
     _traverse,
 )
 from fracperc.patterns import (
+    SWEEP_COUNTERS,
     ConfigDescriptor,
-    _candidate_groups,
     _detection_keep,
     _fit_rows,
     _forest_ancestors,
     _greedy_removals,
     _split_by_tree,
+    _witness_search,
     configuration_plane,
     configuration_polynomial,
     parameter_dimensions,
+    sweep_min_diameter,
 )
 from fracperc.percolation import (
     GaltonWatsonLaw,
@@ -101,27 +108,27 @@ from fracperc.polynomials import _coarea_level, variety_level_measure
 from fracperc.rng import replicate_seeds, root_key
 
 
-def traversal(batches, keep, n, limit, distinct=None, rounds=5):
-    """(tuples tested, seconds, fraction dropped) of traversing every batch
-    in groups of at most `limit` tuples; the seconds are the least of
-    `rounds` repeats."""
+def traversal(search, keep, n, rounds=5):
+    """(tuples tested, level-n tuples tested, seconds, fraction dropped) of
+    search(keep) with a keep predicate that counts what it tests; the
+    seconds are the least of `rounds` repeats."""
     secs = []
     for _ in range(rounds):
-        tested = kept = 0
+        tested = np.zeros(n + 1, dtype=np.int64)
+        kept = 0
 
         def counting(idx, lev):
-            nonlocal tested, kept
+            nonlocal kept
             ok = keep(idx, lev)
-            tested += ok.shape[0]
+            tested[lev] += ok.shape[0]
             kept += int(ok.sum())
             return ok
 
         t0 = time.perf_counter()
-        for batch in batches:
-            for _ in _traverse(batch, counting, n, limit, distinct):
-                pass
+        search(counting)
         secs.append(time.perf_counter() - t0)
-    return tested, min(secs), 1.0 - kept / tested
+    total = int(tested.sum())
+    return total, int(tested[n]), min(secs), 1.0 - kept / total
 
 
 def mass_traversal():
@@ -130,7 +137,12 @@ def mass_traversal():
     desc = ConfigDescriptor("homothetic", 1, {"sites": [[0], [1], [2]]})
     keys = root_key(np.arange(200, dtype=np.uint64))
     batch = _grown_batch(ProductLaw(law, "extinction", "independent", m), keys, n)
-    return traversal([batch], _target_keep(configuration_plane(desc)), n, BATCH_TUPLES)
+
+    def search(keep):
+        for _ in _traverse(batch, keep, n, BATCH_TUPLES):
+            pass
+
+    return traversal(search, _target_keep(configuration_plane(desc)), n)
 
 
 def slice_levels(desc, p, n, seeds=range(100)):
@@ -146,12 +158,26 @@ PROGRESSION = (ConfigDescriptor("homothetic", 1, {"sites": [[0], [1], [2]]}), 0.
 DISTANCE = (ConfigDescriptor("distance", 2, {"lam": 0.5}), 0.5, 4)
 
 
+def search_counts(levels):
+    """Fresh SWEEP_COUNTERS arrays for the trees of a forest of levels."""
+    return {name: np.zeros(levels[0][0].shape[0], dtype=np.int64) for name in SWEEP_COUNTERS}
+
+
 def detection_traversal():
     desc, p, n = PROGRESSION
     levels = slice_levels(desc, p, n)
-    keep = _detection_keep(desc, desc._detection_target, 2.0 ** -n)
-    batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
-    return traversal([batch], keep, n, 4 * BATCH_TUPLES, distinct=n)
+    tol, target = 2.0 ** -n, desc._detection_target
+    floor = sweep_min_diameter(desc, n)
+
+    def fit(state):
+        centers = (levels[n][1][state].astype(float) + 0.5) * 2.0 ** -n
+        return _fit_rows(desc, target, centers, tol, floor)
+
+    def search(keep):
+        for _ in _witness_search(levels, desc.m, keep, fit, n, search_counts(levels)):
+            pass
+
+    return traversal(search, _detection_keep(desc, target, tol), n)
 
 
 def verification(desc, p, n, rounds=5):
@@ -160,7 +186,16 @@ def verification(desc, p, n, rounds=5):
     levels = slice_levels(desc, p, n)
     tol = math.sqrt(desc.d) * 2.0 ** -n
     target = desc._detection_target
-    states = [s for s, _ in _candidate_groups(levels, desc, n, tol, target)]
+    states = []
+
+    def collect(state):
+        states.append(state)
+        rows = state.shape[0]
+        return np.zeros(rows, dtype=bool), np.zeros((rows, 0)), np.zeros(rows, dtype=np.int64)
+
+    keep = _detection_keep(desc, target, tol)
+    for _ in _witness_search(levels, desc.m, keep, collect, n, search_counts(levels), True):
+        pass
     centers = (levels[n][1][np.concatenate(states)].astype(float) + 0.5) * 2.0 ** -n
     cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
     secs = []
@@ -275,10 +310,12 @@ def main():
     print(f"{'d=2 p=0.8':>10}{cubes:>12}{groups:>10}{grouped:>12.3f}{alone:>10.3f}")
 
     print()
-    print(f"{'traversal':>10}{'tuples':>12}{'s':>10}{'tuples/s':>14}{'pruned':>10}")
+    print(f"{'traversal':>10}{'tuples':>12}{'level n':>10}{'s':>10}{'tuples/s':>14}{'pruned':>10}")
     for name, run in (("mass", mass_traversal), ("detection", detection_traversal)):
-        tested, secs, dropped = run()
-        print(f"{name:>10}{tested:>12}{secs:>10.3f}{tested / secs:>14.0f}{dropped:>10.3f}")
+        tested, last, secs, dropped = run()
+        print(
+            f"{name:>10}{tested:>12}{last:>10}{secs:>10.3f}{tested / secs:>14.0f}{dropped:>10.3f}"
+        )
 
     print()
     print(f"{'verify':>10}{'rows':>12}{'s':>10}{'rows/s':>14}")

@@ -34,6 +34,7 @@ from .patterns import (
     configuration_plane,
     configuration_polynomial,
     count_slope,
+    _fit_levels,
     _harris_checks,
     parameter_dimensions,
     percolation_dimension_test,
@@ -431,13 +432,23 @@ def _run_dimension(cfg, out_dir):
 
     seeds = replicate_seeds(cfg.i("seed"), reps)
     counts = _tree_counts(cfg, seeds)
-    slopes = [count_slope(c, max(1, n - 6), n) for c in counts.tolist()]
+    n_lo = max(1, n - 6)
+    _fit_levels(n_lo, n)  # a bad range is refused even with no survivor
+    # a replicate extinct by level n is an outcome of the law with no level
+    # n to count: it is left out of the rows and the mean, and counted
+    alive = counts[:, n] > 0
+    slopes = [count_slope(c, n_lo, n) for c in counts[alive].tolist()]
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
-        for seed, slope in zip(seeds, slopes):
+        for seed, slope in zip([s for s, a in zip(seeds, alive) if a], slopes):
             csv.row(seed, "box_dim_slope", n, slope, "fit", 0.0)
+    # with no survivor the mean and its s.e. are NaN (null in summary.json)
+    se = math.nan if not slopes else 0.0
+    if len(slopes) > 1:
+        se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
     return {
-        "mean_slope": float(np.mean(slopes)),
-        "se": float(np.std(slopes, ddof=1) / math.sqrt(len(slopes))) if reps > 1 else 0.0,
+        "mean_slope": float(np.mean(slopes)) if slopes else math.nan,
+        "se": se,
+        "extinct": int(reps - alive.sum()),
         "expected": law.s,
         "counters": {"cubes": counts.sum(axis=0).tolist()},
     }

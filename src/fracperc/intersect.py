@@ -311,6 +311,12 @@ def _expansion_peak(state, counts):
     return peak
 
 
+def _check_budget(peak):
+    """Refuse an expansion of one replicate whose peak is over TUPLE_BUDGET."""
+    if peak > TUPLE_BUDGET:
+        raise BudgetError(f"traversal would hold {peak} tuples (budget {TUPLE_BUDGET})")
+
+
 def _traverse(batch, keep, n, limit, distinct=None):
     """Yield (level, state (K, m), rep (K,)) for levels 0..n: tuples of
     surviving factor cubes, as rows into the factor forest level, whose
@@ -373,10 +379,7 @@ def _traverse(batch, keep, n, limit, distinct=None):
             yield from expand(state[:cut], rep[:cut], lev)
             yield from expand(state[cut:], rep[cut:], lev)
             return
-        if peak > TUPLE_BUDGET:
-            raise BudgetError(
-                f"traversal would hold {peak} tuples (budget {TUPLE_BUDGET})"
-            )
+        _check_budget(peak)
         for j in range(m):
             state = _expand_factor(state, j, *table)
         # hold no reference to the unpruned expansion while the consumer

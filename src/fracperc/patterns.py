@@ -14,9 +14,13 @@ from . import geometry, intersect
 from .geometry import AffinePlane
 from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
-    GaltonWatsonLaw, _row_keys, coupled_law, forest_groups, sample_forest,
+    GaltonWatsonLaw, _replicate_cut, _row_keys, coupled_law, forest_groups,
+    sample_forest,
 )
-from .intersect import _Batch, _lex_member, _poly_keep, _traverse
+from .intersect import (
+    _Batch, _check_budget, _child_table, _expand_factor, _expansion_peak,
+    _lex_member, _pairwise_distinct, _poly_keep, _prune_state, _traverse,
+)
 from .rng import derive, replicate_seeds, root_key
 
 FAMILIES = (
@@ -95,6 +99,15 @@ class ConfigDescriptor:
         if self.family in PLANE_FAMILIES:
             return configuration_plane(self)
         return _detection_polys(self)
+
+    @functools.cached_property
+    def _site_diameter(self):
+        """The largest distance between two sites, computed once."""
+        sites = self.params["sites"]
+        return max(
+            float(np.linalg.norm(sites[i] - sites[j]))
+            for i in range(self.m) for j in range(i + 1, self.m)
+        )
 
     def to_text(self):
         parts = [f"family={self.family}", f"d={self.d}"]
@@ -356,13 +369,9 @@ def _plane_fit_rows(desc, centers, tolerance, min_diameter=0.0):
         lam = np.sum(prod.reshape(c.shape[0], desc.m * desc.d), axis=1) / denom
         b = cbar - lam[:, None] * sbar
         resid = c - (b[:, None, :] + lam[:, None, None] * sites)
-        diam = max(
-            float(np.linalg.norm(sites[i] - sites[j]))
-            for i in range(desc.m) for j in range(i + 1, desc.m)
-        )
         ok = (
             (lam > 0)
-            & (lam * diam >= min_diameter)
+            & (lam * desc._site_diameter >= min_diameter)
             & (np.max(np.linalg.norm(resid, axis=2), axis=1) <= tolerance)
         )
         return ok, np.column_stack([lam, b])
@@ -436,25 +445,6 @@ def _detection_tolerance(desc, n, tolerance):
     return tolerance
 
 
-def _candidate_groups(levels, desc, n, tolerance, target):
-    """Branch-and-bound over the product of each tree's cube hierarchy: the
-    masses' traversal of a forest of ancestor levels, in which every tree is
-    a replicate serving all m factors.
-
-    Yields, group by group, the level-n tuples (K, m) of rows into levels[n]
-    of pairwise-distinct cubes that survive the safe prune, with each
-    tuple's tree (K,); a tree's tuples come in one yield, in the order of its
-    own one-tree traversal.  Groups of several trees hold at most
-    4 * BATCH_TUPLES tuples: four times the masses' cap, so that each
-    verification call amortises its fixed costs over more candidates."""
-    batch = _Batch(desc.m, 1, levels[0][0].shape[0], levels)
-    keep = _detection_keep(desc, target, tolerance)
-    limit = 4 * intersect.BATCH_TUPLES
-    for lev, state, tree in _traverse(batch, keep, n, limit, distinct=n):
-        if lev == n:
-            yield state, tree
-
-
 def _fit_rows(desc, target, centers, tolerance, min_diameter):
     """(ok (B,), params (B, P), unconverged (B,)) of candidate rows of centers
     (B, m, d): the plane fit, or the polished root of the polynomials."""
@@ -466,62 +456,106 @@ def _fit_rows(desc, target, centers, tolerance, min_diameter):
     )
 
 
-def _check_candidates(fit, tree, cap, enumerate_all=False):
-    """Verify the candidate rows of several trees, each tree's rows
-    contiguous in `tree` (K,), in rounds.  Round k fits the k-th block of
-    every undecided tree's rows at once: blocks of 1, 2, 4, ... rows capped
-    at `cap`, or of `cap` rows under enumerate_all.  A tree is decided at
-    its first witness and leaves the rounds; under enumerate_all every row
-    is fitted.  fit(rows) -> (ok, params, unconverged) fits the rows with
-    those indices, and a row's fit does not depend on the rows beside it, so
-    each tree's outcome is that of checking its own rows one by one.
-
-    Returns (rows (H,), params (H, P), trees, checked, unconverged).  rows
-    and params are those of each tree's first witness (every witness under
-    enumerate_all), in check order.  trees (g,) are the trees with rows, in
-    order; checked (g,) counts their rows up to and including the first
-    witness (all of them without one, or under enumerate_all), and
-    unconverged (g,) the Newton runs on those rows that did not converge."""
-    starts = np.flatnonzero(np.r_[True, tree[1:] != tree[:-1]])
-    lengths = np.diff(np.r_[starts, tree.shape[0]])
-    undecided = np.ones(starts.shape[0], dtype=bool)
-    checked = np.zeros(starts.shape[0], dtype=np.int64)
-    unconverged = np.zeros(starts.shape[0], dtype=np.int64)
-    hit_rows, hit_params = [], []
-    lo, size = 0, cap if enumerate_all else 1
-    while True:
-        # the round: positions lo..hi-1 of every undecided tree with rows there
-        todo = np.flatnonzero(undecided & (lengths > lo))
-        if todo.shape[0] == 0:
-            break
-        hi = np.minimum(lengths[todo], lo + size)
-        count = hi - lo
-        local = np.repeat(todo, count)
-        # each row's position among its tree's rows
-        pos = np.arange(local.shape[0]) - np.repeat(np.cumsum(count) - count - lo, count)
-        rows = starts[local] + pos
-        ok, params, fails = fit(rows)
-        found = np.flatnonzero(ok)
-        checked[todo] = hi
-        if not enumerate_all:
-            # a tree's first witness decides it; the rows fitted after it in
-            # its block are not counted
-            decided, at = np.unique(local[found], return_index=True)
-            found = found[at]
-            undecided[decided] = False
-            checked[decided] = pos[found] + 1
-        counted = pos < checked[local]
-        np.add.at(unconverged, local[counted], fails[counted])
-        hit_rows.append(rows[found])
-        hit_params.append(params[found])
-        lo, size = lo + size, min(2 * size, cap)
-    hits = np.concatenate(hit_rows), np.concatenate(hit_params)
-    return (*hits, tree[starts], checked, unconverged)
-
-
 SWEEP_COUNTERS = (
     "detected", "candidate_tuples", "tuples_checked", "newton_unconverged",
 )
+
+
+def _witness_search(levels, m, keep, fit, n, counts, enumerate_all=False):
+    """Branch-and-bound for witnesses in each tree of a forest of ancestor
+    levels 0..n, every tree a replicate serving all m factors.
+
+    Levels 0..n-1 are the masses' traversal (_traverse) of the product of
+    each tree's cube hierarchy, pruned by keep(idx, level) (none when keep
+    is None), in groups of at most 4 * BATCH_TUPLES tuples.  The last
+    expansion, n-1 -> n, goes group by group in rounds: round k expands the
+    k-th block of every undecided tree's level-(n-1) tuples, blocks of 1,
+    2, 4, ... rows in row order (under enumerate_all one block of all its
+    rows), keeps the children that keep keeps and whose factor cubes are
+    pairwise distinct, the tree's level-n candidates, and verifies them at
+    once: fit(state (C, m)) -> (ok, params, unconverged) on at most
+    CHUNK_FLOATS // (m d) rows a call.  A tree is decided at its first
+    witness and its later blocks are never expanded; under enumerate_all no
+    tree is decided.  Block boundaries depend only on the tree's own rows
+    and a row's fit does not depend on the rows beside it, so each tree's
+    candidates, fits and counters are those of its own one-tree search, and
+    its first witness and tuples_checked those of checking its candidates
+    one by one, in traversal order.
+
+    A round of several trees whose expansion would hold over
+    4 * BATCH_TUPLES tuples is halved at a tree boundary and each half goes
+    on alone.  A tree whose whole last expansion would hold over
+    TUPLE_BUDGET tuples raises BudgetError before any of its level-n tuples
+    exist.
+
+    Adds each round's counts to counts, SWEEP_COUNTERS mapped to per-tree
+    arrays as DetectionResult has them (candidate_tuples: the candidates
+    built), and then yields its hits (tree (H,), state (H, m), params (H,
+    P)): the first witness of each tree decided in it (every witness under
+    enumerate_all), in candidate order.  Only a round that builds
+    candidates changes counts, and every such round yields."""
+    reps = levels[0][0].shape[0]
+    tree_n, idx_n = levels[n]
+    limit = min(4 * intersect.BATCH_TUPLES, intersect.TUPLE_BUDGET)
+    cap = max(1, geometry.CHUNK_FLOATS // (m * idx_n.shape[1]))
+    decided = np.zeros(reps, dtype=bool)
+    table = None
+
+    def expand(state, tree):
+        """Expand, prune and verify a round's level-(n-1) tuples state
+        (K, m) of trees tree (K,), halving while they would hold too many."""
+        if tree[0] != tree[-1] and _expansion_peak(state, table[2]) > limit:
+            cut = _replicate_cut(tree)
+            yield from expand(state[:cut], tree[:cut])
+            yield from expand(state[cut:], tree[cut:])
+            return
+        for j in range(m):
+            state = _expand_factor(state, j, *table)
+        if keep is not None:
+            state = _prune_state(state, [idx_n] * m, lambda _, idx: keep(idx, n))
+        state = state[_pairwise_distinct(state)]
+        if state.shape[0] == 0:
+            return
+        fits = [fit(state[a : a + cap]) for a in range(0, state.shape[0], cap)]
+        ok, params, fails = (np.concatenate(out) for out in zip(*fits))
+        owner = tree_n[state[:, 0]]
+        hit = np.flatnonzero(ok)
+        # the candidates checked: a decided tree's up to its first witness
+        last = np.full(reps, state.shape[0])
+        if not enumerate_all:
+            decision, first = np.unique(owner[hit], return_index=True)
+            hit = hit[first]
+            decided[decision] = True
+            last[decision] = hit
+        checked = np.arange(state.shape[0]) <= last[owner]
+        counts["candidate_tuples"] += np.bincount(owner, minlength=reps)
+        counts["tuples_checked"] += np.bincount(owner[checked], minlength=reps)
+        np.add.at(counts["newton_unconverged"], owner[checked], fails[checked])
+        counts["detected"][owner[hit]] = 1
+        yield owner[hit], state[hit], params[hit]
+
+    for lev, state, tree in _traverse(_Batch(m, 1, reps, levels), keep, n - 1, limit):
+        if lev < n - 1 or state.shape[0] == 0:
+            continue
+        if table is None:
+            table = _child_table(levels[n - 1], levels[n])
+        starts = np.flatnonzero(np.r_[True, tree[1:] != tree[:-1]])
+        lengths = np.diff(np.r_[starts, tree.shape[0]])
+        if _expansion_peak(state, table[2]) > intersect.TUPLE_BUDGET:
+            for a, k in zip(starts, lengths):
+                _check_budget(_expansion_peak(state[a : a + k], table[2]))
+        lo, size = 0, state.shape[0] if enumerate_all else 1
+        while True:
+            # the round: block rows lo..lo+size-1 of every undecided tree
+            # with rows there
+            todo = np.flatnonzero(~decided[tree[starts]] & (lengths > lo))
+            if todo.shape[0] == 0:
+                break
+            count = np.minimum(lengths[todo] - lo, size)
+            skip = np.repeat(starts[todo] + lo - (np.cumsum(count) - count), count)
+            rows = skip + np.arange(skip.shape[0])
+            yield from expand(state[rows], tree[rows])
+            lo, size = lo + size, 2 * size
 
 
 def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
@@ -529,12 +563,12 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
     """Detection in each tree of a forest's level n: the cubes (N, d), or
     (N,) for d = 1, held by trees `tree` (N,), or all by tree `tree` if it
     is an int, with _detection_tolerance.  Trees with fewer than m cubes
-    hold no candidate; the others are traversed together.  Yields each
-    traversal group's hits as soon as they are verified, the arrays (tree
+    hold no candidate; the others are searched together (_witness_search).
+    Yields each round's hits as soon as they are verified, the arrays (tree
     (H,), cubes (H, m, d), params (H, P)) of its trees' first witnesses
-    (every witness under enumerate_all) in check order, after filling their
-    entries of counts: SWEEP_COUNTERS mapped to (trees,) arrays, as
-    DetectionResult has them."""
+    (every witness under enumerate_all, all of a tree's in one yield) in
+    check order, after filling their entries of counts: SWEEP_COUNTERS
+    mapped to (trees,) arrays, as DetectionResult has them."""
     tolerance = _detection_tolerance(desc, n, tolerance)
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
@@ -544,31 +578,24 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
     target = desc._detection_target
     cubes = levels[n][1]
     side = 2.0 ** -n
-    cap = max(1, geometry.CHUNK_FLOATS // desc.ambient)
-    for state, owner in _candidate_groups(levels, desc, n, tolerance, target):
-        if state.shape[0] == 0:
-            continue
 
-        def fit(rows):
-            centers = (cubes[state[rows]].astype(float) + 0.5) * side  # (B, m, d)
-            return _fit_rows(desc, target, centers, tolerance, min_diameter)
+    def fit(state):
+        centers = (cubes[state].astype(float) + 0.5) * side  # (B, m, d)
+        return _fit_rows(desc, target, centers, tolerance, min_diameter)
 
-        rows, params, done, checked, unconverged = _check_candidates(
-            fit, owner, cap, enumerate_all
-        )
-        counts["candidate_tuples"][kept] += np.bincount(owner, minlength=kept.shape[0])
-        counts["tuples_checked"][kept[done]] = checked
-        counts["newton_unconverged"][kept[done]] = unconverged
-        hits = kept[owner[rows]], cubes[state[rows]], params
-        counts["detected"][hits[0]] = 1
-        # neither the consumer nor the next group's traversal need this held
-        del state, owner
-        yield hits
+    found = {name: np.zeros(kept.shape[0], dtype=np.int64) for name in SWEEP_COUNTERS}
+    keep = _detection_keep(desc, target, tolerance)
+    for owner, state, params in _witness_search(
+        levels, desc.m, keep, fit, n, found, enumerate_all
+    ):
+        for name in SWEEP_COUNTERS:
+            counts[name][kept] = found[name]
+        yield kept[owner], cubes[state], params
 
 
 def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
                    min_diameter=0.0, enumerate_all=False):
-    """(hits, counts) of _detect_groups in trees 0..trees-1, all groups' hits concatenated."""
+    """(hits, counts) of _detect_groups in trees 0..trees-1, all rounds' hits concatenated."""
     counts = {name: np.zeros(trees, dtype=np.int64) for name in SWEEP_COUNTERS}
     width = desc.ambient
     if desc.family in PLANE_FAMILIES:
@@ -596,10 +623,12 @@ def detect_configuration(
     Branch-and-bound over the product of the cube hierarchy with safe pruning
     (slab / interval arithmetic); candidates at level n are verified
     by a least-squares fit (plane families) or a polished polynomial root.
-    Candidates are verified in blocks of doubling size, so the search stops
-    soon after the first witness; the witness and `tuples_checked` (its
-    position + 1) are those of checking the candidates one by one.  This is
-    the one-tree call of the detection that sweeps run on whole forests.
+    The last level is built from blocks of 1, 2, 4, ... level-(n-1) tuples,
+    each block's candidates verified as soon as they are built, so the
+    search builds no block after the one holding the first witness; the
+    witness and `tuples_checked` (its position + 1) are those of checking
+    every candidate one by one.  This is the one-tree call of the detection
+    that sweeps run on whole forests.
 
     min_diameter sets a resolvability floor on the realized copy's diameter
     for the scale-bearing homothetic family (sub-resolution copies arise from
@@ -679,15 +708,17 @@ def presence_profiles(
     Replicate r's realization at p is coupled_slice(d, seeds[r], p, n) in
     coupled mode, else sample_tree(law at p, variant, seeds[r], n).  At each
     p of the sorted grid, the realizations of all replicates still to be
-    searched are grown as one forest and detected as one batch: they are
-    traversed together, in groups of at most 4 * BATCH_TUPLES tuples (four
-    times the masses' cap), and each group's candidates are verified as they
-    arrive, every replicate in its own doubling blocks until its first
-    witness.  Each presence equals that of detect_configuration on the
-    replicate's realization alone.  A replicate whose traversal alone would
-    hold over intersect.TUPLE_BUDGET tuples at a level raises BudgetError:
-    the budget is checked once per expansion, from its peak, before any
-    factor expands.
+    searched are grown as one forest and detected as one batch: levels
+    0..n-1 are traversed together, in groups of at most 4 * BATCH_TUPLES
+    tuples (four times the masses' cap), and each group's last level is
+    built in rounds, every replicate from its own blocks of 1, 2, 4, ...
+    level-(n-1) tuples, each round's candidates verified at once, until the
+    replicate's first witness.  Each presence equals that of
+    detect_configuration on the replicate's realization alone.  A replicate
+    whose traversal alone would hold over intersect.TUPLE_BUDGET tuples at
+    a level raises BudgetError: the budget is checked once per expansion,
+    from its peak, before any factor expands (at the last level, before
+    the replicate's first block).
 
     Coupled mode percolates one uniform field per replicate and slices it
     at every p, so each profile is monotone nondecreasing in p by
@@ -696,7 +727,8 @@ def presence_profiles(
 
     Returns (present (R, P) bool, counters): counters maps each name of
     SWEEP_COUNTERS to P ints, one per p: the replicates a search found
-    present, their candidate tuples, the tuples checked (up to each
+    present, the level-n candidate tuples built (every candidate of a
+    replicate without a witness), the tuples checked (up to each
     replicate's first witness) and the Newton runs on them that did not
     converge.
     """
@@ -806,7 +838,7 @@ def parameter_dimensions(tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=No
     """pattern_parameter_dimension of each of the replicates 0..R-1, whose
     level-n cubes (N, d) are held by trees `tree` (N,), or by the one tree
     `tree` when it is an int: the witnesses of every replicate are
-    enumerated in one batch, and each group's are box-counted and dropped."""
+    enumerated in one batch, and each round's are box-counted and dropped."""
     sites = np.asarray(sites, dtype=float)
     if sites.ndim == 1:
         sites = sites[:, None]

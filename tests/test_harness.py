@@ -631,6 +631,42 @@ def test_sample_below_two_levels_has_no_slope(tmp_path, n):
     assert (out / "growth.svg").stat().st_size > 0
 
 
+@pytest.mark.parametrize("variant", ["extinction", "coupled"])
+def test_dimension_leaves_extinct_replicates_out(tmp_path, variant):
+    # A replicate extinct by level n is an outcome of the law, not a config
+    # error: its row and its slope are left out and summary.json counts it.
+    # The survivors' rows are their one-tree slopes, in replicate order; with
+    # no survivor the mean and its s.e. are null and nothing warns.
+    from fracperc.patterns import count_slope
+
+    argv = ["dimension", "--preset", "smoke", "--seed", "7", f"variant={variant}"]
+    out = tmp_path / "some"
+    assert main(argv + ["--out", str(out)]) == 0
+    cfg = ExperimentConfig("dimension", overrides={"variant": variant}, preset="smoke")
+    n, law = cfg.i("n"), cfg.law()
+    want = []
+    for seed in fp.rng.replicate_seeds(7, cfg.i("replicates")):
+        tree = fp.sample_tree(law, variant, seed, n)
+        if tree.count(n):
+            counts = [tree.count(j) for j in range(n + 1)]
+            want.append((seed, count_slope(counts, max(1, n - 6), n)))
+    extinct = cfg.i("replicates") - len(want)
+    assert 0 < extinct < cfg.i("replicates")
+    _, rows = read_csv(str(out / "results.csv"))
+    assert [(int(r["seed"]), float(r["Y"])) for r in rows] == want
+    results = _strict_json((out / "summary.json").read_text())["results"]
+    assert results["extinct"] == extinct
+    assert results["mean_slope"] == float(np.mean([s for _, s in want]))
+    none = tmp_path / "none"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["p=0.3", "--out", str(none)]) == 0
+    results = _strict_json((none / "summary.json").read_text())["results"]
+    assert results["extinct"] == cfg.i("replicates")
+    assert results["mean_slope"] is None and results["se"] is None
+    assert read_csv(str(none / "results.csv"))[1] == []
+
+
 def test_shape_cubes_full_grid_and_budget(tmp_path):
     # The full grid is every cube in lexicographic order, as itertools
     # enumerates it; shapes over MAX_CUBES are refused (exit 3)

@@ -12,8 +12,10 @@ from fracperc.errors import BudgetError, ConfigError
 from fracperc.intersect import _stack
 from fracperc.patterns import (
     SCALE_INVARIANT,
+    SWEEP_COUNTERS,
     _ancestor_levels,
-    _candidate_groups,
+    _detection_keep,
+    _witness_search,
     parameter_dimensions,
     pattern_witnesses,
     sweep_min_diameter,
@@ -629,10 +631,23 @@ def _serial_polynomial_fit(polys, flat, tolerance):
 
 def _one_tree_candidates(cubes, desc, n, tolerance, target):
     """The level arrays 0..n of the cubes' ancestors and their level-n
-    candidate tuples (B, m), in traversal order: one tree's candidates."""
+    candidate tuples (B, m), in traversal order: every candidate of one
+    tree, from the search under enumerate_all, which decides no tree."""
     levels = _ancestor_levels(cubes, n)
     forest = [_stack([lev]) for lev in levels]
-    ((state, _),) = _candidate_groups(forest, desc, n, tolerance, target)
+    built = []
+
+    def collect(state):
+        built.append(state)
+        rows = state.shape[0]
+        return np.zeros(rows, dtype=bool), np.zeros((rows, 0)), np.zeros(rows, dtype=np.int64)
+
+    counts = {name: np.zeros(1, dtype=np.int64) for name in SWEEP_COUNTERS}
+    keep = _detection_keep(desc, target, tolerance)
+    for _ in _witness_search(forest, desc.m, keep, collect, n, counts, enumerate_all=True):
+        pass
+    state = np.concatenate(built) if built else np.zeros((0, desc.m), dtype=np.int64)
+    assert counts["candidate_tuples"][0] == state.shape[0]
     return levels, state
 
 
@@ -789,12 +804,15 @@ def _one_at_a_time(desc, grid, n, seeds, coupled, search):
 @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "uncoupled"])
 @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
 def test_batched_profiles_match_one_replicate_detections(case, coupled, monkeypatch):
-    # Every (replicate, p) presence of the batch, and every per-p counter,
-    # equals that of checking the replicate's candidates one by one.  The
-    # batch fits as many rows as one detect_configuration per replicate, each
-    # in its own doubling blocks: no row is fitted twice or after its
-    # replicate is decided.  Small groups and chunks put group and block
-    # boundaries inside and across replicates.
+    # Every (replicate, p) presence of the batch, and its per-p detections,
+    # tuples checked and unconverged Newton runs, equal those of checking
+    # the replicate's candidates one by one.  The candidates it builds are
+    # those of one presence_profiles call per replicate, at most every
+    # candidate and at least the ones checked.  The batch fits as many rows
+    # as one detect_configuration per replicate, each from its own doubling
+    # blocks: no row is fitted twice or after its replicate is decided.
+    # Small groups and chunks put group and block boundaries inside and
+    # across replicates.
     from fracperc import geometry, intersect, patterns
 
     desc, n, grid, reps, floor = _SWEEP_CASES[case]
@@ -833,8 +851,20 @@ def test_batched_profiles_match_one_replicate_detections(case, coupled, monkeypa
             min_diameter=floor,
         )
         assert got.tolist() == want.tolist(), (limit, chunk)
-        assert counters == sums, (limit, chunk)
+        built = counters.pop("candidate_tuples")
+        exact = {k: v for k, v in sums.items() if k != "candidate_tuples"}
+        assert counters == exact, (limit, chunk)
         assert fitted["batch"] == fitted["serial"], (limit, chunk)
+        alone = [
+            fp.presence_profiles(
+                desc, grid, n, [s], coupled=coupled, variant="extinction",
+                min_diameter=floor,
+            )[1]["candidate_tuples"]
+            for s in seeds
+        ]
+        assert built == np.sum(alone, axis=0).tolist(), (limit, chunk)
+        bounds = zip(counters["tuples_checked"], built, sums["candidate_tuples"])
+        assert all(lo <= b <= hi for lo, b, hi in bounds), (limit, chunk)
     assert want.any() and not want.all()
     assert sums["tuples_checked"] != sums["candidate_tuples"]
     if case == "triangle-d2":
@@ -876,18 +906,27 @@ def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
     got = fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
     assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
     # unsplit, the last expansion of all replicates at the largest p would
-    # have held more tuples than the budget
-    assert got[1]["candidate_tuples"][-1] > budget
+    # have held more tuples than the budget: more than every candidate
+    law = fp.GaltonWatsonLaw.create(2, grid[-1])
+    tol = math.sqrt(desc.d) * 2.0 ** -n
+    exhaustive = 0
+    for seed in seeds:
+        cubes = fp.sample_tree(law, "extinction", seed, n).levels[n]
+        if cubes.shape[0] >= desc.m:
+            _, state = _one_tree_candidates(cubes, desc, n, tol, desc._detection_target)
+            exhaustive += state.shape[0]
+    assert exhaustive > budget
     monkeypatch.setattr(intersect, "TUPLE_BUDGET", budget // 2)
     with pytest.raises(BudgetError):
         fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
 
 
 def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
-    # Detection groups take their limit from BATCH_TUPLES when they are
-    # made: at a cap of 40, a multi-replicate forest is split into several
-    # groups, none of several trees over 160 tuples, and some over 40.
-    from fracperc import intersect
+    # Detection rounds take their limit from BATCH_TUPLES when they are
+    # made: at a cap of 40, the last level of a multi-replicate forest is
+    # built in several rounds, none of several trees holding over 160
+    # tuples, and some holding over 40.
+    from fracperc import intersect, patterns
     from fracperc.patterns import _forest_ancestors
     from fracperc.percolation import coupled_law
 
@@ -896,11 +935,98 @@ def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
     seeds = np.array([fp.rng.derive(fp.rng.root_key(11), r + 1) for r in range(40)])
     tree, cubes = fp.sample_forest(coupled_law(2, 0.35), "coupled", seeds, n)[n]
     _, levels = _forest_ancestors(tree, cubes, n, desc.m)
-    tol = math.sqrt(desc.d) * 2.0 ** -n
-    groups = list(_candidate_groups(levels, desc, n, tol, desc._detection_target))
-    assert len(groups) > 1
-    several = [s.shape[0] for s, trees in groups if trees.size and trees[0] != trees[-1]]
+    expand = patterns._expand_factor
+    held = []
+
+    def recording(state, col, *table):
+        out = expand(state, col, *table)
+        # the expanded column holds level-n rows
+        held.append((out.shape[0], np.unique(levels[n][0][out[:, col]]).shape[0]))
+        return out
+
+    monkeypatch.setattr(patterns, "_expand_factor", recording)
+    fp.presence_profiles(desc, [0.35], n, seeds)
+    assert len(held) > desc.m
+    several = [size for size, trees in held if trees > 1]
     assert several and 40 < max(several) <= 160
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.4], ids=["first-block", "later-block"])
+def test_detection_stops_expanding_at_the_first_witness(floor, monkeypatch):
+    # The last level is built from blocks of 1, 2, 4, ... level-(n-1)
+    # tuples: a one-tree detection expands no block after the one holding
+    # its witness, so it builds fewer candidates than the exhaustive
+    # enumeration, and its witness and tuples_checked are those of checking
+    # every candidate one by one.  With no diameter floor the witness lies
+    # in the first block (the first tuple, of one cube thrice, has three
+    # children forming a copy); the floor pushes it to a later one.
+    from fracperc import patterns
+
+    desc, n = desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3
+    cubes = np.array([(i, j) for i in range(8) for j in range(8)])
+    expand, fit_rows = patterns._expand_factor, patterns._fit_rows
+    blocks, fitted = [], []
+
+    def recording(state, col, *table):
+        if col == 0:
+            blocks.append(state.shape[0])
+        return expand(state, col, *table)
+
+    def fitting(desc, target, centers, *args):
+        fitted.append(centers.shape[0])
+        return fit_rows(desc, target, centers, *args)
+
+    monkeypatch.setattr(patterns, "_expand_factor", recording)
+    monkeypatch.setattr(patterns, "_fit_rows", fitting)
+    res = fp.detect_configuration(cubes, desc, n, min_diameter=floor)
+    monkeypatch.setattr(patterns, "_expand_factor", expand)
+    monkeypatch.setattr(patterns, "_fit_rows", fit_rows)
+    _, counts = patterns._detect_forest(0, cubes, 1, desc, n, min_diameter=floor)
+    found, witness, checked, unconverged = _serial_detection(cubes, desc, n, False, floor)
+    _, every = _one_tree_candidates(
+        cubes, desc, n, math.sqrt(desc.d) * 2.0 ** -n, desc._detection_target
+    )
+    assert found and res.present
+    assert (res.witness["cubes"], res.witness["params"]) == witness
+    assert (res.tuples_checked, res.newton_unconverged) == (checked, unconverged)
+    # the blocks expanded: 1, 2, 4, ... rows, the last one the witness's,
+    # each block's candidates fitted in one call
+    assert blocks == [1 << k for k in range(len(blocks))]
+    assert (len(blocks) == 1) == (floor == 0.0)
+    assert len(fitted) <= len(blocks) and sum(fitted[:-1]) < checked <= sum(fitted)
+    assert counts["tuples_checked"][0] == checked
+    assert checked <= counts["candidate_tuples"][0] < every.shape[0]
+
+
+def test_last_level_budget_refuses_before_the_first_block(monkeypatch):
+    # A tree whose whole last expansion is over TUPLE_BUDGET is refused
+    # before any of its level-n tuples exist, although its first block
+    # holds a witness and alone fits the budget; at that budget plus one
+    # tuple the same detection runs.
+    from fracperc import intersect, patterns
+    from fracperc.intersect import _Batch, _child_table, _expansion_peak, _traverse
+
+    desc, n = desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3
+    cubes = np.array([(i, j) for i in range(8) for j in range(8)])
+    levels = [_stack([lev]) for lev in _ancestor_levels(cubes, n)]
+    keep = _detection_keep(desc, desc._detection_target, math.sqrt(2) * 2.0 ** -n)
+    (state,) = [s for lev, s, _ in _traverse(_Batch(3, 1, 1, levels), keep, n - 1, 1 << 40)
+                if lev == n - 1]
+    peak = _expansion_peak(state, _child_table(levels[n - 1], levels[n])[2])
+    expand, built = patterns._expand_factor, []
+
+    def recording(state, col, *table):
+        built.append(col)
+        return expand(state, col, *table)
+
+    monkeypatch.setattr(patterns, "_expand_factor", recording)
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak - 1)
+    with pytest.raises(BudgetError, match=rf"would hold {peak} tuples \(budget {peak - 1}\)"):
+        fp.detect_configuration(cubes, desc, n)
+    assert built == []
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak)
+    assert fp.detect_configuration(cubes, desc, n).present
+    assert built == list(range(desc.m))
 
 
 def test_box_count_slope_matches_row_unique():
