@@ -25,10 +25,11 @@ four times as many for detection):
              p=0.63, level 9, of seeds 0-99 (those with at least 3 cubes),
              under the detector's widened slab prune, as one batch of
              those slices, the way a sweep detects them: the whole search
-             (`patterns._witness_search`), whose last level is built in
-             blocks of level-8 tuples and verified block by block with the
-             sweep's diameter floor, so its seconds include the fits and
-             each replicate stops at its first witness.
+             (`patterns._witness_search`), for which the traversal builds
+             the last level in rounds of blocks of level-8 tuples, each
+             round verified at once with the sweep's diameter floor, so its
+             seconds include the fits and each replicate stops at its
+             first witness.
 
 Last, it times detection verification, in candidate rows fitted per second
 (the least of five rounds), on every level-n candidate of a batch (the
@@ -174,7 +175,7 @@ def detection_traversal():
         return _fit_rows(desc, target, centers, tol, floor)
 
     def search(keep):
-        for _ in _witness_search(levels, desc.m, keep, fit, n, search_counts(levels)):
+        for _ in _witness_search(levels, desc.m, keep, fit, n, search_counts(levels), False):
             pass
 
     return traversal(search, _detection_keep(desc, target, tol), n)

@@ -426,6 +426,15 @@ def _run_second_moment(cfg, out_dir):
     }
 
 
+def _mean_se(values):
+    """The mean of values and its standard error (0 for one value); both
+    NaN, null in summary.json, for none."""
+    if not values:
+        return math.nan, math.nan
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def _run_dimension(cfg, out_dir):
     n, reps = cfg.i("n"), cfg.i("replicates")
     law = cfg.law()
@@ -441,12 +450,9 @@ def _run_dimension(cfg, out_dir):
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
         for seed, slope in zip([s for s, a in zip(seeds, alive) if a], slopes):
             csv.row(seed, "box_dim_slope", n, slope, "fit", 0.0)
-    # with no survivor the mean and its s.e. are NaN (null in summary.json)
-    se = math.nan if not slopes else 0.0
-    if len(slopes) > 1:
-        se = float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
+    mean, se = _mean_se(slopes)
     return {
-        "mean_slope": float(np.mean(slopes)) if slopes else math.nan,
+        "mean_slope": mean,
         "se": se,
         "extinct": int(reps - alive.sum()),
         "expected": law.s,
@@ -464,13 +470,17 @@ def _run_pattern_dim(cfg, out_dir):
     seeds = replicate_seeds(cfg.i("seed"), reps)
     tree, cubes = sample_forest(law, cfg.s("variant"), seeds, n)[n]
     estimates = parameter_dimensions(tree, cubes, reps, law, sites, n, j_lo, j_hi)
+    # a replicate without a witness has no parameter set to box-count: it is
+    # left out of the rows and the mean, and counted
+    found = [(seed, est.slope) for seed, est in zip(seeds, estimates) if est.witnesses]
     with fio.CsvWriter(os.path.join(out_dir, "results.csv"), MASS_COLUMNS) as csv:
-        for seed, est in zip(seeds, estimates):
-            csv.row(seed, "pattern_dim_slope", n, est.slope, "fit", 0.0)
-    slopes = [est.slope for est in estimates]
+        for seed, slope in found:
+            csv.row(seed, "pattern_dim_slope", n, slope, "fit", 0.0)
+    mean, se = _mean_se([slope for _, slope in found])
     return {
-        "mean_slope": float(np.mean(slopes)),
-        "se": float(np.std(slopes, ddof=1) / math.sqrt(len(slopes))) if reps > 1 else 0.0,
+        "mean_slope": mean,
+        "se": se,
+        "no_witness": reps - len(found),
         "predicted": estimates[0].predicted,
         "counters": {
             "witnesses": sum(est.witnesses for est in estimates),

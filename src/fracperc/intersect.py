@@ -4,7 +4,7 @@ second-moment estimates and empirical Hölder moduli.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -317,15 +317,16 @@ def _check_budget(peak):
         raise BudgetError(f"traversal would hold {peak} tuples (budget {TUPLE_BUDGET})")
 
 
-def _traverse(batch, keep, n, limit, distinct=None):
+def _traverse(batch, keep, n, limit, distinct=None, decided=None):
     """Yield (level, state (K, m), rep (K,)) for levels 0..n: tuples of
     surviving factor cubes, as rows into the factor forest level, whose
     product cube keep(idx (C, m*d), level) -> bool (C,) keeps (all when keep
     is None) and the replicate's aux tree holds; from level `distinct` on
     (never when None) their factor rows are pairwise distinct.  rep is each
-    tuple's replicate.  A replicate's tuples at a level come in one yield,
-    contiguous and in the order of its own one-replicate traversal, since
-    expansion, pruning and splitting keep row order.
+    tuple's replicate.  A replicate's tuples at a level come in one yield
+    (at level n with decided, one per round), contiguous and in the order
+    of its own one-replicate traversal, since expansion, pruning and
+    splitting keep row order.
 
     Replicates go depth-first in groups.  Each expansion first takes its
     peak, the most tuples it would hold (_expansion_peak).  When the peak
@@ -334,11 +335,21 @@ def _traverse(batch, keep, n, limit, distinct=None):
     a level may be yielded once per group: the masses pass BATCH_TUPLES as
     the limit, detection 4 * BATCH_TUPLES.  A lone replicate is never
     split: a peak over TUPLE_BUDGET raises BudgetError before any factor
-    expands.  After the last tuple of a group dies out, its remaining
-    levels are yielded empty."""
+    expands, and at the last expansion, n-1 -> n, before any replicate of
+    its group expands.
+
+    decided, a (reps,) bool array that the consumer may set between
+    yields, has the last expansion go in rounds: round k expands, as any
+    expansion, the k-th block of 1, 2, 4, ... level-(n-1) tuples of every
+    replicate of the group not yet decided.  Without it the last expansion
+    is one.  After the last tuple of a group dies out, its remaining levels
+    are yielded empty."""
     m, t = batch.m, batch.t
     limit = min(limit, TUPLE_BUDGET)
-    tables = {}
+
+    @cache
+    def table(lev):
+        return _child_table(batch.factor[lev], batch.factor[lev + 1])
 
     def level(state, lev):
         """Prune and yield level lev of a group's tuples, then go deeper."""
@@ -357,23 +368,26 @@ def _traverse(batch, keep, n, limit, distinct=None):
             state = _prune_state(state, [idx] * m, test)
         if distinct is not None and lev >= distinct:
             state = state[_pairwise_distinct(state)]
+        if lev == n:
+            # only the consumer holds the last level's rep
+            yield lev, state, tree[state[:, 0]] // t
+            return
         rep = tree[state[:, 0]] // t
         yield lev, state, rep
-        if lev == n:
-            return
         if state.shape[0] == 0:
             for l2 in range(lev + 1, n + 1):
                 yield l2, state, rep
             return
-        yield from expand(state, rep, lev)
+        if lev < n - 1:
+            yield from expand(state, rep, lev)
+        else:
+            yield from last(state, rep)
 
-    def expand(state, rep, lev):
+    def expand(state, rep, lev, peak=None):
         """Expand a group's tuples to level lev + 1, halving the group first
         while it would hold too many; refuse a lone replicate that would."""
-        if lev not in tables:
-            tables[lev] = _child_table(batch.factor[lev], batch.factor[lev + 1])
-        table = tables[lev]
-        peak = _expansion_peak(state, table[2])
+        if peak is None:
+            peak = _expansion_peak(state, table(lev)[2])
         if peak > limit and rep[0] != rep[-1]:
             cut = _replicate_cut(rep)
             yield from expand(state[:cut], rep[:cut], lev)
@@ -381,12 +395,37 @@ def _traverse(batch, keep, n, limit, distinct=None):
             return
         _check_budget(peak)
         for j in range(m):
-            state = _expand_factor(state, j, *table)
+            state = _expand_factor(state, j, *table(lev))
         # hold no reference to the unpruned expansion while the consumer
         # works on what level() yields from it
         deeper = level(state, lev + 1)
         del state
         yield from deeper
+
+    def last(state, rep):
+        """The last expansion of a group, whole or, with decided, in rounds;
+        a replicate over TUPLE_BUDGET is refused before any of it is built."""
+        counts = table(n - 1)[2]
+        peak = _expansion_peak(state, counts)
+        reps, starts, lengths = np.unique(rep, return_index=True, return_counts=True)
+        if peak > TUPLE_BUDGET:
+            for a, k in zip(starts, lengths):
+                _check_budget(_expansion_peak(state[a : a + k], counts))
+        if decided is None:
+            yield from expand(state, rep, n - 1, peak)
+            return
+        lo, size = 0, 1
+        while True:
+            # the round: block rows lo..lo+size-1 of every undecided
+            # replicate with rows there
+            todo = np.flatnonzero(~decided[reps] & (lengths > lo))
+            if todo.shape[0] == 0:
+                return
+            count = np.minimum(lengths[todo] - lo, size)
+            rows = np.repeat(starts[todo] + lo - (np.cumsum(count) - count), count)
+            rows += np.arange(rows.shape[0])
+            yield from expand(state[rows], rep[rows], n - 1)
+            lo, size = lo + size, 2 * size
 
     # rows into the factor forest level; level 0 holds each tree's root, in
     # tree order

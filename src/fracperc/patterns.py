@@ -14,13 +14,9 @@ from . import geometry, intersect
 from .geometry import AffinePlane
 from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
-    GaltonWatsonLaw, _replicate_cut, _row_keys, coupled_law, forest_groups,
-    sample_forest,
+    GaltonWatsonLaw, _row_keys, coupled_law, forest_groups, sample_forest,
 )
-from .intersect import (
-    _Batch, _check_budget, _child_table, _expand_factor, _expansion_peak,
-    _lex_member, _pairwise_distinct, _poly_keep, _prune_state, _traverse,
-)
+from .intersect import _Batch, _lex_member, _poly_keep, _traverse
 from .rng import derive, replicate_seeds, root_key
 
 FAMILIES = (
@@ -74,6 +70,8 @@ class ConfigDescriptor:
             raise ConfigError("polygon needs at least 3 points")
         if self.family == "isometric" and p["sites"].shape[0] != 3:
             raise ConfigError("isometric family takes exactly 3 points")
+        if self.family == "triangle" and np.shape(p["ratios"]) != (2,):
+            raise ConfigError(f"ratios must be two numbers, got {p['ratios']!r}")
         object.__setattr__(self, "params", p)
 
     @property
@@ -435,7 +433,12 @@ def _detection_keep(desc, target, tolerance):
 def _detection_tolerance(desc, n, tolerance):
     """The detector's tolerance (default sqrt(d) * 2^-n), refused below the
     cube-centre resolution floor; arity > 4 beyond level 8 is refused as out
-    of budget."""
+    of budget, and a homothetic pattern of fewer than two sites, which has
+    no scale, as a config error."""
+    if desc.family == "homothetic" and desc.m < 2:
+        raise ConfigError(
+            f"homothetic detection needs at least 2 sites, got {desc.m}"
+        )
     if tolerance is None:
         tolerance = math.sqrt(desc.d) * 2.0 ** -n
     if tolerance < math.sqrt(desc.d) * 2.0 ** -n * (1 - 1e-9):
@@ -461,32 +464,23 @@ SWEEP_COUNTERS = (
 )
 
 
-def _witness_search(levels, m, keep, fit, n, counts, enumerate_all=False):
+def _witness_search(levels, m, keep, fit, n, counts, enumerate_all):
     """Branch-and-bound for witnesses in each tree of a forest of ancestor
     levels 0..n, every tree a replicate serving all m factors.
 
-    Levels 0..n-1 are the masses' traversal (_traverse) of the product of
-    each tree's cube hierarchy, pruned by keep(idx, level) (none when keep
-    is None), in groups of at most 4 * BATCH_TUPLES tuples.  The last
-    expansion, n-1 -> n, goes group by group in rounds: round k expands the
-    k-th block of every undecided tree's level-(n-1) tuples, blocks of 1,
-    2, 4, ... rows in row order (under enumerate_all one block of all its
-    rows), keeps the children that keep keeps and whose factor cubes are
-    pairwise distinct, the tree's level-n candidates, and verifies them at
-    once: fit(state (C, m)) -> (ok, params, unconverged) on at most
-    CHUNK_FLOATS // (m d) rows a call.  A tree is decided at its first
-    witness and its later blocks are never expanded; under enumerate_all no
-    tree is decided.  Block boundaries depend only on the tree's own rows
+    The search is the masses' traversal (_traverse) of the product of each
+    tree's cube hierarchy, pruned by keep(idx, level) (none when keep is
+    None), with factor cubes pairwise distinct at level n, in groups of at
+    most 4 * BATCH_TUPLES tuples.  Each level-n yield, the candidates of a
+    round, is verified at once: fit(state (C, m)) -> (ok, params,
+    unconverged) on at most CHUNK_FLOATS // (m d) rows a call.  A tree is
+    decided at its first witness and its later blocks are never expanded;
+    under enumerate_all no tree is decided and the last level is one
+    expansion.  Block boundaries depend only on the tree's own rows
     and a row's fit does not depend on the rows beside it, so each tree's
     candidates, fits and counters are those of its own one-tree search, and
     its first witness and tuples_checked those of checking its candidates
     one by one, in traversal order.
-
-    A round of several trees whose expansion would hold over
-    4 * BATCH_TUPLES tuples is halved at a tree boundary and each half goes
-    on alone.  A tree whose whole last expansion would hold over
-    TUPLE_BUDGET tuples raises BudgetError before any of its level-n tuples
-    exist.
 
     Adds each round's counts to counts, SWEEP_COUNTERS mapped to per-tree
     arrays as DetectionResult has them (candidate_tuples: the candidates
@@ -495,30 +489,15 @@ def _witness_search(levels, m, keep, fit, n, counts, enumerate_all=False):
     enumerate_all), in candidate order.  Only a round that builds
     candidates changes counts, and every such round yields."""
     reps = levels[0][0].shape[0]
-    tree_n, idx_n = levels[n]
-    limit = min(4 * intersect.BATCH_TUPLES, intersect.TUPLE_BUDGET)
-    cap = max(1, geometry.CHUNK_FLOATS // (m * idx_n.shape[1]))
-    decided = np.zeros(reps, dtype=bool)
-    table = None
+    cap = max(1, geometry.CHUNK_FLOATS // (m * levels[n][1].shape[1]))
+    decided = None if enumerate_all else np.zeros(reps, dtype=bool)
 
-    def expand(state, tree):
-        """Expand, prune and verify a round's level-(n-1) tuples state
-        (K, m) of trees tree (K,), halving while they would hold too many."""
-        if tree[0] != tree[-1] and _expansion_peak(state, table[2]) > limit:
-            cut = _replicate_cut(tree)
-            yield from expand(state[:cut], tree[:cut])
-            yield from expand(state[cut:], tree[cut:])
-            return
-        for j in range(m):
-            state = _expand_factor(state, j, *table)
-        if keep is not None:
-            state = _prune_state(state, [idx_n] * m, lambda _, idx: keep(idx, n))
-        state = state[_pairwise_distinct(state)]
-        if state.shape[0] == 0:
-            return
+    def verify(state):
+        """The hits of a round's candidates state (C, m), after adding their
+        counts and marking the trees they decide."""
         fits = [fit(state[a : a + cap]) for a in range(0, state.shape[0], cap)]
         ok, params, fails = (np.concatenate(out) for out in zip(*fits))
-        owner = tree_n[state[:, 0]]
+        owner = levels[n][0][state[:, 0]]
         hit = np.flatnonzero(ok)
         # the candidates checked: a decided tree's up to its first witness
         last = np.full(reps, state.shape[0])
@@ -532,30 +511,17 @@ def _witness_search(levels, m, keep, fit, n, counts, enumerate_all=False):
         counts["tuples_checked"] += np.bincount(owner[checked], minlength=reps)
         np.add.at(counts["newton_unconverged"], owner[checked], fails[checked])
         counts["detected"][owner[hit]] = 1
-        yield owner[hit], state[hit], params[hit]
+        return owner[hit], state[hit], params[hit]
 
-    for lev, state, tree in _traverse(_Batch(m, 1, reps, levels), keep, n - 1, limit):
-        if lev < n - 1 or state.shape[0] == 0:
-            continue
-        if table is None:
-            table = _child_table(levels[n - 1], levels[n])
-        starts = np.flatnonzero(np.r_[True, tree[1:] != tree[:-1]])
-        lengths = np.diff(np.r_[starts, tree.shape[0]])
-        if _expansion_peak(state, table[2]) > intersect.TUPLE_BUDGET:
-            for a, k in zip(starts, lengths):
-                _check_budget(_expansion_peak(state[a : a + k], table[2]))
-        lo, size = 0, state.shape[0] if enumerate_all else 1
-        while True:
-            # the round: block rows lo..lo+size-1 of every undecided tree
-            # with rows there
-            todo = np.flatnonzero(~decided[tree[starts]] & (lengths > lo))
-            if todo.shape[0] == 0:
-                break
-            count = np.minimum(lengths[todo] - lo, size)
-            skip = np.repeat(starts[todo] + lo - (np.cumsum(count) - count), count)
-            rows = skip + np.arange(skip.shape[0])
-            yield from expand(state[rows], tree[rows])
-            lo, size = lo + size, 2 * size
+    batch = _Batch(m, 1, reps, levels)
+    for lev, state, owner in _traverse(
+        batch, keep, n, 4 * intersect.BATCH_TUPLES, n, decided
+    ):
+        if lev == n and state.shape[0]:
+            # hold no owner during the fits, no candidate during the next round
+            del owner
+            yield verify(state)
+            del state
 
 
 def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
@@ -564,11 +530,11 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
     (N,) for d = 1, held by trees `tree` (N,), or all by tree `tree` if it
     is an int, with _detection_tolerance.  Trees with fewer than m cubes
     hold no candidate; the others are searched together (_witness_search).
-    Yields each round's hits as soon as they are verified, the arrays (tree
-    (H,), cubes (H, m, d), params (H, P)) of its trees' first witnesses
-    (every witness under enumerate_all, all of a tree's in one yield) in
-    check order, after filling their entries of counts: SWEEP_COUNTERS
-    mapped to (trees,) arrays, as DetectionResult has them."""
+    Yields the hits of each batch of candidates as soon as it is verified,
+    the arrays (tree (H,), cubes (H, m, d), params (H, P)) of its trees'
+    first witnesses (every witness under enumerate_all, all of a tree's in
+    one yield) in check order, after filling their entries of counts:
+    SWEEP_COUNTERS mapped to (trees,) arrays, as DetectionResult has them."""
     tolerance = _detection_tolerance(desc, n, tolerance)
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
@@ -595,7 +561,7 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
 
 def _detect_forest(tree, cubes, trees, desc, n, tolerance=None,
                    min_diameter=0.0, enumerate_all=False):
-    """(hits, counts) of _detect_groups in trees 0..trees-1, all rounds' hits concatenated."""
+    """(hits, counts) of _detect_groups in trees 0..trees-1, all its hits concatenated."""
     counts = {name: np.zeros(trees, dtype=np.int64) for name in SWEEP_COUNTERS}
     width = desc.ambient
     if desc.family in PLANE_FAMILIES:
@@ -623,12 +589,13 @@ def detect_configuration(
     Branch-and-bound over the product of the cube hierarchy with safe pruning
     (slab / interval arithmetic); candidates at level n are verified
     by a least-squares fit (plane families) or a polished polynomial root.
-    The last level is built from blocks of 1, 2, 4, ... level-(n-1) tuples,
-    each block's candidates verified as soon as they are built, so the
-    search builds no block after the one holding the first witness; the
-    witness and `tuples_checked` (its position + 1) are those of checking
-    every candidate one by one.  This is the one-tree call of the detection
-    that sweeps run on whole forests.
+    The traversal builds the last level from blocks of 1, 2, 4, ...
+    level-(n-1) tuples (one block of all under enumerate_all), each block's
+    candidates verified as soon as they are built, so the search builds no
+    block after the one holding the first witness; the witness and
+    `tuples_checked` (its position + 1) are those of checking every
+    candidate one by one.  This is the one-tree call of the detection that
+    sweeps run on whole forests.
 
     min_diameter sets a resolvability floor on the realized copy's diameter
     for the scale-bearing homothetic family (sub-resolution copies arise from
@@ -708,17 +675,17 @@ def presence_profiles(
     Replicate r's realization at p is coupled_slice(d, seeds[r], p, n) in
     coupled mode, else sample_tree(law at p, variant, seeds[r], n).  At each
     p of the sorted grid, the realizations of all replicates still to be
-    searched are grown as one forest and detected as one batch: levels
-    0..n-1 are traversed together, in groups of at most 4 * BATCH_TUPLES
-    tuples (four times the masses' cap), and each group's last level is
-    built in rounds, every replicate from its own blocks of 1, 2, 4, ...
+    searched are grown as one forest and detected as one batch: they are
+    traversed together, in groups of at most 4 * BATCH_TUPLES tuples (four
+    times the masses' cap), and the traversal builds each group's last
+    level in rounds, every replicate from its own blocks of 1, 2, 4, ...
     level-(n-1) tuples, each round's candidates verified at once, until the
     replicate's first witness.  Each presence equals that of
     detect_configuration on the replicate's realization alone.  A replicate
     whose traversal alone would hold over intersect.TUPLE_BUDGET tuples at
     a level raises BudgetError: the budget is checked once per expansion,
     from its peak, before any factor expands (at the last level, before
-    the replicate's first block).
+    any replicate of its group expands).
 
     Coupled mode percolates one uniform field per replicate and slices it
     at every p, so each profile is monotone nondecreasing in p by

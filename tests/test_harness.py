@@ -142,6 +142,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["perc-dim-test", "p_grid=0.5"],
         ["intersect", "family=distance", "d=2", "m=2", "mc_samples=0"],
         ["sweep", "coupled=bogus"],
+        ["sweep", "family=triangle", "d=2", "ratios=1"],
+        ["sweep", "family=triangle", "d=2", "ratios=1,2,3"],
         ["holder", "gammas="],
         ["intersect", "family=triangle", "d=2"],
         ["second-moment", "family=triangle", "d=2"],
@@ -183,6 +185,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{command} does not read config key(s) {key}" in err, err
 
+
+
+def test_detection_refuses_a_one_site_homothetic_pattern(tmp_path, capsys):
+    # One site has no scale to fit: the detecting commands refuse it as a
+    # config error naming the site count, while intersect, whose m = 1 mass
+    # needs no scale, runs it.
+    for command in ("sweep", "pattern-dim", "stress"):
+        capsys.readouterr()
+        argv = [command, "--preset", "smoke", "sites=0", "--out", str(tmp_path / command)]
+        assert main(argv) == 2, command
+        assert "needs at least 2 sites, got 1" in capsys.readouterr().err
+    assert main(["intersect", "--preset", "smoke", "sites=0", "--out", str(tmp_path / "i")]) == 0
 
 def test_readme_example_block_runs(tmp_path, monkeypatch):
     # The README's example block of fracperc command lines runs as written,
@@ -666,6 +680,38 @@ def test_dimension_leaves_extinct_replicates_out(tmp_path, variant):
     assert results["mean_slope"] is None and results["se"] is None
     assert read_csv(str(none / "results.csv"))[1] == []
 
+
+
+def test_pattern_dim_leaves_replicates_without_a_witness_out(tmp_path):
+    # A replicate without a witness has no parameter set to box-count: its
+    # row and its slope are left out and summary.json counts it.  The other
+    # rows are their one-tree slopes, in replicate order; with no witness
+    # anywhere the mean and its s.e. are null and nothing warns.
+    argv = ["pattern-dim", "--preset", "smoke", "--seed", "7"]
+    out = tmp_path / "some"
+    assert main(argv + ["--out", str(out)]) == 0
+    cfg = ExperimentConfig("pattern-dim", preset="smoke")
+    n, law, reps = cfg.i("n"), cfg.law(), cfg.i("replicates")
+    want = []
+    for seed in fp.rng.replicate_seeds(7, reps):
+        tree = fp.sample_tree(law, cfg.s("variant"), seed, n)
+        est = fp.pattern_parameter_dimension(tree, cfg.sites(), n, cfg.i("j_lo"))
+        if est.witnesses:
+            want.append((seed, est.slope))
+    assert 0 < len(want) < reps
+    _, rows = read_csv(str(out / "results.csv"))
+    assert [(int(r["seed"]), float(r["Y"])) for r in rows] == want
+    results = _strict_json((out / "summary.json").read_text())["results"]
+    assert results["no_witness"] == reps - len(want)
+    assert results["mean_slope"] == float(np.mean([s for _, s in want]))
+    none = tmp_path / "none"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["variant=extinction", "p=0.3", "--out", str(none)]) == 0
+    results = _strict_json((none / "summary.json").read_text())["results"]
+    assert results["no_witness"] == reps
+    assert results["mean_slope"] is None and results["se"] is None
+    assert read_csv(str(none / "results.csv"))[1] == []
 
 def test_shape_cubes_full_grid_and_budget(tmp_path):
     # The full grid is every cube in lexicographic order, as itertools

@@ -701,6 +701,96 @@ def test_batch_over_budget_is_split_not_refused(monkeypatch):
         replicate_masses(specs[0], keys, target, n)
 
 
+
+def _progression_batch(keys):
+    """The replicates of the independent-hyperplane case drawn from keys,
+    their keep predicate and level n."""
+    mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-hyperplane"]
+    law = intersect.ProductLaw(fp.GaltonWatsonLaw.create(d, p), variant, mode, m)
+    return law, target, _grown_batch(law, keys, n), n
+
+
+def _last_level_rows(batch, keep, n, decided, mark=False):
+    """Each replicate's level-n rows of the traversal with `decided`, in
+    order, and the replicates of each level-n yield; with mark, every
+    replicate of a yield is marked decided after it."""
+    rows, yields = {}, []
+    for lev, state, rep in _traverse(batch, keep, n, 40, None, decided):
+        if lev == n and rep.shape[0]:
+            yields.append(set(rep.tolist()))
+            for r in yields[-1]:
+                rows.setdefault(r, []).extend(state[rep == r].tolist())
+            if mark:
+                decided[rep] = True
+    return rows, yields
+
+
+def test_last_level_rounds_match_the_one_expansion():
+    # With `decided` the last expansion goes in rounds of blocks of 1, 2,
+    # 4, ... level-(n-1) tuples of every undecided replicate.  Never set,
+    # each replicate's level-n rows are those of the one expansion, in
+    # order, over several yields; a replicate marked decided after its first
+    # yield is in no later yield, and its rows are a prefix of the others.
+    keys = root_key(np.arange(300, 312, dtype=np.uint64))
+    _, target, batch, n = _progression_batch(keys)
+    keep = _target_keep(target)
+    whole, once = _last_level_rows(batch, keep, n, None)
+    assert len(whole) > 1 and all(len(yields) == 1 for yields in [
+        [y for y in once if r in y] for r in whole
+    ])
+    rounds, yields = _last_level_rows(batch, keep, n, np.zeros(len(keys), dtype=bool))
+    assert rounds == whole
+    assert max(sum(r in y for y in yields) for r in whole) > 2
+    decided = np.zeros(len(keys), dtype=bool)
+    first, yields = _last_level_rows(batch, keep, n, decided, mark=True)
+    for k, y in enumerate(yields):
+        assert not y & set().union(*yields[:k])
+    assert decided[list(whole)].all() and set(first) == set(whole)
+    assert all(got == whole[r][: len(got)] for r, got in first.items())
+    assert sum(map(len, first.values())) < sum(map(len, whole.values()))
+
+
+@pytest.mark.parametrize("caller", ["masses", "enumerate-all"])
+def test_last_level_budget_refuses_before_any_of_the_group(caller, monkeypatch):
+    # A replicate whose last expansion is over TUPLE_BUDGET, behind one that
+    # fits in the same group: the usual BudgetError comes before any
+    # expansion of the group's last level, not after the first replicate's.
+    from fracperc.patterns import _detect_forest, _forest_ancestors
+
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 1 << 40)
+    if caller == "masses":
+        keys = root_key(np.arange(300, 302, dtype=np.uint64))
+        law, target, batch, n = _progression_batch(keys)
+        last_rows, peak = batch.factor[n][0].shape[0], 236
+
+        def run():
+            replicate_masses(law, keys, target, n)
+    else:
+        desc, n = fp.ConfigDescriptor("homothetic", 2, {"sites": [[0, 0], [1, 0], [0, 1]]}), 3
+        grid = np.array([(i, j) for i in range(8) for j in range(8)])
+        cubes = np.concatenate([[(0, 0), (2, 0), (0, 2), (7, 7)], grid])
+        tree = np.repeat([0, 1], [4, grid.shape[0]])
+        last_rows, peak = _forest_ancestors(tree, cubes, n)[1][n][0].shape[0], 199936
+
+        def run():
+            _detect_forest(tree, cubes, 2, desc, n, enumerate_all=True)
+    built = []
+
+    def recording(state, col, order, *table):
+        if order.shape[0] == last_rows:
+            built.append(col)
+        return _expand_factor(state, col, order, *table)
+
+    monkeypatch.setattr(intersect, "_expand_factor", recording)
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak - 1)
+    with pytest.raises(BudgetError, match=rf"would hold {peak} tuples \(budget {peak - 1}\)"):
+        run()
+    assert built == []
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak)
+    run()
+    assert built
+
+
 def test_forest_over_budget_is_grown_in_halves(monkeypatch):
     law = fp.GaltonWatsonLaw.create(2, 0.9)
     seeds = np.arange(10, 16, dtype=np.uint64)

@@ -935,16 +935,17 @@ def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
     seeds = np.array([fp.rng.derive(fp.rng.root_key(11), r + 1) for r in range(40)])
     tree, cubes = fp.sample_forest(coupled_law(2, 0.35), "coupled", seeds, n)[n]
     _, levels = _forest_ancestors(tree, cubes, n, desc.m)
-    expand = patterns._expand_factor
+    expand = intersect._expand_factor
     held = []
 
-    def recording(state, col, *table):
-        out = expand(state, col, *table)
-        # the expanded column holds level-n rows
-        held.append((out.shape[0], np.unique(levels[n][0][out[:, col]]).shape[0]))
+    def recording(state, col, order, *table):
+        out = expand(state, col, order, *table)
+        if order.shape[0] == levels[n][0].shape[0]:
+            # the expanded column holds level-n rows
+            held.append((out.shape[0], np.unique(levels[n][0][out[:, col]]).shape[0]))
         return out
 
-    monkeypatch.setattr(patterns, "_expand_factor", recording)
+    monkeypatch.setattr(intersect, "_expand_factor", recording)
     fp.presence_profiles(desc, [0.35], n, seeds)
     assert len(held) > desc.m
     several = [size for size, trees in held if trees > 1]
@@ -960,26 +961,27 @@ def test_detection_stops_expanding_at_the_first_witness(floor, monkeypatch):
     # every candidate one by one.  With no diameter floor the witness lies
     # in the first block (the first tuple, of one cube thrice, has three
     # children forming a copy); the floor pushes it to a later one.
-    from fracperc import patterns
+    from fracperc import intersect, patterns
 
     desc, n = desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3
     cubes = np.array([(i, j) for i in range(8) for j in range(8)])
-    expand, fit_rows = patterns._expand_factor, patterns._fit_rows
+    expand, fit_rows = intersect._expand_factor, patterns._fit_rows
     blocks, fitted = [], []
 
-    def recording(state, col, *table):
-        if col == 0:
+    def recording(state, col, order, *table):
+        # the last level's expansions: one order entry per level-n cube
+        if col == 0 and order.shape[0] == cubes.shape[0]:
             blocks.append(state.shape[0])
-        return expand(state, col, *table)
+        return expand(state, col, order, *table)
 
     def fitting(desc, target, centers, *args):
         fitted.append(centers.shape[0])
         return fit_rows(desc, target, centers, *args)
 
-    monkeypatch.setattr(patterns, "_expand_factor", recording)
+    monkeypatch.setattr(intersect, "_expand_factor", recording)
     monkeypatch.setattr(patterns, "_fit_rows", fitting)
     res = fp.detect_configuration(cubes, desc, n, min_diameter=floor)
-    monkeypatch.setattr(patterns, "_expand_factor", expand)
+    monkeypatch.setattr(intersect, "_expand_factor", expand)
     monkeypatch.setattr(patterns, "_fit_rows", fit_rows)
     _, counts = patterns._detect_forest(0, cubes, 1, desc, n, min_diameter=floor)
     found, witness, checked, unconverged = _serial_detection(cubes, desc, n, False, floor)
@@ -1003,7 +1005,7 @@ def test_last_level_budget_refuses_before_the_first_block(monkeypatch):
     # before any of its level-n tuples exist, although its first block
     # holds a witness and alone fits the budget; at that budget plus one
     # tuple the same detection runs.
-    from fracperc import intersect, patterns
+    from fracperc import intersect
     from fracperc.intersect import _Batch, _child_table, _expansion_peak, _traverse
 
     desc, n = desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3
@@ -1013,13 +1015,14 @@ def test_last_level_budget_refuses_before_the_first_block(monkeypatch):
     (state,) = [s for lev, s, _ in _traverse(_Batch(3, 1, 1, levels), keep, n - 1, 1 << 40)
                 if lev == n - 1]
     peak = _expansion_peak(state, _child_table(levels[n - 1], levels[n])[2])
-    expand, built = patterns._expand_factor, []
+    expand, built = intersect._expand_factor, []
 
-    def recording(state, col, *table):
-        built.append(col)
-        return expand(state, col, *table)
+    def recording(state, col, order, *table):
+        if order.shape[0] == levels[n][0].shape[0]:
+            built.append(col)
+        return expand(state, col, order, *table)
 
-    monkeypatch.setattr(patterns, "_expand_factor", recording)
+    monkeypatch.setattr(intersect, "_expand_factor", recording)
     monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak - 1)
     with pytest.raises(BudgetError, match=rf"would hold {peak} tuples \(budget {peak - 1}\)"):
         fp.detect_configuration(cubes, desc, n)
