@@ -12,12 +12,13 @@ three rounds): 400 surviving d=2 trees (p=0.8) to level 8, the trees of
 `sample --preset paper d=2`, grown by forest_groups, and the same trees by
 sample_tree one by one.
 
-It then times the one product-cube traversal (`intersect._traverse`) that
+It then times the one product-cube traversal (`intersect._frontier`) that
 masses and detection share, in tuples tested by its keep predicate per
 second (the least of five rounds), the level-n tuples among them (those
-the last expansion builds) and the fraction of them that the predicate
-drops, in the groups each caller uses (BATCH_TUPLES tuples for the masses,
-four times as many for detection):
+the last level's steps build) and the fraction of them that the predicate
+drops, in steps of at most BATCH_TUPLES tuples.  From one more, untimed
+round it prints the steps at each level and the most tuples held at once
+(the rows of every level's queue plus the level-n step's):
   mass:      200 replicates of three d=1, p=0.8 extinction trees to level 6,
              pruned against the plane x - 2y + z = 0 (the mass-plane
              benchmark's inputs);
@@ -26,8 +27,8 @@ four times as many for detection):
              under the detector's widened slab prune, as one batch of
              those slices, the way a sweep detects them: the whole search
              (`patterns._witness_search`), for which the traversal builds
-             the last level in rounds of blocks of level-8 tuples, each
-             round verified at once with the sweep's diameter floor, so its
+             the last level from blocks of level-8 tuples, each step
+             verified at once with the sweep's diameter floor, so its
              seconds include the fits and each replicate stops at its
              first witness.
 
@@ -46,7 +47,7 @@ least of three rounds): `parameter_dimensions` of the 3-term progression
 pattern on the level-8 cubes of the first 50 replicates of
 `pattern-dim --preset paper --seed 1` (d=1, p=0.8, surviving trees), as one
 forest, the call the command makes: every replicate's witnesses are
-enumerated in one batch and box-counted group by group.
+enumerated in one batch and box-counted replicate by replicate.
 
 Then it times greedy removal, in cubes removed per second (the least of
 three rounds): `_greedy_removals` of a fifth of the level-8 cubes of each of
@@ -59,7 +60,7 @@ Last, it times the coarea kernel, in product cubes measured per second (the
 least of three rounds): the variety |x - y| = 0.5 on the level-3 product
 cubes of `intersect --seed 1000` in the mass-variety benchmark's
 configuration (d=2, m=2, p=0.7, extinction trees, 16 replicates, 4096 QMC
-points a cube), group by group through the run's store of measured cubes,
+points a cube), step by step through the run's store of measured cubes,
 as the command measures them: `variety_level_measure` sees each distinct
 cube of the run once.  The distinct column counts those cubes, and the near
 column those of them with a sample near the variety (a finite smallest J_q):
@@ -71,18 +72,17 @@ Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [reps]   (default 500)
 import math
 import sys
 import time
+import weakref
 
 import numpy as np
 
-from fracperc import geometry
+from fracperc import geometry, intersect, patterns
 from fracperc.intersect import (
-    BATCH_TUPLES,
     ProductLaw,
     _grown_batch,
     _measure_once,
     _product_idx,
     _target_keep,
-    _traverse,
 )
 from fracperc.patterns import (
     SWEEP_COUNTERS,
@@ -109,10 +109,40 @@ from fracperc.polynomials import _coarea_level, variety_level_measure
 from fracperc.rng import replicate_seeds, root_key
 
 
+def frontier_shape(search, keep, n):
+    """(steps at each level, most tuples held at once) of one search(keep):
+    the rows of every live queue, plus those of a level-n step."""
+    queues = weakref.WeakSet()
+    steps = np.zeros(n + 1, dtype=np.int64)
+    most = 0
+    queue, frontier = intersect._Queue, intersect._frontier
+
+    class Recording(queue):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queues.add(self)
+
+    def counting(*args):
+        nonlocal most
+        for lev, state, rep in frontier(*args):
+            steps[lev] += 1
+            held = sum(q.state.shape[0] for q in queues)
+            most = max(most, held + (state.shape[0] if lev == n else 0))
+            yield lev, state, rep
+
+    intersect._Queue, intersect._frontier, patterns._frontier = Recording, counting, counting
+    try:
+        search(keep)
+    finally:
+        intersect._Queue, intersect._frontier, patterns._frontier = queue, frontier, frontier
+    return steps, most
+
+
 def traversal(search, keep, n, rounds=5):
-    """(tuples tested, level-n tuples tested, seconds, fraction dropped) of
-    search(keep) with a keep predicate that counts what it tests; the
-    seconds are the least of `rounds` repeats."""
+    """(tuples tested, level-n tuples tested, seconds, fraction dropped,
+    steps per level, most tuples held) of search(keep) with a keep
+    predicate that counts what it tests; the seconds are the least of
+    `rounds` repeats."""
     secs = []
     for _ in range(rounds):
         tested = np.zeros(n + 1, dtype=np.int64)
@@ -129,7 +159,8 @@ def traversal(search, keep, n, rounds=5):
         search(counting)
         secs.append(time.perf_counter() - t0)
     total = int(tested.sum())
-    return total, int(tested[n]), min(secs), 1.0 - kept / total
+    return (total, int(tested[n]), min(secs), 1.0 - kept / total,
+            *frontier_shape(search, keep, n))
 
 
 def mass_traversal():
@@ -140,7 +171,7 @@ def mass_traversal():
     batch = _grown_batch(ProductLaw(law, "extinction", "independent", m), keys, n)
 
     def search(keep):
-        for _ in _traverse(batch, keep, n, BATCH_TUPLES):
+        for _ in intersect._frontier(batch, keep, n):
             pass
 
     return traversal(search, _target_keep(configuration_plane(desc)), n)
@@ -269,21 +300,25 @@ def coarea_measure(rounds=3):
     batch = _grown_batch(law, keys, n)
     calls = [
         _product_idx(state, [batch.factor[n][1]] * desc.m)
-        for lev, state, _ in _traverse(batch, _target_keep(target), n, BATCH_TUPLES)
-        if lev == n and state.shape[0]
+        for lev, state, _ in intersect._frontier(batch, _target_keep(target), n)
+        if lev == n
     ]
     secs = []
     for _ in range(rounds):
+        held, measured = [], []
+
+        def measure(cubes):
+            measured.append(cubes)
+            return variety_level_measure(target, cubes, n, 4096)
+
         t0 = time.perf_counter()
-        held = None
         for idx in calls:
-            _, _, held = _measure_once(
-                held, idx, lambda cubes: variety_level_measure(target, cubes, n, 4096)
-            )
+            _measure_once(held, idx, n, measure)
         secs.append(time.perf_counter() - t0)
     rows = sum(idx.shape[0] for idx in calls)
-    near = np.isfinite(_coarea_level(target, held[0], n, 4096)[2]).sum()
-    return rows, held[0].shape[0], near, min(secs)
+    cubes = np.concatenate(measured)
+    near = np.isfinite(_coarea_level(target, cubes, n, 4096)[2]).sum()
+    return rows, cubes.shape[0], near, min(secs)
 
 
 def main():
@@ -311,11 +346,15 @@ def main():
     print(f"{'d=2 p=0.8':>10}{cubes:>12}{groups:>10}{grouped:>12.3f}{alone:>10.3f}")
 
     print()
-    print(f"{'traversal':>10}{'tuples':>12}{'level n':>10}{'s':>10}{'tuples/s':>14}{'pruned':>10}")
+    print(
+        f"{'traversal':>10}{'tuples':>12}{'level n':>10}{'s':>10}{'tuples/s':>14}"
+        f"{'pruned':>10}{'held':>8}  steps per level"
+    )
     for name, run in (("mass", mass_traversal), ("detection", detection_traversal)):
-        tested, last, secs, dropped = run()
+        tested, last, secs, dropped, steps, held = run()
         print(
-            f"{name:>10}{tested:>12}{last:>10}{secs:>10.3f}{tested / secs:>14.0f}{dropped:>10.3f}"
+            f"{name:>10}{tested:>12}{last:>10}{secs:>10.3f}{tested / secs:>14.0f}"
+            f"{dropped:>10.3f}{held:>8}  {','.join(map(str, steps.tolist()))}"
         )
 
     print()

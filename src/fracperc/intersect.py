@@ -12,13 +12,12 @@ from .errors import BudgetError, ConfigError, DegenerateInputError
 from .geometry import AffinePlane, _row_chunks, plane_level_keep, plane_level_measure
 from .polynomials import variety_level_measure
 from .percolation import (
-    MAX_CUBES, GaltonWatsonLaw, _replicate_cut, _row_keys, resample_level,
-    sample_forest,
+    MAX_CUBES, GaltonWatsonLaw, _row_keys, resample_level, sample_forest,
 )
 from .rng import derive, root_key
 
-# Most tuples one replicate's traversal may hold while it expands a level
-# (checked once per expansion, from its peak, before any factor expands).
+# Most tuples the traversal's steps may build for one replicate at a level
+# (each step's expansion peak is counted before any of it is built).
 TUPLE_BUDGET = 5_000_000
 DEFAULT_MC_PER_CUBE = 1 << 12
 
@@ -291,222 +290,224 @@ def _grown_batch(law, keys, n):
 # ---------------------------------------------------------------------------
 # Pruned product-cube traversal
 
-# Most tuples a group of several replicates may hold while a level of their
-# masses is expanded (detection, whose rows are lighter, allows four times
-# as many).  A larger group is halved at a replicate boundary and each half
-# goes on alone, so the rows a batch holds at once (its tuples, their product
-# indices and the kernels' temporaries) stay near those of the largest single
-# replicate, whatever the number of replicates.
-BATCH_TUPLES = 1 << 11
+# Most tuples one step of the traversal may hold while it expands (at least
+# one row is taken): each queue is filled by one step, so a traversal to
+# level n holds about n times as many, whatever the number of replicates.
+BATCH_TUPLES = 1 << 12
 
 
-def _expansion_peak(state, counts):
-    """Most tuples held while the factors of `state` are expanded one by one
-    (counts: children per factor-cube row)."""
-    c = np.ones(state.shape[0], dtype=np.int64)
-    peak = 0
-    for j in range(state.shape[1]):
-        c *= counts[state[:, j]]
-        peak = max(peak, int(c.sum()))
-    return peak
+class _Queue:
+    """Tuples of one level waiting to be expanded, from row `at` on: state
+    (K, m), their replicates rep (K,), and held (H, K+1), the running sums
+    over rows of sizes (H, K), the tuples a row holds as its factors expand
+    one by one (only the last when it is the largest).  Rows come in
+    replicate order within each round (K,), nondecreasing, when given; a
+    step takes rows of one round."""
+
+    def __init__(self, state, rep, sizes, rounds=None):
+        self.state, self.rep, self.rounds, self.at = state, rep, rounds, 0
+        self.span = slice(rep.min(initial=0), rep.max(initial=-1) + 1)  # rows' replicates
+        self.held = np.zeros((sizes.shape[0], rep.shape[0] + 1), dtype=np.int64)
+        np.cumsum(sizes, axis=1, out=self.held[:, 1:])
+
+    def keep(self, live):
+        """The queue of the rows left whose replicate `live` marks."""
+        rows = self.at + np.flatnonzero(live[self.rep[self.at :]])
+        sizes = self.held[:, rows + 1] - self.held[:, rows]
+        rounds = None if self.rounds is None else self.rounds[rows]
+        return _Queue(self.state[rows], self.rep[rows], sizes, rounds)
+
+    def take(self, limit):
+        """(state, reps, peaks) of the next step: the most rows from `at`, in
+        one round, whose expansion holds at most `limit` tuples (at least
+        one), their replicates and the most tuples each one's rows hold."""
+        a, end, held = self.at, self.rep.shape[0], self.held
+        if self.rounds is not None:
+            end = int(self.rounds.searchsorted(self.rounds[a], side="right"))
+        k = end - a
+        for h in held:
+            k = min(k, int(h[a + 1 : end + 1].searchsorted(h[a] + limit, side="right")))
+        b = self.at = a + max(k, 1)
+        rep = self.rep[a:b]
+        if rep[0] == rep[-1]:
+            return self.state[a:b], rep[:1], (held[:, b] - held[:, a]).max(keepdims=True)
+        # the rows where each replicate starts, and the step's end
+        cuts = np.concatenate([[a], a + 1 + np.flatnonzero(rep[1:] != rep[:-1]), [b]])
+        h = held[:, cuts]
+        return self.state[a:b], self.rep[cuts[:-1]], (h[:, 1:] - h[:, :-1]).max(axis=0)
 
 
-def _check_budget(peak):
-    """Refuse an expansion of one replicate whose peak is over TUPLE_BUDGET."""
-    if peak > TUPLE_BUDGET:
-        raise BudgetError(f"traversal would hold {peak} tuples (budget {TUPLE_BUDGET})")
+def _frontier(batch, keep, n, distinct=None, decided=None):
+    """Yield (level, state (K, m), rep (K,)) for levels 0..n, in steps with
+    tuples: tuples of surviving factor cubes, as rows into the factor forest
+    level, whose product cube keep(idx (C, m*d), level) -> bool (C,) keeps
+    (all when keep is None) and the replicate's aux tree holds; from level
+    `distinct` on (never when None) their factor rows are pairwise distinct.
+    rep is each tuple's replicate.
 
+    Each level below n has a queue, filled only when it is empty.  Each step
+    takes rows in order from the deepest non-empty queue, as many as keep
+    their expansion's peak at or below BATCH_TUPLES, then expands, prunes
+    and yields them, and they fill the next queue.  So each replicate's
+    tuples at a level come, over one or more steps, in the order of its own
+    traversal, and without `decided` all level-n tuples in replicate order.
+    Before a step expands, the peak of each replicate's rows in it is added
+    to the replicate's count at the next level: a count over TUPLE_BUDGET
+    raises BudgetError, and nothing of the step is built.
 
-def _traverse(batch, keep, n, limit, distinct=None, decided=None):
-    """Yield (level, state (K, m), rep (K,)) for levels 0..n: tuples of
-    surviving factor cubes, as rows into the factor forest level, whose
-    product cube keep(idx (C, m*d), level) -> bool (C,) keeps (all when keep
-    is None) and the replicate's aux tree holds; from level `distinct` on
-    (never when None) their factor rows are pairwise distinct.  rep is each
-    tuple's replicate.  A replicate's tuples at a level come in one yield
-    (at level n with decided, one per round), contiguous and in the order
-    of its own one-replicate traversal, since expansion, pruning and
-    splitting keep row order.
-
-    Replicates go depth-first in groups.  Each expansion first takes its
-    peak, the most tuples it would hold (_expansion_peak).  When the peak
-    of a group of several replicates is over min(limit, TUPLE_BUDGET), the
-    group is halved at a replicate boundary and each half goes on alone, so
-    a level may be yielded once per group: the masses pass BATCH_TUPLES as
-    the limit, detection 4 * BATCH_TUPLES.  A lone replicate is never
-    split: a peak over TUPLE_BUDGET raises BudgetError before any factor
-    expands, and at the last expansion, n-1 -> n, before any replicate of
-    its group expands.
-
-    decided, a (reps,) bool array that the consumer may set between
-    yields, has the last expansion go in rounds: round k expands, as any
-    expansion, the k-th block of 1, 2, 4, ... level-(n-1) tuples of every
-    replicate of the group not yet decided.  Without it the last expansion
-    is one.  After the last tuple of a group dies out, its remaining levels
-    are yielded empty."""
-    m, t = batch.m, batch.t
-    limit = min(limit, TUPLE_BUDGET)
+    decided, a (reps,) bool array that the consumer may set between yields,
+    has each undecided replicate's level-(n-1) tuples go in blocks of 1, 2,
+    4, ..., at most one block of each replicate a step, and drops a decided
+    replicate's rows from every queue."""
+    m, t, limit = batch.m, batch.t, BATCH_TUPLES
 
     @cache
     def table(lev):
         return _child_table(batch.factor[lev], batch.factor[lev + 1])
 
-    def level(state, lev):
-        """Prune and yield level lev of a group's tuples, then go deeper."""
+    @cache
+    def aux_rows(lev):
+        return np.column_stack(batch.aux[lev])
+
+    def prune(state, lev):
+        """The tuples of `state` that level lev keeps, and their replicates."""
         tree, idx = batch.factor[lev]
-        held = None
         if batch.aux is not None:
-            held, rep = np.column_stack(batch.aux[lev]), tree[state[:, 0]] // t
+            rep = tree[state[:, 0]] // t
 
         def test(rows, x):
             ok = np.ones(x.shape[0], dtype=bool) if keep is None else keep(x, lev)
-            if held is not None:
-                ok &= _lex_member(held, np.column_stack([rep[rows], x]))
+            if batch.aux is not None:
+                ok &= _lex_member(aux_rows(lev), np.column_stack([rep[rows], x]))
             return ok
 
-        if keep is not None or held is not None:
+        if keep is not None or batch.aux is not None:
             state = _prune_state(state, [idx] * m, test)
         if distinct is not None and lev >= distinct:
             state = state[_pairwise_distinct(state)]
-        if lev == n:
-            # only the consumer holds the last level's rep
-            yield lev, state, tree[state[:, 0]] // t
-            return
-        rep = tree[state[:, 0]] // t
-        yield lev, state, rep
-        if state.shape[0] == 0:
-            for l2 in range(lev + 1, n + 1):
-                yield l2, state, rep
-            return
-        if lev < n - 1:
-            yield from expand(state, rep, lev)
-        else:
-            yield from last(state, rep)
+        return state, tree[state[:, 0]] // t
 
-    def expand(state, rep, lev, peak=None):
-        """Expand a group's tuples to level lev + 1, halving the group first
-        while it would hold too many; refuse a lone replicate that would."""
-        if peak is None:
-            peak = _expansion_peak(state, table(lev)[2])
-        if peak > limit and rep[0] != rep[-1]:
-            cut = _replicate_cut(rep)
-            yield from expand(state[:cut], rep[:cut], lev)
-            yield from expand(state[cut:], rep[cut:], lev)
-            return
-        _check_budget(peak)
-        for j in range(m):
-            state = _expand_factor(state, j, *table(lev))
-        # hold no reference to the unpruned expansion while the consumer
-        # works on what level() yields from it
-        deeper = level(state, lev + 1)
-        del state
-        yield from deeper
+    seen = np.zeros(batch.reps, dtype=np.int64)  # level-(n-1) rows queued
 
-    def last(state, rep):
-        """The last expansion of a group, whole or, with decided, in rounds;
-        a replicate over TUPLE_BUDGET is refused before any of it is built."""
-        counts = table(n - 1)[2]
-        peak = _expansion_peak(state, counts)
-        reps, starts, lengths = np.unique(rep, return_index=True, return_counts=True)
-        if peak > TUPLE_BUDGET:
-            for a, k in zip(starts, lengths):
-                _check_budget(_expansion_peak(state[a : a + k], counts))
-        if decided is None:
-            yield from expand(state, rep, n - 1, peak)
-            return
-        lo, size = 0, 1
-        while True:
-            # the round: block rows lo..lo+size-1 of every undecided
-            # replicate with rows there
-            todo = np.flatnonzero(~decided[reps] & (lengths > lo))
-            if todo.shape[0] == 0:
-                return
-            count = np.minimum(lengths[todo] - lo, size)
-            rows = np.repeat(starts[todo] + lo - (np.cumsum(count) - count), count)
-            rows += np.arange(rows.shape[0])
-            yield from expand(state[rows], rep[rows], n - 1)
-            lo, size = lo + size, 2 * size
+    def fill(state, rep, lev):
+        sizes = np.cumprod(table(lev)[2][state.T], axis=0)
+        if (sizes <= sizes[-1]).all():
+            sizes = sizes[-1:]  # the last is each row's largest
+        if decided is None or lev < n - 1:
+            return _Queue(state, rep, sizes)
+        # row i of a replicate, counting its earlier queues', is in block
+        # floor(log2(i + 1)); its first block in this queue goes in round 0
+        first = np.searchsorted(rep, rep)
+        rounds = np.frexp(seen[rep] + np.arange(rep.shape[0]) - first + 1)[1]
+        rounds -= rounds[first]
+        seen[:] += np.bincount(rep, minlength=seen.shape[0])
+        order = np.argsort(rounds, kind="stable")
+        return _Queue(state[order], rep[order], sizes[:, order], rounds[order])
 
     # rows into the factor forest level; level 0 holds each tree's root, in
     # tree order
     roots = np.arange(batch.reps * t, dtype=np.int64).reshape(batch.reps, t)
-    yield from level(np.repeat(roots, m // t, axis=1), 0)
+    state, rep = prune(np.repeat(roots, m // t, axis=1), 0)
+    queues, live = [None] * n, np.ones(batch.reps, dtype=bool)
+    built = np.zeros((n + 1, batch.reps), dtype=np.int64)
+    lev = -1  # the level expanded last
+    while True:
+        if state.shape[0]:
+            if lev + 1 < n:
+                queues[lev + 1] = fill(state, rep, lev + 1)
+            yield lev + 1, state, rep
+        del state, rep
+        if decided is not None and lev + 1 == n:
+            fresh = decided & live
+            if fresh.any():
+                live &= ~fresh
+                queues = [
+                    q.keep(live) if q and fresh[q.span].any() else q for q in queues
+                ]
+        busy = [j for j, q in enumerate(queues) if q is not None and q.at < q.rep.shape[0]]
+        if not busy:
+            return
+        lev = busy[-1]
+        state, reps, peaks = queues[lev].take(limit)
+        count = built[lev + 1, reps] + peaks
+        if count.max() > TUPLE_BUDGET:
+            raise BudgetError(
+                f"a replicate's traversal would build {count.max()} tuples at "
+                f"level {lev + 1} (budget {TUPLE_BUDGET})"
+            )
+        built[lev + 1, reps] = count
+        for j in range(m):
+            state = _expand_factor(state, j, *table(lev))
+        state, rep = prune(state, lev + 1)
 
 
 # ---------------------------------------------------------------------------
 # Level masses
 
-def _segment_sums(x, rep, start):
-    """Per-replicate sums of x, each equal to np.add.accumulate over the
-    replicate's rows: np.add.at is unbuffered and goes in index order.  Each
-    sum starts from start[r]: -0.0 (as -0.0 + x == x for every x) for a
-    replicate with rows, 0.0 for one without."""
-    out = start.copy()
-    np.add.at(out, rep, x)
-    return out
-
-
-def _measure_once(held, idx, measure):
-    """(values, ses, held) of the level cubes idx (K, M), measuring by
+def _measure_once(held, idx, level, measure):
+    """(values, ses) of the level cubes idx (K, M), measuring by
     measure(cubes (C, M)) -> (values, ses) only the cubes `held` lacks.
-    held is None or the lexsorted (cubes, values, ses) measured so far; the
-    returned one adds the cubes measured here."""
-    cubes, values, ses = held or (idx[:0], np.zeros(0), np.zeros(0))
-    # keys of separate calls are not comparable, so the held cubes are keyed
-    # again with each call's
-    held_key, key = _row_keys(cubes, idx)
-    new = ~np.isin(key, held_key)
-    new_key, first = np.unique(key[new], return_index=True)
-    if new_key.shape[0]:
-        fresh = idx[new][first]
-        v, s = measure(fresh)
-        at = np.searchsorted(held_key, new_key)
-        held_key = np.insert(held_key, at, new_key)
-        cubes = np.insert(cubes, at, fresh, axis=0)
-        values, ses = np.insert(values, at, v), np.insert(ses, at, s)
-    pos = np.searchsorted(held_key, key)
-    return values[pos], ses[pos], (cubes, values, ses)
+    held lists runs (keys, values, ses) of the cubes measured so far, each
+    sorted by key (_row_keys with the level's corner cubes, the same in
+    every call) and at most half as long as the one before: the cubes
+    measured here join as a run, merged with the shorter runs before it."""
+    corners = np.outer([0, (1 << level) - 1], np.ones(idx.shape[1], dtype=np.int64))
+    key = _row_keys(idx, corners)[0]
+    values, ses = np.empty(key.shape[0]), np.empty(key.shape[0])
+    todo = np.arange(key.shape[0])
+    for keys, v, s in held:
+        pos = np.minimum(np.searchsorted(keys, key[todo]), keys.shape[0] - 1)
+        hit = keys[pos] == key[todo]
+        values[todo[hit]], ses[todo[hit]] = v[pos[hit]], s[pos[hit]]
+        todo = todo[~hit]
+    if todo.shape[0]:
+        keys, first, back = np.unique(key[todo], return_index=True, return_inverse=True)
+        v, s = measure(idx[todo[first]])
+        values[todo], ses[todo] = v[back], s[back]
+        while held and held[-1][0].shape[0] <= 2 * keys.shape[0]:
+            run = held.pop()
+            order = np.argsort(np.concatenate([run[0], keys]), kind="stable")
+            keys, v, s = (np.concatenate(pair)[order] for pair in zip(run, (keys, v, s)))
+        held.append((keys, v, s))
+    return values, ses
 
 
 def _batch_masses(law, batch, target, n, mc_samples, pruned):
     """(values, ses, counts), (R, n+1) arrays, of the batch's replicates in
-    the mode of the ProductLaw `law`: one kernel call per level and group,
-    summed per replicate.  A variety's kernel measures each product cube once
-    per run: a level's cubes met in an earlier group are looked up, not
-    measured again."""
-    shape = (batch.reps, n + 1)
-    totals, variances = np.zeros(shape), np.zeros(shape)
-    counts = np.zeros(shape, dtype=np.int64)
+    the mode of the ProductLaw `law`: one kernel call per step of the
+    traversal, added per replicate in row order.  A variety's kernel
+    measures each product cube once per run: a level's cubes met in an
+    earlier step are looked up, not measured again."""
+    # each sum starts from -0.0, as -0.0 + x == x for every x; one without
+    # rows is 0.0
+    totals, variances = np.full((2, n + 1, batch.reps), -0.0)
+    counts = np.zeros((n + 1, batch.reps), dtype=np.int64)
     # power mode's decomposition level, from which factors are distinct
     diag = law.diag_level if law.mode == "power" and law.m >= 2 else None
     keep = _target_keep(target) if pruned else None
-    held = {}  # level -> the variety cubes measured so far (_measure_once)
-    for lev, state, rep in _traverse(batch, keep, n, BATCH_TUPLES, diag):
-        if rep.shape[0] == 0:
-            continue
-        r0, r1 = int(rep[0]), int(rep[-1]) + 1
-        rep = rep - r0
-        cnt = np.bincount(rep, minlength=r1 - r0)
-        counts[r0:r1, lev] = cnt
+    held = [[] for _ in range(n + 1)]  # the variety cubes measured, by level
+    for lev, state, rep in _frontier(batch, keep, n, diag):
+        counts[lev] += np.bincount(rep, minlength=batch.reps)
         if diag is not None and lev < diag:
             continue
         idx_md = _product_idx(state, [batch.factor[lev][1]] * law.m)
         if isinstance(target, AffinePlane):
             vals, se = plane_level_measure(target, idx_md, lev, mc_samples)
         else:
-            vals, se, held[lev] = _measure_once(
-                held.get(lev), idx_md,
+            vals, se = _measure_once(
+                held[lev], idx_md, lev,
                 lambda cubes: variety_level_measure(target, cubes, lev, mc_samples),
             )
-        start = np.where(cnt > 0, -0.0, 0.0)
-        totals[r0:r1, lev] = _segment_sums(vals, rep, start)
-        variances[r0:r1, lev] = _segment_sums(se * se, rep, start)
+        # np.add.at is unbuffered and goes in index order
+        np.add.at(totals[lev], rep, vals)
+        np.add.at(variances[lev], rep, se * se)
+    totals[counts == 0] = variances[counts == 0] = 0.0
     f = np.array([law.density_factor(lev) for lev in range(n + 1)])
-    values, ses = f * totals, f * np.sqrt(variances)
+    values, ses = f * totals.T, f * np.sqrt(variances.T)
     # below the power mode's decomposition level the mass includes the
     # diagonal and is not reported
     values[:, : diag or 0] = ses[:, : diag or 0] = np.nan
-    return values, ses, counts
+    return values, ses, counts.T
 
 
 def _kernel_name(law, target):
@@ -578,13 +579,13 @@ def replicate_masses(
     Replicate r's factor tree j has seed derive(keys[r], j + 1), and in
     weighted mode its product-space tree derive(keys[r], T + 1), for its T
     factor trees (one in power mode, else m).  All replicates are grown as
-    one forest and traversed together, in groups of at most BATCH_TUPLES
-    tuples, with one kernel call per level and group.  Each series is equal,
-    bit for bit, to intersection_mass on that replicate's trees alone.  A
-    replicate whose traversal alone would hold over intersect.TUPLE_BUDGET
-    tuples at a level (checked once per expansion, from its peak, before
-    any factor expands), or a tree over percolation.MAX_CUBES cubes, raises
-    BudgetError; a batch that only exceeds them together is split.
+    one forest and traversed together (_frontier), in steps of at most
+    BATCH_TUPLES tuples, with one kernel call per step.  Each series is
+    equal, bit for bit, to intersection_mass on that replicate's trees
+    alone.  A replicate whose steps would build over intersect.TUPLE_BUDGET
+    tuples at a level (counted before each step is built), or a tree over
+    percolation.MAX_CUBES cubes, raises BudgetError; a batch that only
+    exceeds them together is not refused.
     """
     _check_target(law, target)
     keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))

@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DegenerateInputError
-from . import geometry, intersect
+from . import geometry
 from .geometry import AffinePlane
 from .polynomials import PolynomialMap, newton_refine_rows
 from .percolation import (
     GaltonWatsonLaw, _row_keys, coupled_law, forest_groups, sample_forest,
 )
-from .intersect import _Batch, _lex_member, _poly_keep, _traverse
+from .intersect import _Batch, _frontier, _lex_member, _poly_keep
 from .rng import derive, replicate_seeds, root_key
 
 FAMILIES = (
@@ -468,36 +468,31 @@ def _witness_search(levels, m, keep, fit, n, counts, enumerate_all):
     """Branch-and-bound for witnesses in each tree of a forest of ancestor
     levels 0..n, every tree a replicate serving all m factors.
 
-    The search is the masses' traversal (_traverse) of the product of each
+    The search is the masses' traversal (_frontier) of the product of each
     tree's cube hierarchy, pruned by keep(idx, level) (none when keep is
-    None), with factor cubes pairwise distinct at level n, in groups of at
-    most 4 * BATCH_TUPLES tuples.  Each level-n yield, the candidates of a
-    round, is verified at once: fit(state (C, m)) -> (ok, params,
-    unconverged) on at most CHUNK_FLOATS // (m d) rows a call.  A tree is
-    decided at its first witness and its later blocks are never expanded;
-    under enumerate_all no tree is decided and the last level is one
-    expansion.  Block boundaries depend only on the tree's own rows
-    and a row's fit does not depend on the rows beside it, so each tree's
-    candidates, fits and counters are those of its own one-tree search, and
-    its first witness and tuples_checked those of checking its candidates
-    one by one, in traversal order.
+    None), with factor cubes pairwise distinct at level n.  Each level-n
+    step's candidates are verified at once: fit(state (C, m)) -> (ok,
+    params, unconverged) on at most CHUNK_FLOATS // (m d) rows a call.  A
+    tree is decided at its first witness (never under enumerate_all), and
+    its candidates come in its own order from blocks of 1, 2, 4, ...
+    level-(n-1) tuples, so its first witness and tuples_checked are those
+    of checking its candidates one by one.
 
-    Adds each round's counts to counts, SWEEP_COUNTERS mapped to per-tree
+    Adds each step's counts to counts, SWEEP_COUNTERS mapped to per-tree
     arrays as DetectionResult has them (candidate_tuples: the candidates
-    built), and then yields its hits (tree (H,), state (H, m), params (H,
-    P)): the first witness of each tree decided in it (every witness under
-    enumerate_all), in candidate order.  Only a round that builds
-    candidates changes counts, and every such round yields."""
+    built), then yields hits (tree (H,), state (H, m), params (H, P)) in
+    candidate order: the first witness of each tree the step decides, or
+    under enumerate_all every witness of the trees it has moved past, all
+    of a tree's in one yield (the last tree's after the last step)."""
     reps = levels[0][0].shape[0]
     cap = max(1, geometry.CHUNK_FLOATS // (m * levels[n][1].shape[1]))
     decided = None if enumerate_all else np.zeros(reps, dtype=bool)
 
-    def verify(state):
-        """The hits of a round's candidates state (C, m), after adding their
-        counts and marking the trees they decide."""
+    def verify(state, owner):
+        """The hits of a step's candidates state (C, m) of trees owner (C,),
+        after adding their counts and marking the trees they decide."""
         fits = [fit(state[a : a + cap]) for a in range(0, state.shape[0], cap)]
         ok, params, fails = (np.concatenate(out) for out in zip(*fits))
-        owner = levels[n][0][state[:, 0]]
         hit = np.flatnonzero(ok)
         # the candidates checked: a decided tree's up to its first witness
         last = np.full(reps, state.shape[0])
@@ -513,15 +508,21 @@ def _witness_search(levels, m, keep, fit, n, counts, enumerate_all):
         counts["detected"][owner[hit]] = 1
         return owner[hit], state[hit], params[hit]
 
-    batch = _Batch(m, 1, reps, levels)
-    for lev, state, owner in _traverse(
-        batch, keep, n, 4 * intersect.BATCH_TUPLES, n, decided
-    ):
-        if lev == n and state.shape[0]:
-            # hold no owner during the fits, no candidate during the next round
-            del owner
-            yield verify(state)
-            del state
+    pending = []  # enumerate_all: the hits of the last tree so far
+    for lev, state, owner in _frontier(_Batch(m, 1, reps, levels), keep, n, n, decided):
+        if lev < n:
+            continue
+        hits = verify(state, owner)
+        if enumerate_all:
+            # level-n rows come in tree order: the trees before the last are done
+            hits = [np.concatenate(h) for h in zip(*pending, hits)]
+            done = np.searchsorted(hits[0], owner[-1])
+            pending = [[h[done:] for h in hits]]
+            hits = [h[:done] for h in hits]
+        # hold no candidate during the next step
+        del state, owner
+        yield hits
+    yield from pending
 
 
 def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
@@ -530,11 +531,9 @@ def _detect_groups(counts, tree, cubes, desc, n, tolerance=None,
     (N,) for d = 1, held by trees `tree` (N,), or all by tree `tree` if it
     is an int, with _detection_tolerance.  Trees with fewer than m cubes
     hold no candidate; the others are searched together (_witness_search).
-    Yields the hits of each batch of candidates as soon as it is verified,
-    the arrays (tree (H,), cubes (H, m, d), params (H, P)) of its trees'
-    first witnesses (every witness under enumerate_all, all of a tree's in
-    one yield) in check order, after filling their entries of counts:
-    SWEEP_COUNTERS mapped to (trees,) arrays, as DetectionResult has them."""
+    Yields its hits as (tree (H,), cubes (H, m, d), params (H, P)), after
+    filling their entries of counts: SWEEP_COUNTERS mapped to (trees,)
+    arrays, as DetectionResult has them."""
     tolerance = _detection_tolerance(desc, n, tolerance)
     cubes = np.asarray(cubes, dtype=np.int64)
     if cubes.ndim == 1:
@@ -590,9 +589,8 @@ def detect_configuration(
     (slab / interval arithmetic); candidates at level n are verified
     by a least-squares fit (plane families) or a polished polynomial root.
     The traversal builds the last level from blocks of 1, 2, 4, ...
-    level-(n-1) tuples (one block of all under enumerate_all), each block's
-    candidates verified as soon as they are built, so the search builds no
-    block after the one holding the first witness; the witness and
+    level-(n-1) tuples, each verified as soon as it is built, and none
+    after the one holding the first witness; the witness and
     `tuples_checked` (its position + 1) are those of checking every
     candidate one by one.  This is the one-tree call of the detection that
     sweeps run on whole forests.
@@ -675,17 +673,11 @@ def presence_profiles(
     Replicate r's realization at p is coupled_slice(d, seeds[r], p, n) in
     coupled mode, else sample_tree(law at p, variant, seeds[r], n).  At each
     p of the sorted grid, the realizations of all replicates still to be
-    searched are grown as one forest and detected as one batch: they are
-    traversed together, in groups of at most 4 * BATCH_TUPLES tuples (four
-    times the masses' cap), and the traversal builds each group's last
-    level in rounds, every replicate from its own blocks of 1, 2, 4, ...
-    level-(n-1) tuples, each round's candidates verified at once, until the
-    replicate's first witness.  Each presence equals that of
-    detect_configuration on the replicate's realization alone.  A replicate
-    whose traversal alone would hold over intersect.TUPLE_BUDGET tuples at
-    a level raises BudgetError: the budget is checked once per expansion,
-    from its peak, before any factor expands (at the last level, before
-    any replicate of its group expands).
+    searched are grown as one forest and detected as one batch
+    (_witness_search), each replicate until its first witness.  Each
+    presence equals that of detect_configuration on the replicate's
+    realization alone.  A replicate whose traversal would build over
+    intersect.TUPLE_BUDGET tuples at a level raises BudgetError.
 
     Coupled mode percolates one uniform field per replicate and slices it
     at every p, so each profile is monotone nondecreasing in p by
@@ -780,6 +772,12 @@ def _fit_levels(j_lo, j_hi):
     return list(range(j_lo, j_hi + 1))
 
 
+def _distinct(keys):
+    """The number of distinct keys (np.unique would import numpy.ma)."""
+    keys = np.sort(keys)
+    return int(keys.shape[0] > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def box_count_slope(points, j_lo, j_hi):
     """Least-squares slope of log2(number of occupied 2^-j boxes) vs j."""
     js = _fit_levels(j_lo, j_hi)
@@ -788,24 +786,34 @@ def box_count_slope(points, j_lo, j_hi):
     counts = []
     for j in js:
         (key,) = _row_keys(np.floor(pts * (1 << j)).astype(np.int64))
-        counts.append(np.unique(key).shape[0])
+        counts.append(_distinct(key))
     logs = np.log2(np.maximum(counts, 1))
     slope = float(np.polyfit(js, logs, 1)[0])
     return slope, counts
 
 
-def _split_by_tree(tree, rows, trees):
-    """The rows held by each of the trees 0..trees-1, in their order: one
-    stable split."""
+def _tree_slices(tree, rows):
+    """(t, the rows held by tree t, in their order) for each tree t present,
+    in tree order: one stable sort, then a slice a tree."""
     order = np.argsort(tree, kind="stable")
-    return np.split(rows[order], np.searchsorted(tree[order], np.arange(1, trees)))
+    tree, rows = tree[order], rows[order]
+    bounds = np.flatnonzero(np.diff(tree, prepend=-1, append=-1)).tolist()
+    return zip(tree[bounds[:-1]].tolist(), (rows[a:b] for a, b in zip(bounds, bounds[1:])))
+
+
+def _split_by_tree(tree, rows, trees):
+    """The rows held by each of the trees 0..trees-1, in their order."""
+    held, empty = dict(_tree_slices(tree, rows)), rows[:0]
+    return [held.get(t, empty) for t in range(trees)]
 
 
 def parameter_dimensions(tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=None):
     """pattern_parameter_dimension of each of the replicates 0..R-1, whose
     level-n cubes (N, d) are held by trees `tree` (N,), or by the one tree
     `tree` when it is an int: the witnesses of every replicate are
-    enumerated in one batch, and each round's are box-counted and dropped."""
+    enumerated in one batch, and each tree's, which come in one yield, are
+    box-counted and dropped.  A replicate without a witness has a slope of
+    NaN and box counts of 0."""
     sites = np.asarray(sites, dtype=float)
     if sites.ndim == 1:
         sites = sites[:, None]
@@ -817,13 +825,12 @@ def parameter_dimensions(tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=No
     boxes = {}
     groups = _detect_groups(counts, tree, cubes, desc, n, enumerate_all=True)
     for owner, _, wit in groups:
-        for r, rows in enumerate(_split_by_tree(owner, wit, replicates)):
-            if rows.shape[0]:
-                boxes[r] = *box_count_slope(rows, j_lo, j_hi), rows.shape[0]
+        for r, rows in _tree_slices(owner, wit):
+            boxes[r] = *box_count_slope(rows, j_lo, j_hi), rows.shape[0]
     predicted = desc.m * (law.s - law.d) + law.d + 1
     out = []
     for r, total in enumerate(counts["candidate_tuples"].tolist()):
-        slope, box, found = boxes.get(r, (0.0, [0] * (j_hi - j_lo + 1), 0))
+        slope, box, found = boxes.get(r, (math.nan, [0] * (j_hi - j_lo + 1), 0))
         out.append(DimensionEstimate(slope, predicted, box, (j_lo, j_hi), found, total))
     return out
 
@@ -831,7 +838,8 @@ def parameter_dimensions(tree, cubes, replicates, law, sites, n, j_lo=4, j_hi=No
 def pattern_parameter_dimension(tree, sites, n, j_lo=4):
     """Box-count dimension, over levels j_lo..n-1, of the set of (scale,
     offset) parameters whose homothetic copy of the site pattern is realized
-    at level n, against the predicted value m (s - d) + d + 1."""
+    at level n, against the predicted value m (s - d) + d + 1; NaN when no
+    copy is realized."""
     (est,) = parameter_dimensions(0, tree.levels[n], 1, tree.law, sites, n, j_lo)
     return est
 
@@ -874,7 +882,7 @@ def percolation_dimension_test(cubes, n, d, p_grid, replicates, base_seed=0):
             coupled_law(d, p), "extinction", seeds, n,
             keep=lambda lev, idx: _lex_member(ancestors[lev], idx),
         ):
-            hit += np.unique(levels[n][0]).shape[0]
+            hit += _distinct(levels[n][0])
         lo, hi = wilson_interval(hit, replicates)
         rows.append(SweepRow(p, hit / replicates, lo, hi, replicates))
         hits.append(hit)
@@ -912,9 +920,7 @@ def _greedy_removals(sets, desc, n, removals, tolerance):
     for owner, wit, _ in _detect_groups(
         counts, tree, np.concatenate(sets), desc, n, tolerance, enumerate_all=True
     ):
-        for t, rows in enumerate(_split_by_tree(owner, wit, len(sets))):
-            if rows.shape[0] == 0:
-                continue
+        for t, rows in _tree_slices(owner, wit):
             # each set is lexsorted, as forest levels are, so its cube keys
             # are sorted and a witness cube's row in it is a searchsorted
             key, cube_key = _row_keys(rows.reshape(-1, desc.d), sets[t])

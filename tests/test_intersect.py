@@ -15,14 +15,15 @@ from fracperc.errors import BudgetError, ConfigError
 from fracperc.geometry import orthonormalize, plane_level_keep, plane_level_measure
 import fracperc.intersect as intersect
 from fracperc.intersect import (
+    _child_table,
     _expand_factor,
+    _frontier,
     _grown_batch,
     _poly_keep,
     _product_idx,
     _prune_state,
     _spec_batch,
     _target_keep,
-    _traverse,
     intersection_mass,
     replicate_masses,
 )
@@ -461,7 +462,7 @@ def test_traversal_budget_checked_before_expansion(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            for _ in _traverse(batch, None, 2, intersect.BATCH_TUPLES):
+            for _ in _frontier(batch, None, 2):
                 pass
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -470,9 +471,12 @@ def test_traversal_budget_checked_before_expansion(monkeypatch):
 
 
 def test_refused_level_expands_no_factor(monkeypatch):
-    # The budget is checked from the expansion's peak before any factor of
-    # the refused level expands: level 1's two factors expand, level 2's
-    # none (expanding its first factor would hold 4096 tuples).
+    # The budget caps the tuples one replicate's steps build at a level, and
+    # each step adds its expansion peak before any factor expands.  Every
+    # factor cube has 16 children, so a level-1 tuple expands to 256 tuples
+    # and a level-2 step takes BATCH_TUPLES // 256 of them: level 1's two
+    # factors expand, then level 2's steps up to the one whose count would
+    # pass the budget, which expands no factor.
     monkeypatch.setattr(intersect, "TUPLE_BUDGET", 5000)
     calls = []
 
@@ -481,10 +485,20 @@ def test_refused_level_expands_no_factor(monkeypatch):
         return _expand_factor(state, col, *table)
 
     monkeypatch.setattr(intersect, "_expand_factor", counted)
-    with pytest.raises(BudgetError, match="would hold 65536 tuples"):
-        for _ in _traverse(_full_square_pairs(), None, 2, intersect.BATCH_TUPLES):
+    batch = _full_square_pairs()
+    children = _child_table(batch.factor[1], batch.factor[2])[2]
+    assert set(children.tolist()) == {16}
+    rows = intersect.BATCH_TUPLES // 256
+    fitting = 5000 // (rows * 256)
+    count = (fitting + 1) * rows * 256
+    with pytest.raises(BudgetError, match=rf"would build {count} tuples at level 2 \(budget 5000\)"):
+        for _ in _frontier(batch, None, 2):
             pass
-    assert calls == [(1, 0), (16, 1)]
+    assert calls == [(1, 0), (16, 1)] + [(rows, 0), (rows * 16, 1)] * fitting
+    # at a budget of the level's 65536 tuples the traversal runs
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", 65536)
+    levels = [lev for lev, _, _ in _frontier(batch, None, 2)]
+    assert levels.count(2) == 65536 // (rows * 256)
 
 
 def test_pruning_holds_one_chunk_of_indices(monkeypatch):
@@ -579,25 +593,22 @@ def _bits(series, field):
 def _row_order_values(spec, target, n, mc_samples):
     """Y_0..Y_n of one replicate, each level's cube measures added one by one
     in traversal order."""
-    out = []
+    totals = [0.0] * (n + 1)
     batch = _spec_batch(spec, n)
     diag = spec.diag_level if spec.mode == "power" and spec.m >= 2 else None
-    for lev, state, _ in _traverse(
-        batch, _target_keep(target), n, intersect.BATCH_TUPLES, diag
-    ):
+    for lev, state, _ in _frontier(batch, _target_keep(target), n, diag):
         idx = _product_idx(state, [batch.factor[lev][1]] * spec.m)
-        if spec.mode == "power" and lev < spec.diag_level:
-            out.append(float("nan"))
-            continue
         if isinstance(target, fp.AffinePlane):
             vals, _ = plane_level_measure(target, idx, lev, mc_samples)
         else:
             vals, _ = variety_level_measure(target, idx, lev, mc_samples)
-        total = 0.0
         for v in vals.tolist():
-            total += v
-        out.append(spec.density_factor(lev) * total)
-    return out
+            totals[lev] += v
+    return [
+        float("nan") if spec.mode == "power" and lev < spec.diag_level
+        else spec.density_factor(lev) * total
+        for lev, total in enumerate(totals)
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
@@ -607,8 +618,8 @@ def test_replicate_batch_matches_one_at_a_time(case, monkeypatch):
     # replicates; every replicate's series must still equal its own
     # one-replicate call bit for bit (NaN below the power mode's
     # decomposition level included).
-    # A cap of 40 tuples also splits the batch into groups of replicates
-    # at most levels.
+    # A cap of 40 tuples also splits every level into steps of a few
+    # tuples, inside and across replicates.
     monkeypatch.setattr(geometry, "CHUNK_FLOATS", 96)
     mode, d, m, p, variant, target, n, diag_level = _BATCH_CASES[case]
     keys = root_key(np.arange(100, 109, dtype=np.uint64))
@@ -627,8 +638,8 @@ def test_replicate_batch_matches_one_at_a_time(case, monkeypatch):
 
 
 def test_variety_cubes_are_measured_once_per_run(monkeypatch):
-    # A cap of 40 tuples splits the traversal into several groups, which
-    # share product cubes at a level: each (level, cube) must reach the
+    # A cap of 40 tuples splits the traversal into many steps, which share
+    # product cubes at a level: each (level, cube) must reach the
     # kernel once per run, and every replicate's series must still equal its
     # own one-replicate call bit for bit.
     mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-coarea"]
@@ -651,16 +662,13 @@ def test_variety_cubes_are_measured_once_per_run(monkeypatch):
     for lev in range(n + 1):
         handed = np.concatenate([idx for level, idx in calls if level == lev])
         assert np.unique(handed, axis=0).shape[0] == handed.shape[0], lev
-    # groups share cubes: measured once per group, they would be more
+    # steps share cubes: measured once per step, they would be more
     whole = _grown_batch(spec, keys, n)
-    per_group = sum(
+    per_step = sum(
         np.unique(_product_idx(state, [whole.factor[lev][1]] * m), axis=0).shape[0]
-        for lev, state, _ in _traverse(
-            whole, _target_keep(target), n, intersect.BATCH_TUPLES
-        )
-        if state.shape[0]
+        for lev, state, _ in _frontier(whole, _target_keep(target), n)
     )
-    assert per_group > sum(idx.shape[0] for _, idx in calls)
+    assert per_step > sum(idx.shape[0] for _, idx in calls)
 
 
 def _smallest_budget(monkeypatch, spec, target, n):
@@ -678,19 +686,22 @@ def _smallest_budget(monkeypatch, spec, target, n):
 
 
 def test_batch_over_budget_is_split_not_refused(monkeypatch):
-    # Only the budget splits here, not the batch cap.
+    # The budget caps each replicate's tuples, not the batch's: with one
+    # step per level, a batch whose replicates fit the budget one by one
+    # but hold more together is not refused.
     monkeypatch.setattr(intersect, "BATCH_TUPLES", 1 << 40)
     mode, d, m, p, variant, target, n, _ = _BATCH_CASES["independent-hyperplane"]
     keys = root_key(np.arange(200, 208, dtype=np.uint64))
     specs = _replicate_specs(mode, d, m, p, variant, keys, n, 0)
     alone = [intersection_mass(s, target, n) for s in specs]
-    budget = max(_smallest_budget(monkeypatch, s, target, n) for s in specs)
+    smallest = [_smallest_budget(monkeypatch, s, target, n) for s in specs]
+    budget = max(smallest)
     monkeypatch.setattr(intersect, "TUPLE_BUDGET", budget)
-    # every replicate fits, the whole batch does not: its traversal is split
-    # into groups, which yield some level more than once ...
+    # every replicate fits, the whole batch's last level does not ...
     whole = _grown_batch(specs[0], keys, n)
-    traversal = _traverse(whole, _target_keep(target), n, intersect.BATCH_TUPLES)
-    assert len(list(traversal)) > n + 1
+    steps = [state for lev, state, _ in _frontier(whole, _target_keep(target), n)]
+    assert len(steps) == n + 1
+    assert sum(smallest) > budget
     # ... and the masses are those of the replicates alone
     batch = replicate_masses(specs[0], keys, target, n)
     for field in ("values", "ses", "counts"):
@@ -712,11 +723,11 @@ def _progression_batch(keys):
 
 def _last_level_rows(batch, keep, n, decided, mark=False):
     """Each replicate's level-n rows of the traversal with `decided`, in
-    order, and the replicates of each level-n yield; with mark, every
-    replicate of a yield is marked decided after it."""
+    order, and the replicates of each level-n step; with mark, every
+    replicate of a step is marked decided after it."""
     rows, yields = {}, []
-    for lev, state, rep in _traverse(batch, keep, n, 40, None, decided):
-        if lev == n and rep.shape[0]:
+    for lev, state, rep in _frontier(batch, keep, n, None, decided):
+        if lev == n:
             yields.append(set(rep.tolist()))
             for r in yields[-1]:
                 rows.setdefault(r, []).extend(state[rep == r].tolist())
@@ -725,19 +736,20 @@ def _last_level_rows(batch, keep, n, decided, mark=False):
     return rows, yields
 
 
-def test_last_level_rounds_match_the_one_expansion():
-    # With `decided` the last expansion goes in rounds of blocks of 1, 2,
-    # 4, ... level-(n-1) tuples of every undecided replicate.  Never set,
-    # each replicate's level-n rows are those of the one expansion, in
-    # order, over several yields; a replicate marked decided after its first
-    # yield is in no later yield, and its rows are a prefix of the others.
+def test_last_level_rounds_match_the_one_expansion(monkeypatch):
+    # With `decided` each replicate's level-(n-1) tuples go in blocks of 1,
+    # 2, 4, ...  Never set, each replicate's level-n rows are those of the
+    # traversal without it, in order, over several steps; a replicate
+    # marked decided after its first step is in no later step, and its
+    # rows are a prefix of the others.
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 40)
     keys = root_key(np.arange(300, 312, dtype=np.uint64))
     _, target, batch, n = _progression_batch(keys)
     keep = _target_keep(target)
     whole, once = _last_level_rows(batch, keep, n, None)
-    assert len(whole) > 1 and all(len(yields) == 1 for yields in [
-        [y for y in once if r in y] for r in whole
-    ])
+    # without it, the level-n steps come in replicate order
+    assert len(whole) > 1 and len(once) > len(whole)
+    assert all(max(a) <= min(b) for a, b in zip(once, once[1:]))
     rounds, yields = _last_level_rows(batch, keep, n, np.zeros(len(keys), dtype=bool))
     assert rounds == whole
     assert max(sum(r in y for y in yields) for r in whole) > 2
@@ -752,16 +764,18 @@ def test_last_level_rounds_match_the_one_expansion():
 
 @pytest.mark.parametrize("caller", ["masses", "enumerate-all"])
 def test_last_level_budget_refuses_before_any_of_the_group(caller, monkeypatch):
-    # A replicate whose last expansion is over TUPLE_BUDGET, behind one that
-    # fits in the same group: the usual BudgetError comes before any
-    # expansion of the group's last level, not after the first replicate's.
+    # One step builds the whole last level of two replicates, one of which
+    # alone would build more than TUPLE_BUDGET tuples there: the step is
+    # refused, naming that replicate's count (the largest sum of the
+    # partial products of its rows' child counts), before any of it is
+    # built; at that count as the budget the run completes.
     from fracperc.patterns import _detect_forest, _forest_ancestors
 
     monkeypatch.setattr(intersect, "BATCH_TUPLES", 1 << 40)
     if caller == "masses":
         keys = root_key(np.arange(300, 302, dtype=np.uint64))
         law, target, batch, n = _progression_batch(keys)
-        last_rows, peak = batch.factor[n][0].shape[0], 236
+        keep, distinct = _target_keep(target), None
 
         def run():
             replicate_masses(law, keys, target, n)
@@ -770,10 +784,18 @@ def test_last_level_budget_refuses_before_any_of_the_group(caller, monkeypatch):
         grid = np.array([(i, j) for i in range(8) for j in range(8)])
         cubes = np.concatenate([[(0, 0), (2, 0), (0, 2), (7, 7)], grid])
         tree = np.repeat([0, 1], [4, grid.shape[0]])
-        last_rows, peak = _forest_ancestors(tree, cubes, n)[1][n][0].shape[0], 199936
+        batch = intersect._Batch(3, 1, 2, _forest_ancestors(tree, cubes, n)[1])
+        tol = math.sqrt(2) * 2.0 ** -n
+        keep, distinct = fp.patterns._detection_keep(desc, desc._detection_target, tol), n
 
         def run():
             _detect_forest(tree, cubes, 2, desc, n, enumerate_all=True)
+    (state, rep), = [(s, r) for lev, s, r in _frontier(batch, keep, n - 1, distinct) if lev == n - 1]
+    assert np.unique(rep).shape[0] == 2
+    children = _child_table(batch.factor[n - 1], batch.factor[n])[2]
+    sizes = np.cumprod(children[state], axis=1)
+    peak = max(sizes[rep == r].sum(axis=0).max() for r in (0, 1))
+    last_rows = batch.factor[n][0].shape[0]
     built = []
 
     def recording(state, col, order, *table):
@@ -783,7 +805,7 @@ def test_last_level_budget_refuses_before_any_of_the_group(caller, monkeypatch):
 
     monkeypatch.setattr(intersect, "_expand_factor", recording)
     monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak - 1)
-    with pytest.raises(BudgetError, match=rf"would hold {peak} tuples \(budget {peak - 1}\)"):
+    with pytest.raises(BudgetError, match=rf"would build {peak} tuples at level {n} \(budget {peak - 1}\)"):
         run()
     assert built == []
     monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak)

@@ -879,9 +879,10 @@ def test_batched_profiles_match_one_replicate_detections(case, coupled, monkeypa
 
 
 def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
-    # With no group limit beyond the budget, a batch whose replicates fit
-    # the budget one by one but not together is split, not refused; a
-    # budget that one replicate alone exceeds raises BudgetError.
+    # With one step per level, a batch whose replicates fit the budget one
+    # by one but not together is not refused, as the budget caps each
+    # replicate's tuples; a budget that one replicate alone exceeds raises
+    # BudgetError.
     from fracperc import intersect
 
     monkeypatch.setattr(intersect, "BATCH_TUPLES", 1 << 40)
@@ -905,8 +906,10 @@ def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
         budget *= 2
     got = fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
     assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
-    # unsplit, the last expansion of all replicates at the largest p would
-    # have held more tuples than the budget: more than every candidate
+    # together, the replicates at the largest p would build more tuples at
+    # the last level than the budget: more than every candidate (counted
+    # without a budget)
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", 1 << 40)
     law = fp.GaltonWatsonLaw.create(2, grid[-1])
     tol = math.sqrt(desc.d) * 2.0 ** -n
     exhaustive = 0
@@ -921,35 +924,84 @@ def test_batched_sweep_splits_groups_and_refuses_lone_replicates(monkeypatch):
         fp.presence_profiles(desc, grid, n, seeds, coupled=False, variant="extinction")
 
 
-def test_detection_groups_hold_four_times_the_mass_cap(monkeypatch):
-    # Detection rounds take their limit from BATCH_TUPLES when they are
-    # made: at a cap of 40, the last level of a multi-replicate forest is
-    # built in several rounds, none of several trees holding over 160
-    # tuples, and some holding over 40.
-    from fracperc import intersect, patterns
+def test_detection_steps_hold_at_most_the_batch_cap(monkeypatch):
+    # At a cap of 40, no step of a multi-replicate detection holds over 40
+    # tuples while its factors expand, its queues together never hold over
+    # n * 40 tuples, some last-level steps hold tuples of several trees,
+    # and the sweep's presence and counters are those of the default cap.
+    import weakref
+
+    from fracperc import intersect
     from fracperc.patterns import _forest_ancestors
     from fracperc.percolation import coupled_law
 
-    monkeypatch.setattr(intersect, "BATCH_TUPLES", 40)
     desc, n = fp.ConfigDescriptor("distance", 2, {"lam": 0.5}), 4
     seeds = np.array([fp.rng.derive(fp.rng.root_key(11), r + 1) for r in range(40)])
+    want = fp.presence_profiles(desc, [0.35], n, seeds)
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 40)
     tree, cubes = fp.sample_forest(coupled_law(2, 0.35), "coupled", seeds, n)[n]
     _, levels = _forest_ancestors(tree, cubes, n, desc.m)
-    expand = intersect._expand_factor
-    held = []
+    expand, queue = intersect._expand_factor, intersect._Queue
+    queues, held, last = weakref.WeakSet(), [], []
+
+    class Recording(queue):
+        def __init__(self, *args):
+            super().__init__(*args)
+            queues.add(self)
 
     def recording(state, col, order, *table):
         out = expand(state, col, order, *table)
+        held.append((out.shape[0], sum(q.state.shape[0] for q in queues)))
         if order.shape[0] == levels[n][0].shape[0]:
             # the expanded column holds level-n rows
-            held.append((out.shape[0], np.unique(levels[n][0][out[:, col]]).shape[0]))
+            last.append(np.unique(levels[n][0][out[:, col]]).shape[0])
         return out
 
+    monkeypatch.setattr(intersect, "_Queue", Recording)
     monkeypatch.setattr(intersect, "_expand_factor", recording)
-    fp.presence_profiles(desc, [0.35], n, seeds)
-    assert len(held) > desc.m
-    several = [size for size, trees in held if trees > 1]
-    assert several and 40 < max(several) <= 160
+    got = fp.presence_profiles(desc, [0.35], n, seeds)
+    assert got[0].tolist() == want[0].tolist()
+    assert {k: v for k, v in got[1].items() if k != "candidate_tuples"} == {
+        k: v for k, v in want[1].items() if k != "candidate_tuples"
+    }
+    assert len(last) > desc.m and max(last) > 1
+    assert max(size for size, _ in held) <= 40
+    assert 40 < max(total for _, total in held) <= n * 40
+
+
+def test_enumeration_yields_each_trees_witnesses_at_once(monkeypatch):
+    # Under enumerate_all every tree's witnesses come in one yield, after
+    # the traversal has moved past the tree, in the order and with the
+    # counters of the default cap, though a cap of 40 spreads a tree's
+    # candidates over many steps.
+    from fracperc import intersect
+    from fracperc.patterns import _detect_groups
+
+    desc = desc_homothetic(d=1, sites=((0,), (1,), (2,)))
+    n, replicates = 6, 12
+    (tree, cubes), law, _ = _pattern_dim_forest(replicates, n)
+
+    def enumerate_all():
+        counts = {name: np.zeros(replicates, dtype=np.int64) for name in SWEEP_COUNTERS}
+        yields = [
+            [np.asarray(a).copy() for a in hits]
+            for hits in _detect_groups(counts, tree, cubes, desc, n, enumerate_all=True)
+        ]
+        return yields, counts
+
+    want, want_counts = enumerate_all()
+    monkeypatch.setattr(intersect, "BATCH_TUPLES", 40)
+    got, counts = enumerate_all()
+    assert len(got) > len(want)
+    trees = [set(owner.tolist()) for owner, _, _ in got]
+    assert all(not a & b for i, a in enumerate(trees) for b in trees[i + 1 :])
+    assert sum(len(t) for t in trees) > 1
+    for a, b in zip(want_counts.values(), counts.values()):
+        assert a.tolist() == b.tolist()
+    for k in range(3):
+        assert np.concatenate([y[k] for y in got]).tolist() == (
+            np.concatenate([y[k] for y in want]).tolist()
+        )
 
 
 @pytest.mark.parametrize("floor", [0.0, 0.4], ids=["first-block", "later-block"])
@@ -1001,35 +1053,44 @@ def test_detection_stops_expanding_at_the_first_witness(floor, monkeypatch):
 
 
 def test_last_level_budget_refuses_before_the_first_block(monkeypatch):
-    # A tree whose whole last expansion is over TUPLE_BUDGET is refused
-    # before any of its level-n tuples exist, although its first block
-    # holds a witness and alone fits the budget; at that budget plus one
-    # tuple the same detection runs.
+    # The budget caps the tuples each level's steps build, so a tree whose
+    # whole last expansion is over it (64 tuples for each of 3124 level-2
+    # tuples) is not refused when its first block holds a witness: the
+    # largest count is level 2's, 64 level-1 tuples whose three factor
+    # cubes have 4 children each.  One tuple under it, the step building
+    # level 2 is refused before any of it, and so before the first block.
     from fracperc import intersect
-    from fracperc.intersect import _Batch, _child_table, _expansion_peak, _traverse
+    from fracperc.intersect import _Batch, _child_table, _frontier
 
     desc, n = desc_homothetic(d=2, sites=((0, 0), (1, 0), (0, 1))), 3
     cubes = np.array([(i, j) for i in range(8) for j in range(8)])
     levels = [_stack([lev]) for lev in _ancestor_levels(cubes, n)]
     keep = _detection_keep(desc, desc._detection_target, math.sqrt(2) * 2.0 ** -n)
-    (state,) = [s for lev, s, _ in _traverse(_Batch(3, 1, 1, levels), keep, n - 1, 1 << 40)
-                if lev == n - 1]
-    peak = _expansion_peak(state, _child_table(levels[n - 1], levels[n])[2])
+    states = {}
+    for lev, state, _ in _frontier(_Batch(3, 1, 1, levels), keep, n - 1):
+        states[lev] = np.concatenate([states.get(lev, state[:0]), state])
+    counts = [_child_table(levels[lev], levels[lev + 1])[2] for lev in range(n)]
+    sizes = [np.prod(counts[lev][states[lev]], axis=1) for lev in range(n)]
+    assert all((c == 4).all() for c in counts) and sizes[1].shape[0] == 64
+    count = int(sizes[1].sum())
+    assert count == 64 * 64 < int(sizes[2].sum())
     expand, built = intersect._expand_factor, []
 
     def recording(state, col, order, *table):
-        if order.shape[0] == levels[n][0].shape[0]:
-            built.append(col)
+        built.append((order.shape[0], col))
         return expand(state, col, order, *table)
 
     monkeypatch.setattr(intersect, "_expand_factor", recording)
-    monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak - 1)
-    with pytest.raises(BudgetError, match=rf"would hold {peak} tuples \(budget {peak - 1}\)"):
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", count - 1)
+    with pytest.raises(BudgetError, match=rf"would build {count} tuples at level 2 \(budget {count - 1}\)"):
         fp.detect_configuration(cubes, desc, n)
-    assert built == []
-    monkeypatch.setattr(intersect, "TUPLE_BUDGET", peak)
+    level = [levels[lev][0].shape[0] for lev in range(n + 1)]
+    assert built == [(level[1], col) for col in range(desc.m)]
+    built.clear()
+    monkeypatch.setattr(intersect, "TUPLE_BUDGET", count)
     assert fp.detect_configuration(cubes, desc, n).present
-    assert built == list(range(desc.m))
+    # the last level's first block alone: one level-2 tuple
+    assert [col for rows, col in built if rows == level[n]] == list(range(desc.m))
 
 
 def test_box_count_slope_matches_row_unique():
@@ -1043,6 +1104,55 @@ def test_box_count_slope_matches_row_unique():
                 for j in range(2, 8)]
         assert counts == want
         assert slope == float(np.polyfit(range(2, 8), np.log2(want), 1)[0])
+
+
+def test_box_counts_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma (12 ms and over 1 MB a process); the box
+    # counts and percolation hits count distinct keys without it.
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, numpy as np\n"
+        "from fracperc.patterns import box_count_slope, percolation_dimension_test\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "pts = np.random.default_rng(4).uniform(0, 1, size=(300, 2))\n"
+        "box_count_slope(pts, 2, 7)\n"
+        "percolation_dimension_test([[0, 0], [3, 1]], 2, 2, [0.5, 0.9], 4)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_split_by_tree_matches_a_split_per_tree():
+    from fracperc.patterns import _split_by_tree
+
+    rng = np.random.default_rng(6)
+    tree = rng.integers(0, 9, size=200) * 2  # odd trees hold nothing
+    rows = rng.integers(0, 100, size=(200, 3))
+    got = _split_by_tree(tree, rows, 20)
+    assert len(got) == 20
+    for t, held in enumerate(got):
+        assert held.shape == (np.count_nonzero(tree == t), 3)
+        assert held.tolist() == rows[tree == t].tolist()
+    assert [a.shape for a in _split_by_tree(tree[:0], rows[:0], 3)] == [(0, 3)] * 3
+
+
+def test_parameter_dimensions_give_nan_without_a_witness():
+    # A replicate without a witness has no slope: NaN, not a dimension of 0.
+    n, replicates, sites = 6, 12, [[0.0], [1.0], [2.0]]
+    (tree, cubes), law, _ = _pattern_dim_forest(replicates, n)
+    got = parameter_dimensions(tree, cubes, replicates, law, sites, n, 3)
+    none = [est for est in got if est.witnesses == 0]
+    assert none and len(none) < replicates
+    for est in none:
+        assert math.isnan(est.slope) and est.counts == [0] * 3
+    assert all(math.isfinite(est.slope) for est in got if est.witnesses)
 
 
 def test_slope_fits_need_three_levels_from_zero():
